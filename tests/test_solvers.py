@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from nonsmooth.gallery import fig2_expr
 from nonsmooth.polyhedra import Ball, Box, HPolyhedron
 from nonsmooth.rng import make_rng
 from nonsmooth.solvers import (
+    _kbest_selections,
+    _ridge_blocks,
+    _sample_products,
     Constant,
     Diminishing,
     Geometric,
@@ -173,6 +178,40 @@ class TestRidge:
         with pytest.raises(ValueError):
             ridge_ls_solve(np.eye(2), [1.0, 1.0], 0.0, np.zeros(2))
 
+    def test_stacked_solve_matches_per_block_solve(self):
+        rng = make_rng(31)
+        N, n, k, C, c = 12, 2, 4, 20, 0.3
+        X = rng.uniform(-1, 1, (N, n))
+        y = rng.standard_normal(N)
+        anchors = rng.standard_normal((k, n))
+        # branches 0..2 only in half of the rows, so branch 3 is often empty
+        assign = rng.integers(0, k, (C, N))
+        assign[::2] %= 3
+        assign[1, :] = 0
+        masks = (assign[:, None, :] == np.arange(k)[:, None]).astype(float)
+        XX, Xy = _sample_products(X, y)
+        out = _ridge_blocks(XX, Xy, masks, c, anchors, 1.0 / N)
+        n_empty = 0
+        for b in range(C):
+            for i in range(k):
+                rows = assign[b] == i
+                ref = ridge_ls_solve(X[rows], y[rows], c, anchors[i], nsamples=N)
+                assert np.allclose(out[b, i], ref, rtol=0.0, atol=1e-12)
+                if not rows.any():
+                    n_empty += 1
+                    assert np.array_equal(out[b, i], anchors[i])
+        assert n_empty >= 3
+
+    def test_stacked_solve_checks_every_block(self):
+        # the second block's Gram matrix is nearly singular: its solve leaves
+        # a normal-equations residual ~3e-9 relative, past the bound
+        X = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0 + 1e-7]])
+        XX, Xy = _sample_products(X, np.array([1.0, 0.0, -1.0]))
+        masks = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        _ridge_blocks(XX, Xy, masks[:1], 1e-30, np.zeros(2), 1.0)
+        with pytest.raises(ArithmeticError):
+            _ridge_blocks(XX, Xy, masks, 1e-30, np.zeros(2), 1.0)
+
 
 class TestPseudoSubgrad:
     def test_matches_fd_at_smooth_points(self):
@@ -232,6 +271,74 @@ class TestMM:
         tr_mm, cert = mm_lspar(ds, W0)
         tr_sg = subgradient_method(lspar_oracle(ds), W0, Diminishing(1.0), max_iter=1500)
         assert tr_mm.objectives[-1] <= tr_sg.objectives[-1] + 1e-12
+
+
+def reference_mm_lspar(dataset, W0, params):
+    """The per-candidate MM loop: one ridge solve per branch per candidate."""
+    X = np.asarray(dataset.X, dtype=float)
+    y = np.asarray(dataset.y, dtype=float).ravel()
+    N = X.shape[0]
+    W = np.array(W0, dtype=float)
+    k = W.shape[1]
+    eps = params.eps0 if params.eps0 is not None else 0.1 * float(np.mean(np.abs(y)))
+    eps = max(eps, 1e-12)
+    c = params.c0
+    f_cur = lspar_objective(X, y, W)
+    termination = "MAX_ITER"
+    for _ in range(params.max_outer):
+        Z = X @ W
+        margins = Z.max(axis=1)[:, None] - Z
+        active = margins <= eps
+        ambiguous = [s for s in range(N) if active[s].sum() > 1]
+        cost_lists = [
+            sorted((float(margins[s, i]), int(i)) for i in np.flatnonzero(active[s]))
+            for s in ambiguous
+        ]
+        best_candidate, best_f = None, math.inf
+        for combo in _kbest_selections(cost_lists, params.selection_cap):
+            assign = Z.argmax(axis=1)
+            assign[ambiguous] = combo
+            Wtry = np.empty_like(W)
+            for i in range(k):
+                rows = assign == i
+                Wtry[:, i] = ridge_ls_solve(X[rows], y[rows], c, W[:, i], nsamples=N)
+            ftry = lspar_objective(X, y, Wtry)
+            if ftry < best_f:
+                best_f, best_candidate = ftry, Wtry
+        if best_candidate is not None:
+            delta = float(np.linalg.norm(best_candidate - W) ** 2)
+            if f_cur - best_f >= params.eta * delta and best_f < f_cur:
+                W, f_cur = best_candidate, best_f
+                c = max(params.c_min, 0.5 * c)
+                continue
+        if lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol).is_d_stationary:
+            termination = "CONVERGED"
+            break
+        eps *= params.shrink
+        c *= 2.0
+    cert = lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol)
+    return f_cur, termination, cert.is_d_stationary
+
+
+class TestStackedMM:
+    @pytest.mark.parametrize("N", [10, 50])
+    @pytest.mark.parametrize("k", [4, 1])
+    @pytest.mark.parametrize("cap", [1, 4, 256])
+    def test_matches_per_candidate_reference(self, N, k, cap):
+        ds = make_dataset(N=N, seed=40 + N, sigma=0.1)
+        W0 = make_rng(N, k, cap).standard_normal((2, k))
+        params = MMParams(selection_cap=cap)
+        tr, cert = mm_lspar(ds, W0, params)
+        f_ref, term_ref, cert_ref = reference_mm_lspar(ds, W0, params)
+        assert tr.objectives[-1] == pytest.approx(f_ref, rel=1e-9, abs=0.0)
+        assert tr.termination == term_ref
+        assert cert.is_d_stationary == cert_ref == tr.extras["certificate"]
+
+    def test_counters(self):
+        ds = make_dataset(N=20, seed=7, sigma=0.1)
+        tr, _ = mm_lspar(ds, make_rng(7).standard_normal((2, 4)))
+        assert tr.extras["outer_iters"] >= max(1, tr.steps.size)
+        assert tr.extras["candidates"] >= tr.extras["outer_iters"]
 
 
 class TestSharpGeometricConvergence:
