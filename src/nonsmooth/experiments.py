@@ -29,11 +29,10 @@ import numpy as np
 
 from .rng import make_rng, stream_key
 from .solvers import (
-    Diminishing,
     Geometric,
     MMParams,
     SubgradOracle,
-    lspar_oracle,
+    lspar_subgradient_lockstep,
     mm_lspar,
     subgradient_method,
 )
@@ -386,64 +385,100 @@ def tune_subgrad_coefficient(
     probes: int = 5,
 ) -> float:
     """Pick the diminishing-step coefficient by mean final objective on
-    held-out seeds (the experiment seeds never overlap these)."""
+    held-out seeds (the experiment seeds never overlap these).
+
+    All grid x probes runs go through one lockstep subgradient call."""
+    data = [gen_lspar_data(N, noise_sigma, stream_key(heldout_seed, N, p)) for p in range(probes)]
+    W0 = [make_rng(heldout_seed, N, p, 5).standard_normal(LSPAR_TRUE_W.shape) for p in range(probes)]
+    final_f, _, _ = lspar_subgradient_lockstep(
+        np.stack([ds.X for ds in data] * len(grid)),
+        np.stack([ds.y for ds in data] * len(grid)),
+        np.stack(W0 * len(grid)),
+        np.repeat(np.asarray(grid, dtype=float), probes),
+        max_iter=iters,
+    )
     scores = []
-    for c in grid:
+    for i, c in enumerate(grid):
         tot = 0.0
-        for p in range(probes):
-            ds = gen_lspar_data(N, noise_sigma, stream_key(heldout_seed, N, p))
-            rng = make_rng(heldout_seed, N, p, 5)
-            W0 = rng.standard_normal(LSPAR_TRUE_W.shape)
-            tr = subgradient_method(lspar_oracle(ds), W0, Diminishing(c), max_iter=iters)
-            tot += float(tr.objectives[-1])
+        for f in final_f[i * probes : (i + 1) * probes]:
+            tot += float(f)
         scores.append((tot / probes, c))
     return min(scores)[1]
 
 
-def run_single_lspar_trial(args) -> list:
-    """One (N, trial) cell: shared start, MM then pseudo-subgradient."""
-    (N, trial, root_seed, noise_sigma, subgrad_c, subgrad_iters, mm_params) = args
-    data_seed = stream_key(root_seed, N, trial, 11)
-    ds = gen_lspar_data(N, noise_sigma, data_seed)
-    rng = make_rng(root_seed, N, trial, 22)
-    W0 = rng.standard_normal(LSPAR_TRUE_W.shape)
+def _lspar_trial_block(args) -> list:
+    """MM trial by trial, then the block's subgradient arm in one lockstep run.
 
+    ``args`` is (N, trials, root_seed, noise_sigma, subgrad_c, subgrad_iters,
+    mm_params) with ``trials`` a sequence of trial ids.  A subgradient row's
+    ``wall_ms`` is the lockstep run's wall time divided by the block's
+    trials.
+    """
+    (N, trials, root_seed, noise_sigma, subgrad_c, subgrad_iters, mm_params) = args
+    mm_rows, data, starts = [], [], []
+    for trial in trials:
+        data_seed = stream_key(root_seed, N, trial, 11)
+        ds = gen_lspar_data(N, noise_sigma, data_seed)
+        W0 = make_rng(root_seed, N, trial, 22).standard_normal(LSPAR_TRUE_W.shape)
+        t0 = time.perf_counter()
+        mm_trace, cert = mm_lspar(ds, W0, mm_params)
+        mm_rows.append(
+            TrialRecord(
+                trial=trial,
+                seed=data_seed,
+                N=N,
+                method="mm",
+                final_f=float(mm_trace.objectives[-1]),
+                best_f=float(mm_trace.best_f),
+                iters=mm_trace.iterations,
+                cert=bool(cert.is_d_stationary),
+                wall_ms=1e3 * (time.perf_counter() - t0),
+            )
+        )
+        data.append(ds)
+        starts.append(W0)
     t0 = time.perf_counter()
-    mm_trace, cert = mm_lspar(ds, W0, mm_params)
-    mm_ms = 1e3 * (time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    sg_trace = subgradient_method(
-        lspar_oracle(ds), W0, Diminishing(subgrad_c), max_iter=subgrad_iters
+    final_f, best_f, iters = lspar_subgradient_lockstep(
+        np.stack([ds.X for ds in data]),
+        np.stack([ds.y for ds in data]),
+        np.stack(starts),
+        np.full(len(starts), subgrad_c),
+        max_iter=subgrad_iters,
     )
-    sg_ms = 1e3 * (time.perf_counter() - t0)
-    return [
+    sg_ms = 1e3 * (time.perf_counter() - t0) / len(starts)
+    sg_rows = [
         TrialRecord(
-            trial=trial,
-            seed=data_seed,
-            N=N,
-            method="mm",
-            final_f=float(mm_trace.objectives[-1]),
-            best_f=float(mm_trace.best_f),
-            iters=mm_trace.iterations,
-            cert=bool(cert.is_d_stationary),
-            wall_ms=mm_ms,
-        ),
-        TrialRecord(
-            trial=trial,
-            seed=data_seed,
+            trial=mm.trial,
+            seed=mm.seed,
             N=N,
             method="subgrad",
-            final_f=float(sg_trace.objectives[-1]),
-            best_f=float(sg_trace.best_f),
-            iters=sg_trace.iterations,
+            final_f=float(final_f[i]),
+            best_f=float(best_f[i]),
+            iters=int(iters[i]),
             cert=None,
             wall_ms=sg_ms,
-        ),
+        )
+        for i, mm in enumerate(mm_rows)
     ]
+    return mm_rows + sg_rows
+
+
+def run_single_lspar_trial(args) -> list:
+    """One (N, trial) cell: shared start, MM then pseudo-subgradient.
+
+    ``args`` is (N, trial, root_seed, noise_sigma, subgrad_c, subgrad_iters,
+    mm_params); the cell is a block of one trial, so it reproduces the rows
+    the trial gets inside any batch."""
+    N, trial, *rest = args
+    return _lspar_trial_block((N, range(trial, trial + 1), *rest))
 
 
 def run_lspar_experiment(config: LsparExperimentConfig) -> dict:
     """MM vs pseudo-subgradient over shared initializations.
+
+    For each N, MM runs trial by trial and the subgradient arm runs all
+    trials in lockstep.  With ``jobs > 1`` each N's trials are split into
+    ``jobs`` contiguous blocks mapped over a process pool.
 
     Writes ``trials.csv``, ``summary.csv``, ``fig5.svg`` (final-objective
     box plots) and ``fig6.svg`` (per-trial-minimum counts) when ``out_dir``
@@ -461,16 +496,26 @@ def run_lspar_experiment(config: LsparExperimentConfig) -> dict:
             config.heldout_seed,
             config.subgrad_iters,
         )
-    tasks = [
-        (N, t, config.root_seed, config.noise_sigma, tuned[N], config.subgrad_iters, config.mm)
+    trials = range(config.trials)
+    size = max(1, -(-config.trials // max(1, config.jobs)))  # ceil: one block per job
+    blocks = [
+        (
+            N,
+            trials[lo : lo + size],
+            config.root_seed,
+            config.noise_sigma,
+            tuned[N],
+            config.subgrad_iters,
+            config.mm,
+        )
         for N in config.N_list
-        for t in range(config.trials)
+        for lo in range(0, config.trials, size)
     ]
     if config.jobs > 1:
         with Pool(config.jobs) as pool:
-            chunks = pool.map(run_single_lspar_trial, tasks, chunksize=8)
+            chunks = pool.map(_lspar_trial_block, blocks, chunksize=1)
     else:
-        chunks = [run_single_lspar_trial(t) for t in tasks]
+        chunks = [_lspar_trial_block(b) for b in blocks]
     for chunk in chunks:
         records.extend(chunk)
     records.sort(key=lambda r: (r.N, r.trial, r.method))

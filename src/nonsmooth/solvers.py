@@ -8,7 +8,8 @@ member of the subdifferential at each point.
 For least-squares piecewise-affine regression (LSPAR) this module provides
 the mean-square objective, the pseudo-subgradient that pretends the basic
 chain rule holds (back-propagation style, smallest index winning argmax
-ties), the ridge-regularized least-squares subproblem solver, and a
+ties), a diminishing-step subgradient loop that runs many trials in
+lockstep, the ridge-regularized least-squares subproblem solver, and a
 non-monotone majorization-minimization loop that terminates with an exact
 d-stationarity certificate.
 """
@@ -57,6 +58,7 @@ __all__ = [
     "ridge_ls_solve",
     "lspar_objective",
     "lspar_pseudo_subgrad",
+    "lspar_subgradient_lockstep",
     "lspar_oracle",
     "MMParams",
     "mm_lspar",
@@ -458,13 +460,41 @@ def ridge_ls_solve(X, y, c: float, anchor, nsamples: Optional[int] = None) -> np
 # ---------------------------------------------------------------------------
 
 
+def _lspar_batch(X, y, W) -> tuple:
+    """Objectives (T,) and pseudo-subgradients (T, n, k) of T LSPAR problems.
+
+    ``X`` (T, N, n), ``y`` (T, N) and ``W`` (T, n, k) are float arrays; one
+    ``Z = X @ W`` serves both outputs.  Each branch's gradient is accumulated
+    in sample order (``np.add.at`` over flattened (trial, branch) cells), so
+    a trial's results do not depend on T or on the other trials and match
+    the per-sample formula bit for bit.  A BLAS matmul does not promise that
+    order, and 1500 non-smooth steps amplify any rounding difference.
+    """
+    T, N, n = X.shape
+    k = W.shape[-1]
+    Z = X @ W
+    winners = Z.argmax(axis=-1).reshape(-1)  # numpy argmax returns the first (smallest) index
+    r = Z.reshape(-1)[np.arange(0, Z.size, k) + winners].reshape(T, N) - y
+    f = 0.5 * ((r * r).sum(axis=-1) / N)  # np.mean's own sum, then divide
+    cells = np.repeat(np.arange(0, T * k, k), N) + winners
+    q = (r / N).reshape(-1)
+    G = np.zeros((n, T * k))
+    for j in range(n):
+        np.add.at(G[j], cells, q * X[..., j].reshape(-1))
+    return f, G.reshape(n, T, k).transpose(1, 0, 2)
+
+
+def _one_trial(X, y, W) -> tuple:
+    return (
+        np.asarray(X, dtype=float)[None],
+        np.asarray(y, dtype=float).ravel()[None],
+        np.asarray(W, dtype=float)[None],
+    )
+
+
 def lspar_objective(X, y, W) -> float:
     """(1/2N) sum_s (y_s - max_i w_i^T x_s)^2."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    W = np.asarray(W, dtype=float)
-    r = (X @ W).max(axis=1) - y
-    return float(0.5 * np.mean(r * r))
+    return float(_lspar_batch(*_one_trial(X, y, W))[0][0])
 
 
 def lspar_pseudo_subgrad(X, y, W) -> np.ndarray:
@@ -473,16 +503,61 @@ def lspar_pseudo_subgrad(X, y, W) -> np.ndarray:
     grad w.r.t. w_i = (1/N) sum_s (g_s(W) - y_s) x_s [i = argmax_j w_j^T x_s]
     with the smallest index winning argmax ties.
     """
+    return _lspar_batch(*_one_trial(X, y, W))[1][0]
+
+
+def lspar_subgradient_lockstep(X, y, W0, coeffs, max_iter: int = 1000) -> tuple:
+    """T pseudo-subgradient runs on LSPAR with diminishing steps, in lockstep.
+
+    Trial t fits ``X[t]`` (N, n) and ``y[t]`` (N,) from ``W0[t]`` (n, k)
+    with step ``coeffs[t] / sqrt(i + 1)`` at iteration i.  Its arithmetic is
+    that of ``subgradient_method(lspar_oracle(dataset_t), W0[t],
+    Diminishing(coeffs[t]), max_iter)``, so its results are bit-identical to
+    that run whatever T is.  A trial whose pseudo-subgradient norm reaches 0
+    freezes there (SMALL_SUBGRADIENT).  Returns ``(final_f, best_f, iters)``,
+    each of shape (T,): the objective at the last evaluated iterate, the
+    best objective seen, and the number of objective evaluations.
+    """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    W = np.asarray(W, dtype=float)
-    N = X.shape[0]
-    Z = X @ W
-    winners = Z.argmax(axis=1)  # numpy argmax returns the first (smallest) index
-    resid = Z[np.arange(N), winners] - y
-    G = np.zeros_like(W)
-    np.add.at(G.T, winners, (resid / N)[:, None] * X)
-    return G
+    y = np.asarray(y, dtype=float)
+    W = np.array(W0, dtype=float)
+    c = np.asarray(coeffs, dtype=float)
+    if (
+        X.ndim != 3
+        or W.ndim != 3
+        or y.shape != X.shape[:2]
+        or W.shape[:2] != (X.shape[0], X.shape[2])
+        or c.shape != X.shape[:1]
+    ):
+        raise ValueError(
+            "lspar_subgradient_lockstep expects X (T, N, n), y (T, N), W0 (T, n, k) "
+            f"and coeffs (T,); got {X.shape}, {y.shape}, {W.shape}, {c.shape}"
+        )
+    T = X.shape[0]
+    if not np.all(c > 0):
+        raise ValueError("diminishing coefficients must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    final_f, best_f = np.empty(T), np.empty(T)
+    iters = np.full(T, max_iter)
+    live = np.arange(T)  # trial ids of the rows still running
+    best = np.full(T, math.inf)
+    for it in range(max_iter):
+        f, G = _lspar_batch(X, y, W)
+        best = np.fmin(best, f)  # `f < best_f` of subgradient_method: NaN never wins
+        stopped = (G * G).sum(axis=(1, 2)) <= 0.0  # ||G|| = 0
+        if stopped.any():
+            done = live[stopped]
+            final_f[done], best_f[done], iters[done] = f[stopped], best[stopped], it + 1
+            keep = ~stopped
+            live, X, y, W, c, f, best, G = (
+                a[keep] for a in (live, X, y, W, c, f, best, G)
+            )
+            if live.size == 0:
+                break
+        W = W - (c / math.sqrt(it + 1.0))[:, None, None] * G
+    final_f[live], best_f[live] = f, best
+    return final_f, best_f, iters
 
 
 def lspar_oracle(dataset) -> SubgradOracle:

@@ -138,6 +138,19 @@ class TestLsparExperiment:
         assert (tmp_path / "fig6.svg").exists()
         assert (tmp_path / "summary.csv").exists()
 
+    def test_process_pool_writes_the_same_trials(self, tmp_path):
+        # jobs = 2 splits the trials into two lockstep blocks in two workers
+        rows = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_lspar_experiment(
+                LsparExperimentConfig(N_list=(10,), trials=6, root_seed=4, out_dir=str(out), jobs=jobs)
+            )
+            with open(out / "trials.csv") as fh:
+                rows[jobs] = [r[:-1] for r in csv.reader(fh)]  # wall_ms aside
+        assert rows[1][0][-1] == "cert" and len(rows[1]) == 1 + 6 * 2
+        assert rows[2] == rows[1]
+
     def test_single_noiseless_trial_interpolates(self):
         # a seeded noiseless instance where MM reaches the interpolating
         # global minimum (frozen seed; the model class realizes the data)

@@ -20,6 +20,7 @@ from nonsmooth.solvers import (
     lspar_objective,
     lspar_oracle,
     lspar_pseudo_subgrad,
+    lspar_subgradient_lockstep,
     mm_lspar,
     oracle_from_expr,
     project,
@@ -227,6 +228,90 @@ class TestPseudoSubgrad:
                 E[idx] = h
                 fd = (lspar_objective(ds.X, ds.y, W + E) - lspar_objective(ds.X, ds.y, W - E)) / (2 * h)
                 assert fd == pytest.approx(G[idx], abs=1e-5)
+
+    def test_matches_per_sample_reference(self):
+        # the one-trial views of the batched kernel against the direct
+        # per-sample formulas, bit for bit, ties included
+        N = 30
+        ds = make_dataset(N=N, seed=12, sigma=0.1)
+        rng = make_rng(13)
+        for trial in range(5):
+            W = rng.standard_normal((2, 4))
+            if trial == 0:
+                W[:, 1] = W[:, 0]  # every sample ties branches 0 and 1
+            Z = ds.X @ W
+            winners = Z.argmax(axis=1)
+            r = Z.max(axis=1) - ds.y
+            G = np.zeros_like(W)
+            np.add.at(G.T, winners, (r / N)[:, None] * ds.X)
+            assert lspar_objective(ds.X, ds.y, W) == float(0.5 * np.mean(r * r))
+            assert np.array_equal(lspar_pseudo_subgrad(ds.X, ds.y, W), G)
+
+
+def lockstep_batch(datasets, W0s, coeffs, max_iter):
+    return lspar_subgradient_lockstep(
+        np.stack([ds.X for ds in datasets]),
+        np.stack([ds.y for ds in datasets]),
+        np.stack(W0s),
+        np.asarray(coeffs, dtype=float),
+        max_iter=max_iter,
+    )
+
+
+class TestLockstepSubgradient:
+    COEFFS = (0.1, 1.0, 10.0, 0.3, 3.0, 1.0, 0.1)
+
+    def batch(self, N):
+        datasets = [make_dataset(N=N, seed=60 + t, sigma=0.1) for t in range(7)]
+        W0s = [make_rng(N, t, 61).standard_normal((2, 4)) for t in range(7)]
+        return datasets, W0s
+
+    @pytest.mark.parametrize("N", [10, 50])
+    def test_matches_per_trial_subgradient_method(self, N):
+        datasets, W0s = self.batch(N)
+        final_f, best_f, iters = lockstep_batch(datasets, W0s, self.COEFFS, 1500)
+        for t, (ds, W0, c) in enumerate(zip(datasets, W0s, self.COEFFS)):
+            tr = subgradient_method(lspar_oracle(ds), W0, Diminishing(c), max_iter=1500)
+            assert final_f[t] == tr.objectives[-1]
+            assert best_f[t] == tr.best_f
+            assert iters[t] == tr.iterations
+            alone = lockstep_batch([ds], [W0], [c], 1500)
+            assert [a[0] for a in alone] == [final_f[t], best_f[t], iters[t]]
+
+    def test_vanishing_subgradient_freezes_one_trial(self):
+        # noiseless data started at the planted model: G = 0 at iteration 0
+        datasets, W0s = self.batch(10)
+        live = lockstep_batch(datasets, W0s, self.COEFFS, 300)
+        datasets.insert(3, make_dataset(N=10, seed=5))
+        W0s.insert(3, W_TRUE)
+        coeffs = self.COEFFS[:3] + (2.0,) + self.COEFFS[3:]
+        final_f, best_f, iters = lockstep_batch(datasets, W0s, coeffs, 300)
+        assert (final_f[3], best_f[3], iters[3]) == (0.0, 0.0, 1)
+        tr = subgradient_method(lspar_oracle(datasets[3]), W_TRUE, Diminishing(2.0), max_iter=300)
+        assert (tr.termination, tr.iterations) == ("SMALL_SUBGRADIENT", 1)
+        others = [0, 1, 2, 4, 5, 6, 7]
+        for got, want in zip((final_f, best_f, iters), live):
+            assert np.array_equal(got[others], want)
+        assert np.all(iters[others] == 300)
+
+    def test_rejects_mismatched_shapes(self):
+        datasets, W0s = self.batch(10)
+        X = np.stack([ds.X for ds in datasets])
+        y = np.stack([ds.y for ds in datasets])
+        W0 = np.stack(W0s)
+        c = np.ones(7)
+        bad = [
+            (X[:6], y, W0, c),  # T differs
+            (X, y[:, :9], W0, c),  # N differs
+            (X, y, W0[:, :1], c),  # n differs
+            (X, y, W0, c[:6]),  # one coefficient short
+            (X[0], y[0], W0[0], c[:1]),  # a single trial without its T axis
+        ]
+        for args in bad:
+            with pytest.raises(ValueError, match="lspar_subgradient_lockstep"):
+                lspar_subgradient_lockstep(*args, max_iter=5)
+        with pytest.raises(ValueError, match="positive"):
+            lspar_subgradient_lockstep(X, y, W0, np.r_[c[:6], 0.0], max_iter=5)
 
 
 class TestMM:
