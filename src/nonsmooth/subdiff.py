@@ -64,7 +64,6 @@ from .polyhedra import (
     cone_rays_from_halfspaces,
     contains,
     conv_hull,
-    hpoly_is_empty,
     lp_solve,
     minkowski_sum,
     set_to_json,
@@ -636,13 +635,13 @@ def _frechet_from_phi(phi: Expr, n: int, at: np.ndarray) -> SubdiffSet:
         rows_A.extend([ei, -ei])
         rows_b.extend([float(hi[i]), float(-lo[i])])
     H = HPolyhedron(np.array(rows_A), np.array(rows_b))
-    if hpoly_is_empty(H):
-        return SubdiffSet(
-            kind=SubdiffKind.FRECHET, set=SetUnion(()), at=at, halfspaces=H
-        )
+    # H is bounded by its coordinate rows: it is empty iff it has no vertex
     V = vertex_enumeration(H)
     return SubdiffSet(
-        kind=SubdiffKind.FRECHET, set=SetUnion((V,)), at=at, halfspaces=H
+        kind=SubdiffKind.FRECHET,
+        set=SetUnion(() if V.is_empty else (V,)),
+        at=at,
+        halfspaces=H,
     )
 
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonsmooth import polyhedra
 from nonsmooth.polyhedra import (
     Ball,
     Cone,
     EmptySetError,
     HPolyhedron,
+    PolyhedraError,
     SetUnion,
     VPolytope,
     cone_from_rays,
@@ -258,11 +260,130 @@ class TestSetDistance:
         assert set_distance(SetUnion((A,)), SetUnion((B,))) == pytest.approx(2.0, abs=1e-9)
 
 
+def reference_vertex_enumeration(P, tol=1e-8):
+    """Per-basis loop with one det and one solve per n-subset, then
+    conv_hull's LP pruning: the reference the stacked enumeration matches."""
+    n = P.dim
+    A, b = P.A, P.b
+    scale = max(1.0, float(np.abs(b).max()), float(np.abs(A).max()))
+    verts = []
+    for rows in itertools.combinations(range(A.shape[0]), n):
+        sub = A[list(rows)]
+        if abs(np.linalg.det(sub)) <= 1e-12:
+            continue
+        v = np.linalg.solve(sub, b[list(rows)])
+        if np.all(A @ v - b <= tol * scale):
+            verts.append(v)
+    if not verts:
+        return VPolytope(np.zeros((0, n)))
+    return conv_hull(np.array(verts))
+
+
+def random_hpolyhedron(rng, n, kind):
+    """Random rows plus a box, so the polyhedron is bounded; about one in
+    six also gets a contradictory pair of rows and is empty.
+
+    ``kind`` is "integer", "dyadic" (entries k/4) or "duplicated" (integer
+    rows, some repeated as they are or doubled)."""
+    k = int(rng.integers(1, 6))
+    if kind == "dyadic":
+        A = rng.integers(-8, 9, size=(k, n)) / 4.0
+        b = rng.integers(-4, 21, size=k) / 4.0
+    else:
+        A = rng.integers(-3, 4, size=(k, n)).astype(float)
+        b = rng.integers(-1, 6, size=k).astype(float)
+    hi = rng.integers(1, 4, size=n).astype(float)
+    lo = -rng.integers(1, 4, size=n).astype(float)
+    A = np.vstack([A, np.eye(n), -np.eye(n)])
+    b = np.concatenate([b, hi, -lo])
+    if rng.random() < 1 / 6:
+        A = np.vstack([A, A[:1], -A[:1]])
+        b = np.concatenate([b, [0.0, -0.5]])
+    if kind == "duplicated":
+        dup = rng.integers(0, b.size, size=int(rng.integers(1, 5)))
+        c = rng.choice((1.0, 2.0), size=dup.size)
+        A = np.vstack([A, c[:, None] * A[dup]])
+        b = np.concatenate([b, c * b[dup]])
+    perm = rng.permutation(b.size)
+    return HPolyhedron(A[perm], b[perm])
+
+
+def lex_rows(rows):
+    return np.array(sorted(rows), dtype=float)
+
+
 class TestVertexEnumeration:
     def test_unit_box(self):
         H = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
         V = vertex_enumeration(H)
         assert V.vertices.shape == (4, 2)
+
+    @pytest.mark.parametrize("kind", ["integer", "dyadic", "duplicated"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_per_basis_reference(self, kind, n):
+        rng = np.random.default_rng([n, ("integer", "dyadic", "duplicated").index(kind)])
+        empty = 0
+        for _ in range(34):
+            H = random_hpolyhedron(rng, n, kind)
+            V = vertex_enumeration(H).vertices
+            assert np.array_equal(V, reference_vertex_enumeration(H).vertices)
+            empty += V.shape[0] == 0
+        assert 0 < empty < 34
+
+    def test_cross_polytope(self):
+        # |x| + |y| + |z| <= 1: four facets meet at each of the six vertices
+        A = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        H = HPolyhedron(A, np.ones(8))
+        eye = np.eye(3)
+        expect = lex_rows([tuple(r) for r in np.vstack([eye, -eye])])
+        assert np.array_equal(vertex_enumeration(H).vertices, expect)
+        assert np.array_equal(reference_vertex_enumeration(H).vertices, expect)
+
+    def test_square_pyramid(self):
+        # base [-1, 1]^2 at z = 0, apex (0, 0, 1) where four facets meet
+        A = np.array(
+            [[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], dtype=float
+        )
+        H = HPolyhedron(A, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
+        base = [(sx, sy, 0.0) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
+        expect = lex_rows(base + [(0.0, 0.0, 1.0)])
+        assert np.array_equal(vertex_enumeration(H).vertices, expect)
+        assert np.array_equal(reference_vertex_enumeration(H).vertices, expect)
+
+    def test_flat_polytope(self):
+        # x3 = 0 from two opposite rows: a square lying in 3-D
+        A = np.vstack([np.eye(3), -np.eye(3)])
+        H = HPolyhedron(A, np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0]))
+        expect = lex_rows([(sx, sy, 0.0) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)])
+        assert np.array_equal(vertex_enumeration(H).vertices, expect)
+        assert np.array_equal(reference_vertex_enumeration(H).vertices, expect)
+
+    def test_empty_polyhedron(self):
+        # the box [-1, 1]^3 cut by x1 <= -2
+        A = np.vstack([np.eye(3), -np.eye(3), [[1.0, 0.0, 0.0]]])
+        H = HPolyhedron(A, np.concatenate([np.ones(6), [-2.0]]))
+        V = vertex_enumeration(H)
+        assert isinstance(V, VPolytope) and V.vertices.shape == (0, 3)
+
+    def test_several_stacks_match_one_stack(self, monkeypatch):
+        # cube [-1, 1]^3 with its corners cut by |x| + |y| + |z| <= 2: a
+        # cuboctahedron, 12 vertices where four facets meet, C(14, 3) = 364 bases
+        A = np.vstack([np.eye(3), -np.eye(3), list(itertools.product((-1.0, 1.0), repeat=3))])
+        H = HPolyhedron(A, np.concatenate([np.ones(6), 2.0 * np.ones(8)]))
+        one = vertex_enumeration(H).vertices
+        assert one.shape == (12, 3)
+        monkeypatch.setattr(polyhedra, "BASIS_STACK", 7)
+        assert np.array_equal(vertex_enumeration(H).vertices, one)
+
+    def test_too_few_halfspaces_raises(self):
+        with pytest.raises(PolyhedraError, match="too few halfspaces"):
+            vertex_enumeration(HPolyhedron(np.array([[1.0, 0.0]]), np.array([1.0])))
+
+    def test_combination_cap_raises(self):
+        # C(60, 4) = 487635 subsets, over the 200000 cap
+        A = np.random.default_rng(0).integers(-3, 4, size=(60, 4)).astype(float)
+        with pytest.raises(PolyhedraError, match="too many halfspace combinations"):
+            vertex_enumeration(HPolyhedron(A, np.ones(60)))
 
     def test_empty_detection(self):
         H = HPolyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))

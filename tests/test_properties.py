@@ -8,6 +8,8 @@ generic random point.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonsmooth.expr import Sum, dim_required, evaluate
 from nonsmooth.polyhedra import SetUnion, conv_hull, contains, minkowski_sum, set_distance
@@ -108,6 +110,27 @@ class TestInclusionChain:
             assert not fs.is_empty
             assert set_distance(fs.set, cs.set) <= 1e-8
             assert set_distance(ls.set, cs.set) <= 1e-8
+
+
+class TestFrechetVertices:
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_vertices_are_basic_feasible_points_of_halfspaces(self, seed, dim):
+        # re-check each vertex against the H-description it was enumerated
+        # from: feasible for every row and tight on n independent rows
+        e, x = random_pa_instance(make_rng(seed), dim)
+        n = dim_required(e)
+        if n != dim:
+            return
+        fs = frechet(e, x)
+        H = fs.halfspaces
+        scale = max(1.0, float(np.abs(H.A).max()), float(np.abs(H.b).max()))
+        for comp in fs.set.components:
+            for v in comp.vertices:
+                slack = H.A @ v - H.b
+                assert np.all(slack <= 1e-9 * scale)
+                tight = H.A[np.abs(slack) <= 1e-9 * scale]
+                assert np.linalg.matrix_rank(tight) == n
 
 
 class TestCalculusRules:

@@ -15,10 +15,12 @@ from nonsmooth.gallery import (
 from nonsmooth.polyhedra import (
     Ball,
     Box,
+    HPolyhedron,
     SetUnion,
     VPolytope,
     contains,
     conv_hull,
+    hpoly_is_empty,
     set_distance,
 )
 from nonsmooth.subdiff import (
@@ -164,6 +166,15 @@ class TestFrechet:
 
     def test_xsqsin_singleton(self):
         assert_sets_equal(frechet(xsqsin_expr(), [0.0]).set, points(1.0))
+
+    def test_2d_concave_kink_empty_with_halfspaces(self):
+        # -(|x1| + |x2|) at 0: the cell gradients (+-1, +-1) admit no common
+        # Frechet subgradient; the set is empty and keeps its H-description
+        e = Scale(-1.0, vsum(Abs(Var(0)), Abs(Var(1))))
+        fs = frechet(e, [0.0, 0.0])
+        assert fs.is_empty and fs.set.components == ()
+        assert isinstance(fs.halfspaces, HPolyhedron) and fs.halfspaces.dim == 2
+        assert hpoly_is_empty(fs.halfspaces)
 
 
 class TestLimiting:
