@@ -307,7 +307,7 @@ register_builtin(
 
 
 # ---------------------------------------------------------------------------
-# Traversal, evaluation, classification
+# Traversal and the compiled tape
 # ---------------------------------------------------------------------------
 
 Path = tuple  # tuple of child indices from the root
@@ -320,66 +320,6 @@ def iter_nodes(e: Expr, path: Path = ()) -> Iterator[tuple]:
         yield from iter_nodes(c, path + (i,))
 
 
-def dim_required(e: Expr) -> int:
-    """Smallest point dimension this expression can be evaluated at."""
-    d = 0
-    for _, node in iter_nodes(e):
-        if isinstance(node, Var):
-            d = max(d, node.i + 1)
-        elif isinstance(node, Affine):
-            d = max(d, len(node.a))
-    return d
-
-
-def _check_point(e: Expr, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size == 0:
-        raise DimensionMismatchError("empty point")
-    if not np.all(np.isfinite(x)):
-        raise DimensionMismatchError("point has non-finite entries")
-    for _, node in iter_nodes(e):
-        if isinstance(node, Var) and node.i >= x.size:
-            raise DimensionMismatchError(
-                f"var {node.i} out of range for dimension {x.size}"
-            )
-        if isinstance(node, Affine) and len(node.a) != x.size:
-            raise DimensionMismatchError(
-                f"affine coefficient length {len(node.a)} != dimension {x.size}"
-            )
-    return x
-
-
-def evaluate(e: Expr, x) -> float:
-    """Evaluate ``e`` at point ``x`` (any 1-D sequence)."""
-    x = _check_point(e, x)
-
-    def rec(node: Expr) -> float:
-        if isinstance(node, Const):
-            return node.c
-        if isinstance(node, Var):
-            return float(x[node.i])
-        if isinstance(node, Affine):
-            return float(np.dot(node.a, x) + node.b)
-        if isinstance(node, Sum):
-            return float(sum(rec(t) for t in node.terms))
-        if isinstance(node, Scale):
-            return node.c * rec(node.child)
-        if isinstance(node, Max):
-            return max(rec(t) for t in node.terms)
-        if isinstance(node, Min):
-            return min(rec(t) for t in node.terms)
-        if isinstance(node, Abs):
-            return abs(rec(node.child))
-        if isinstance(node, Sq):
-            v = rec(node.child)
-            return v * v
-        if isinstance(node, Builtin1D):
-            return BUILTINS[node.name].value(rec(node.child))
-        raise ExprError(f"unknown node {node!r}")
-
-    return rec(e)
-
-
 class FragmentClass(Enum):
     PA = "PA"
     PLQ = "PLQ"
@@ -389,30 +329,185 @@ class FragmentClass(Enum):
 
 _ORDER = {FragmentClass.PA: 0, FragmentClass.PLQ: 1, FragmentClass.GENERAL: 2}
 
+# Tape opcodes; the first four are the nodes a sweep's hook decides.
+_MAX, _MIN, _ABS, _BUILTIN, _CONST, _VAR, _AFFINE, _SUM, _SCALE, _SQ = range(10)
+
+
+@dataclass(frozen=True)
+class _Tape:
+    """One tree in post-order, compiled once and kept on its root node.
+
+    Node k has opcode ``ops[k]``, payload ``args[k]`` (Const or Scale
+    factor, Var index, Affine ``(a, b)`` with ``a`` read-only, builtin name,
+    else None), child positions ``kids[k]`` and path ``paths[k]``; the root
+    is last.  ``dim`` is :func:`dim_required`; ``affine_len`` is the common
+    Affine length (None without Affine leaves, -1 when they differ).
+    """
+
+    ops: tuple
+    args: tuple
+    kids: tuple
+    paths: tuple
+    preorder: tuple
+    fragment: FragmentClass
+    dim: int
+    affine_len: Optional[int]
+
+
+def _compile(e: Expr) -> _Tape:
+    """The tape of ``e``; the one place that dispatches on node type."""
+    opcodes = {Const: _CONST, Var: _VAR, Affine: _AFFINE, Sum: _SUM, Scale: _SCALE,
+               Max: _MAX, Min: _MIN, Abs: _ABS, Sq: _SQ, Builtin1D: _BUILTIN}
+    PA, PLQ, GENERAL = FragmentClass.PA, FragmentClass.PLQ, FragmentClass.GENERAL
+    ops, args, kids, paths, frags, pre = [], [], [], [], [], []
+
+    def visit(node: Expr, path: Path) -> int:
+        op = next((opcodes[c] for c in type(node).__mro__ if c in opcodes), None)
+        if op is None:
+            raise ExprError(f"unknown node {node!r}")
+        slot = len(pre)
+        pre.append(-1)
+        ks = tuple(visit(c, path + (i,)) for i, c in enumerate(node.children()))
+        arg = getattr(node, "name" if op == _BUILTIN else "i" if op == _VAR else "c", None)
+        if op == _AFFINE:
+            arg = (np.array(node.a, dtype=float), node.b)
+            arg[0].flags.writeable = False
+        sub = [frags[c] for c in ks]
+        if op in (_SUM, _SCALE):
+            frag = max(sub, key=_ORDER.get)
+        elif op == _SQ:
+            frag = PLQ if sub[0] is PA else GENERAL
+        else:  # leaves are PA; Max/Min/Abs are PA over PA children
+            frag = PA if op != _BUILTIN and all(f is PA for f in sub) else GENERAL
+        pre[slot] = len(ops)
+        for col, item in zip((ops, args, kids, paths, frags), (op, arg, ks, path, frag)):
+            col.append(item)
+        return len(ops) - 1
+
+    visit(e, ())
+    lens = {len(args[k][0]) for k, op in enumerate(ops) if op == _AFFINE}
+    dim = max([args[k] + 1 for k, op in enumerate(ops) if op == _VAR] + list(lens), default=0)
+    fragment = frags[-1]
+    if _BUILTIN in ops:
+        fragment = FragmentClass.SMOOTH1D if dim <= 1 else GENERAL
+    affine_len = (lens.pop() if len(lens) == 1 else -1) if lens else None
+    return _Tape(*map(tuple, (ops, args, kids, paths, pre)), fragment, dim, affine_len)
+
+
+def _tape(e: Expr) -> _Tape:
+    """The tape of ``e``, compiled on first use and kept on the node.
+
+    The attribute is not a dataclass field, so ``==``, ``hash`` and ``repr``
+    ignore it, and it is freed with the tree.  Threads that race here write
+    equal tapes, so the write needs no lock.
+    """
+    try:
+        return e._tape
+    except AttributeError:
+        tape = _compile(e)
+        object.__setattr__(e, "_tape", tape)
+        return tape
+
+
+def _sweep(tape: _Tape, x: np.ndarray, d=None, grad: bool = False, hook=None) -> tuple:
+    """One forward pass over ``tape`` at ``x``: the per-node lists (values,
+    derivatives).
+
+    A derivative is the tangent along ``d`` (a float), or with ``grad`` the
+    gradient (an array; below the root it may be an Affine leaf's read-only
+    coefficients); without either the list is None.  Max/Min/Abs/Builtin nodes
+    take ``hook(k, op, values, derivatives)`` as their (value, derivative),
+    reading their children ``kids[k]`` from the lists filled so far; without
+    a hook, max/min/|v|/the builtin's value.
+    """
+    ops, args, kids = tape.ops, tape.args, tape.kids
+    size = len(ops)
+    V = [0.0] * size
+    D = [0.0] * size if grad or d is not None else None
+    xs = x.tolist()
+    for k in range(size):
+        op, arg, ks = ops[k], args[k], kids[k]
+        if op <= _BUILTIN:
+            if hook is not None:
+                V[k], dk = hook(k, op, V, D)
+                if D is not None:
+                    D[k] = dk
+            elif op == _MAX:
+                V[k] = max([V[c] for c in ks])
+            elif op == _MIN:
+                V[k] = min([V[c] for c in ks])
+            elif op == _ABS:
+                V[k] = abs(V[ks[0]])
+            else:
+                V[k] = BUILTINS[arg].value(V[ks[0]])
+        elif op == _AFFINE:
+            a, b = arg
+            V[k] = float(np.dot(a, x) + b)
+            if D is not None:
+                D[k] = a if grad else float(a @ d)
+        elif op == _VAR:
+            V[k] = xs[arg]
+            if grad:
+                D[k] = np.zeros(len(xs))
+                D[k][arg] = 1.0
+            elif D is not None:
+                D[k] = float(d[arg])
+        elif op == _CONST:
+            V[k] = arg
+            if D is not None:
+                D[k] = np.zeros(len(xs)) if grad else 0.0
+        elif op == _SUM:
+            # sum() starts from 0, so a total of -0.0 reads 0.0
+            V[k] = float(sum([V[c] for c in ks]))
+            if D is not None:
+                D[k] = sum([D[c] for c in ks])
+        elif op == _SCALE:
+            V[k] = arg * V[ks[0]]
+            if D is not None:
+                D[k] = arg * D[ks[0]]
+        elif op == _SQ:
+            v = V[ks[0]]
+            V[k] = v * v
+            if D is not None:
+                D[k] = 2.0 * v * D[ks[0]]
+    if grad and not D[-1].flags.writeable:
+        D[-1] = D[-1].copy()  # the root's gradient is the caller's to keep
+    return V, D
+
+
+def dim_required(e: Expr) -> int:
+    """Smallest point dimension this expression can be evaluated at."""
+    return _tape(e).dim
+
+
+def _check_point(e: Expr, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size == 0:
+        raise DimensionMismatchError("empty point")
+    if not all(map(math.isfinite, x.tolist())):
+        raise DimensionMismatchError("point has non-finite entries")
+    t = _tape(e)
+    n = x.size
+    if t.dim > n or t.affine_len not in (None, n):
+        for op, arg in ((t.ops[k], t.args[k]) for k in t.preorder):  # first bad leaf
+            if op == _VAR and arg >= n:
+                raise DimensionMismatchError(f"var {arg} out of range for dimension {n}")
+            if op == _AFFINE and len(arg[0]) != n:
+                raise DimensionMismatchError(
+                    f"affine coefficient length {len(arg[0])} != dimension {n}"
+                )
+    return x
+
+
+def evaluate(e: Expr, x) -> float:
+    """Evaluate ``e`` at point ``x`` (any 1-D sequence)."""
+    x = _check_point(e, x)
+    return _sweep(_tape(e), x)[0][-1]
+
 
 def classify_fragment(e: Expr) -> FragmentClass:
     """Tightest fragment containing ``e``; deterministic and monotone."""
-    has_builtin = any(isinstance(n, Builtin1D) for _, n in iter_nodes(e))
-    if has_builtin:
-        return FragmentClass.SMOOTH1D if dim_required(e) <= 1 else FragmentClass.GENERAL
-
-    def rec(node: Expr) -> FragmentClass:
-        if isinstance(node, (Const, Var, Affine)):
-            return FragmentClass.PA
-        if isinstance(node, (Sum, Scale)):
-            kids = [rec(c) for c in node.children()]
-            return max(kids, key=_ORDER.get)
-        if isinstance(node, (Max, Min, Abs)):
-            kids = [rec(c) for c in node.children()]
-            if all(k is FragmentClass.PA for k in kids):
-                return FragmentClass.PA
-            return FragmentClass.GENERAL
-        if isinstance(node, Sq):
-            k = rec(node.child)
-            return FragmentClass.PLQ if k is FragmentClass.PA else FragmentClass.GENERAL
-        raise ExprError(f"unknown node {node!r}")
-
-    return rec(e)
+    return _tape(e).fragment
 
 
 # ---------------------------------------------------------------------------
@@ -454,45 +549,33 @@ def active_pattern(e: Expr, x, tol: float = 0.0) -> ActivePattern:
     Requires a PA or PLQ tree; ``tol`` is an absolute activity tolerance
     (0 gives the exact pattern).
     """
-    frag = classify_fragment(e)
-    if frag not in (FragmentClass.PA, FragmentClass.PLQ):
-        raise ExprError(f"active_pattern requires a PA/PLQ tree, got {frag.value}")
+    tape = _tape(e)
+    if tape.fragment not in (FragmentClass.PA, FragmentClass.PLQ):
+        raise ExprError(
+            f"active_pattern requires a PA/PLQ tree, got {tape.fragment.value}"
+        )
     if tol < 0:
         raise ExprError("tol must be >= 0")
     x = _check_point(e, x)
     branch: dict = {}
     signs: dict = {}
 
-    def rec(node: Expr, path: Path) -> float:
-        if isinstance(node, Const):
-            return node.c
-        if isinstance(node, Var):
-            return float(x[node.i])
-        if isinstance(node, Affine):
-            return float(np.dot(node.a, x) + node.b)
-        if isinstance(node, Sum):
-            return float(sum(rec(t, path + (i,)) for i, t in enumerate(node.terms)))
-        if isinstance(node, Scale):
-            return node.c * rec(node.child, path + (0,))
-        if isinstance(node, (Max, Min)):
-            vals = [rec(t, path + (i,)) for i, t in enumerate(node.terms)]
-            v = max(vals) if isinstance(node, Max) else min(vals)
-            if isinstance(node, Max):
-                act = tuple(i for i, w in enumerate(vals) if w >= v - tol)
-            else:
-                act = tuple(i for i, w in enumerate(vals) if w <= v + tol)
-            branch[path] = act
-            return v
-        if isinstance(node, Abs):
-            v = rec(node.child, path + (0,))
+    def record(k, op, V, _):
+        path = tape.paths[k]
+        vals = [V[c] for c in tape.kids[k]]
+        if op == _ABS:
+            v = vals[0]
             signs[path] = "0" if abs(v) <= tol else ("+" if v > 0 else "-")
-            return abs(v)
-        if isinstance(node, Sq):
-            v = rec(node.child, path + (0,))
-            return v * v
-        raise ExprError(f"unexpected node {node!r}")
+            return abs(v), None
+        if op == _MAX:
+            v = max(vals)
+            branch[path] = tuple(i for i, w in enumerate(vals) if w >= v - tol)
+        else:
+            v = min(vals)
+            branch[path] = tuple(i for i, w in enumerate(vals) if w <= v + tol)
+        return v, None
 
-    rec(e, ())
+    _sweep(tape, x, hook=record)
     return ActivePattern(branch_active=branch, abs_sign=signs, tol=tol)
 
 

@@ -15,21 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import (
-    Abs,
-    Affine,
-    Builtin1D,
-    BUILTINS,
-    Const,
-    Expr,
-    Max,
-    Min,
-    Scale,
-    Sq,
-    Sum,
-    Var,
-    evaluate,
-)
+from .expr import _ABS, _BUILTIN, _MAX, BUILTINS, Expr, _sweep, _tape, evaluate
 from .polyhedra import SetUnion, conv_hull, contains, set_distance
 from .rng import make_rng
 from .subdiff import DirDerivValue, SubdiffKind, SubdiffSet
@@ -56,7 +42,7 @@ def as_evaluator(e: Expr) -> Callable[[np.ndarray], float]:
     """Plain float evaluator for an expression."""
 
     def f(x) -> float:
-        return evaluate(e, np.atleast_1d(np.asarray(x, dtype=float)))
+        return evaluate(e, x)
 
     return f
 
@@ -65,59 +51,40 @@ def as_gradient_oracle(e: Expr) -> Callable[[np.ndarray], Optional[np.ndarray]]:
     """Almost-everywhere gradient oracle for an expression.
 
     Returns the gradient where the expression is differentiable and ``None``
-    at kinks (non-singleton activity, Abs at zero, builtin non-smooth
-    points).  Builtins contribute via their registry derivative.
+    at kinks (a Max/Min tie between children with different gradients, Abs
+    at zero, builtin non-smooth points).  Builtins contribute via their
+    registry derivative.
     """
+
+    tape = _tape(e)
+
+    def smooth(k, op, V, D):
+        ks = tape.kids[k]
+        if op == _BUILTIN:
+            t0, g = V[ks[0]], D[ks[0]]
+            spec = BUILTINS[tape.args[k]]
+            dv = None if t0 in spec.nondiff_points else spec.deriv(t0)
+            if dv is None:
+                raise _Kink()
+            return spec.value(t0), dv * g
+        if op == _ABS:
+            v, g = V[ks[0]], D[ks[0]]
+            if v == 0.0:
+                raise _Kink()
+            return abs(v), (g if v > 0 else -g)
+        vals = [V[c] for c in ks]
+        v = max(vals) if op == _MAX else min(vals)
+        tied = [c for c, w in zip(ks, vals) if w == v]
+        g = D[tied[0]]
+        # tied children with equal gradients leave the max/min smooth
+        if any(not np.array_equal(D[c], g) for c in tied[1:]):
+            raise _Kink()
+        return v, g
 
     def grad(x) -> Optional[np.ndarray]:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = x.size
-
-        def rec(node: Expr):
-            if isinstance(node, Builtin1D):
-                t0, g = rec(node.child)
-                spec = BUILTINS[node.name]
-                if any(t0 == p for p in spec.nondiff_points):
-                    raise _Kink()
-                dv = spec.deriv(t0)
-                if dv is None:
-                    raise _Kink()
-                return spec.value(t0), dv * g
-            if isinstance(node, Const):
-                return node.c, np.zeros(n)
-            if isinstance(node, Var):
-                g = np.zeros(n)
-                g[node.i] = 1.0
-                return float(x[node.i]), g
-            if isinstance(node, Affine):
-                a = np.asarray(node.a)
-                return float(a @ x + node.b), a.copy()
-            if isinstance(node, Sum):
-                vs, gs = zip(*(rec(t) for t in node.terms))
-                return float(sum(vs)), np.sum(gs, axis=0)
-            if isinstance(node, Scale):
-                v, g = rec(node.child)
-                return node.c * v, node.c * g
-            if isinstance(node, (Max, Min)):
-                pairs = [rec(t) for t in node.terms]
-                vals = [v for v, _ in pairs]
-                v = max(vals) if isinstance(node, Max) else min(vals)
-                act = [i for i, vv in enumerate(vals) if vv == v]
-                if len(act) > 1:
-                    raise _Kink()
-                return v, pairs[act[0]][1]
-            if isinstance(node, Abs):
-                v, g = rec(node.child)
-                if v == 0.0:
-                    raise _Kink()
-                return abs(v), (g if v > 0 else -g)
-            if isinstance(node, Sq):
-                v, g = rec(node.child)
-                return v * v, 2.0 * v * g
-            raise TypeError(f"unexpected node {node!r}")
-
         try:
-            return rec(e)[1]
+            return _sweep(tape, x, grad=True, hook=smooth)[1][-1]
         except _Kink:
             return None
 

@@ -24,21 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .expr import (
-    Abs,
-    Affine,
-    Builtin1D,
-    BUILTINS,
-    Const,
-    Expr,
-    Max,
-    Min,
-    Scale,
-    Sq,
-    Sum,
-    Var,
-    evaluate,
-)
+from .expr import _ABS, _BUILTIN, _MAX, BUILTINS, Expr, _sweep, _tape, evaluate
 from .polyhedra import Ball, Box, HPolyhedron
 from .stationarity import DStatCertificate, lspar_d_stationarity_check
 
@@ -157,58 +143,33 @@ def oracle_from_expr(e: Expr) -> SubgradOracle:
     Sign(0) = 0.  Builtins use their registry derivative where it exists.
     """
 
+    tape = _tape(e)
+
+    def tie_rule(k, op, V, D):
+        ks = tape.kids[k]
+        if op == _BUILTIN:
+            t0, g = V[ks[0]], D[ks[0]]
+            spec = BUILTINS[tape.args[k]]
+            dv = spec.deriv(t0)
+            if dv is None:
+                dv = spec.one_sided(t0, 1)
+            if dv is None:
+                dv = 0.0
+            return spec.value(t0), dv * g
+        if op == _ABS:
+            v, g = V[ks[0]], D[ks[0]]
+            if v > 0:
+                return v, g
+            if v < 0:
+                return -v, -g
+            return 0.0, np.zeros(g.size)  # Sign(0) -> 0
+        vals = [V[c] for c in ks]
+        v = max(vals) if op == _MAX else min(vals)
+        return v, D[ks[vals.index(v)]]  # smallest index wins ties
+
     def sg(x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = x.size
-
-        def rec(node: Expr):
-            if isinstance(node, Const):
-                return node.c, np.zeros(n)
-            if isinstance(node, Var):
-                g = np.zeros(n)
-                g[node.i] = 1.0
-                return float(x[node.i]), g
-            if isinstance(node, Affine):
-                a = np.asarray(node.a)
-                return float(a @ x + node.b), a.copy()
-            if isinstance(node, Sum):
-                v, g = 0.0, np.zeros(n)
-                for t in node.terms:
-                    vt, gt = rec(t)
-                    v += vt
-                    g += gt
-                return v, g
-            if isinstance(node, Scale):
-                v, g = rec(node.child)
-                return node.c * v, node.c * g
-            if isinstance(node, (Max, Min)):
-                pairs = [rec(t) for t in node.terms]
-                vals = [v for v, _ in pairs]
-                v = max(vals) if isinstance(node, Max) else min(vals)
-                i = vals.index(v)  # smallest index wins ties
-                return v, pairs[i][1]
-            if isinstance(node, Abs):
-                v, g = rec(node.child)
-                if v > 0:
-                    return v, g
-                if v < 0:
-                    return -v, -g
-                return 0.0, np.zeros(n)  # Sign(0) -> 0
-            if isinstance(node, Sq):
-                v, g = rec(node.child)
-                return v * v, 2.0 * v * g
-            if isinstance(node, Builtin1D):
-                t0, g = rec(node.child)
-                spec = BUILTINS[node.name]
-                dv = spec.deriv(t0)
-                if dv is None:
-                    dv = spec.one_sided(t0, 1)
-                if dv is None:
-                    dv = 0.0
-                return spec.value(t0), dv * g
-            raise TypeError(f"unexpected node {node!r}")
-
-        return rec(e)[1]
+        return _sweep(tape, x, grad=True, hook=tie_rule)[1][-1]
 
     return SubgradOracle(fn=lambda x: evaluate(e, np.atleast_1d(x)), subgrad=sg)
 

@@ -34,12 +34,12 @@ from .subdiff import (
     SubdiffError,
     UnsupportedFragmentError,
     _derivative_expr_from_pattern,
+    _limiting,
     _one_sided_slopes,
     _phi_cells,
     clarke,
     convex_catalog_subdiff,
     frechet,
-    limiting,
     normal_cone,
 )
 
@@ -156,16 +156,16 @@ def classify(e: Expr, x, tol: float = 1e-8) -> StationarityReport:
         cs = clarke(e, x)
         is_C = cs.contains(np.zeros(n), tol)
         certs["clarke_contains_zero"] = is_C
-    if (frag in (FragmentClass.PA, FragmentClass.PLQ) and n == 1) or (
-        frag is FragmentClass.PA and n <= 3
-    ):
-        ls = limiting(e, x)
-        is_l = contains(ls.set, np.zeros(n), tol)
-        certs["limiting_contains_zero"] = is_l
     try:
         fs = frechet(e, x)
     except (UnsupportedFragmentError, SubdiffError):
         fs = None
+    if (frag in (FragmentClass.PA, FragmentClass.PLQ) and n == 1) or (
+        frag is FragmentClass.PA and n <= 3
+    ):
+        ls = _limiting(e, x, fs)
+        is_l = contains(ls.set, np.zeros(n), tol)
+        certs["limiting_contains_zero"] = is_l
     if fs is not None:
         is_d = (not fs.is_empty) and fs.contains(np.zeros(n), tol)
         certs["frechet_contains_zero"] = is_d

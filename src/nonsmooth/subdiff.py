@@ -12,8 +12,9 @@ From that one primitive we obtain, exactly:
 
 * ``bouligand``  -- the set of essentially-active selection gradients,
 * ``clarke``     -- its convex hull,
-* ``dir_deriv``  -- one-sided directional derivatives by recursion on the
-  tree (max over active children, signed Abs, 2 e e' for squares),
+* ``dir_deriv``  -- one-sided directional derivatives from one forward sweep
+  over the tree's tape (max over active children, signed Abs, 2 e e' for
+  squares),
 * ``clarke_dir_deriv`` -- the support function of the Clarke set,
 * ``frechet``    -- the linear minorants of d -> f'(x, d), via the conic
   cells of the derivative function,
@@ -36,10 +37,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .expr import (
+    _ABS,
+    _BUILTIN,
+    _MAX,
+    _MIN,
     Abs,
     ActivePattern,
     Affine,
-    Builtin1D,
     BUILTINS,
     Const,
     Expr,
@@ -50,8 +54,11 @@ from .expr import (
     Sq,
     Sum,
     Var,
+    _check_point,
+    _sweep,
+    _tape,
+    active_pattern,
     classify_fragment,
-    evaluate,
 )
 from .polyhedra import (
     Ball,
@@ -60,6 +67,8 @@ from .polyhedra import (
     HPolyhedron,
     SetUnion,
     VPolytope,
+    _canon_vertices,
+    _dedupe_points,
     cone_from_rays,
     cone_rays_from_halfspaces,
     contains,
@@ -196,62 +205,64 @@ class DirDerivValue:
 
 
 # ---------------------------------------------------------------------------
-# Directional derivative recursion
+# Directional derivatives along one sweep
 # ---------------------------------------------------------------------------
 
+# Relative tolerance under which tangents along d count as tied when the
+# pattern at x + t d is read off.  The directions come out of LPs, so two
+# tangents that are equal on the face in exact arithmetic differ by rounding.
+_TANGENT_TIE_RTOL = 1e-9
 
-def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray) -> tuple:
-    """(value, one-sided derivative along d) by recursion; exact ties."""
 
-    def rec(node: Expr):
-        if isinstance(node, Const):
-            return node.c, 0.0
-        if isinstance(node, Var):
-            return float(x[node.i]), float(d[node.i])
-        if isinstance(node, Affine):
-            a = np.asarray(node.a)
-            return float(a @ x + node.b), float(a @ d)
-        if isinstance(node, Sum):
-            vals = [rec(t) for t in node.terms]
-            return sum(v for v, _ in vals), sum(g for _, g in vals)
-        if isinstance(node, Scale):
-            v, g = rec(node.child)
-            return node.c * v, node.c * g
-        if isinstance(node, (Max, Min)):
-            pairs = [rec(t) for t in node.terms]
-            vals = [v for v, _ in pairs]
-            if isinstance(node, Max):
-                v = max(vals)
-                g = max(gg for vv, gg in pairs if vv >= v)
-            else:
-                v = min(vals)
-                g = min(gg for vv, gg in pairs if vv <= v)
-            return v, g
-        if isinstance(node, Abs):
-            v, g = rec(node.child)
-            if v > 0.0:
-                return v, g
-            if v < 0.0:
-                return -v, -g
-            return 0.0, abs(g)
-        if isinstance(node, Sq):
-            v, g = rec(node.child)
-            return v * v, 2.0 * v * g
-        if isinstance(node, Builtin1D):
-            t0, g = rec(node.child)
-            spec = BUILTINS[node.name]
+def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
+    """(value, one-sided derivative along d) at x; exact ties.
+
+    With ``pattern = (branch, signs)``, also writes the Max/Min and Abs
+    activity at x + t d for infinitesimal t > 0 into those dicts.
+    """
+    tape = _tape(e)
+
+    def along(k, op, V, D):
+        ks = tape.kids[k]
+        if op == _BUILTIN:
+            t0, g = V[ks[0]], D[ks[0]]
+            spec = BUILTINS[tape.args[k]]
             val = spec.value(t0)
             if g == 0.0:
                 return val, 0.0
             one = spec.one_sided(t0, 1 if g > 0 else -1)
             if one is None:
                 raise NotDirectionallyDifferentiableError(
-                    f"builtin {node.name!r} has no one-sided derivative at {t0}"
+                    f"builtin {tape.args[k]!r} has no one-sided derivative at {t0}"
                 )
             return val, abs(g) * one
-        raise SubdiffError(f"unexpected node {node!r}")
+        if op == _ABS:
+            v, g = V[ks[0]], D[ks[0]]
+            if v > 0.0:
+                out, s = (v, g), "+"
+            elif v < 0.0:
+                out, s = (-v, -g), "-"
+            else:
+                out = (0.0, abs(g))
+                tol = _TANGENT_TIE_RTOL * max(1.0, abs(g))
+                s = "0" if abs(g) <= tol else ("+" if g > 0 else "-")
+            if pattern is not None:
+                pattern[1][tape.paths[k]] = s
+            return out
+        vals = [V[c] for c in ks]
+        v = max(vals) if op == _MAX else min(vals)
+        tied = [i for i, w in enumerate(vals) if w == v]
+        ds = [D[ks[i]] for i in tied]
+        g = max(ds) if op == _MAX else min(ds)
+        if pattern is not None:
+            tol = _TANGENT_TIE_RTOL * max(1.0, max(abs(t) for t in ds))
+            pattern[0][tape.paths[k]] = tuple(
+                i for i, t in zip(tied, ds) if (t >= g - tol if op == _MAX else t <= g + tol)
+            )
+        return v, g
 
-    return rec(e)
+    V, D = _sweep(tape, x, d=d, hook=along)
+    return V[-1], D[-1]
 
 
 def dir_deriv(e: Expr, x, d) -> DirDerivValue:
@@ -266,9 +277,8 @@ def dir_deriv(e: Expr, x, d) -> DirDerivValue:
     frag = classify_fragment(e)
     if frag is FragmentClass.GENERAL:
         raise UnsupportedFragmentError("USE_SAMPLED: exact rules need PA/PLQ or 1-D")
-    x = np.asarray(x, dtype=float).ravel()
+    x = _check_point(e, x)
     d = np.asarray(d, dtype=float).ravel()
-    evaluate(e, x)  # dimension checks
     _, g = _dir_value(e, x, d)
     return DirDerivValue(value=float(g), kind="ordinary")
 
@@ -285,170 +295,66 @@ def clarke_dir_deriv(e: Expr, x, d) -> DirDerivValue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Selection:
-    branch: dict  # path -> chosen child index (Max/Min nodes)
-    sign: dict  # path -> +1.0/-1.0 (Abs nodes)
+_SIGN_CHOICES = {"+": (1.0,), "-": (-1.0,), "0": (1.0, -1.0)}
 
 
-def _branch_choices(e: Expr, x: np.ndarray, act_tol: float):
-    """Per branch node, the locally admissible choices at x."""
-    choices = []
-
-    def rec(node: Expr, path: tuple, vals_out: dict) -> float:
-        if isinstance(node, Const):
-            v = node.c
-        elif isinstance(node, Var):
-            v = float(x[node.i])
-        elif isinstance(node, Affine):
-            v = float(np.dot(node.a, x) + node.b)
-        elif isinstance(node, Sum):
-            v = sum(rec(t, path + (i,), vals_out) for i, t in enumerate(node.terms))
-        elif isinstance(node, Scale):
-            v = node.c * rec(node.child, path + (0,), vals_out)
-        elif isinstance(node, (Max, Min)):
-            kid_vals = [rec(t, path + (i,), vals_out) for i, t in enumerate(node.terms)]
-            v = max(kid_vals) if isinstance(node, Max) else min(kid_vals)
-            if isinstance(node, Max):
-                act = [i for i, w in enumerate(kid_vals) if w >= v - act_tol]
-            else:
-                act = [i for i, w in enumerate(kid_vals) if w <= v + act_tol]
-            choices.append(("branch", path, tuple(act)))
-        elif isinstance(node, Abs):
-            w = rec(node.child, path + (0,), vals_out)
-            v = abs(w)
-            if abs(w) <= act_tol:
-                choices.append(("sign", path, (1.0, -1.0)))
-            else:
-                choices.append(("sign", path, (1.0 if w > 0 else -1.0,)))
-        elif isinstance(node, Sq):
-            w = rec(node.child, path + (0,), vals_out)
-            v = w * w
-        else:
-            raise UnsupportedFragmentError("selections need a PA/PLQ tree")
-        vals_out[path] = v
-        return v
-
-    vals: dict = {}
-    rec(e, (), vals)
-    return choices, vals
+def _enumerate_selections(e: Expr, x: np.ndarray, act_tol: float = 0.0) -> list:
+    """Every selection admissible at x, as {tape position: branch index or
+    sign} over the Max/Min/Abs nodes."""
+    pat = active_pattern(e, x, act_tol)
+    tape = _tape(e)
+    slots = [k for k, op in enumerate(tape.ops) if op in (_MAX, _MIN, _ABS)]
+    choices = [
+        _SIGN_CHOICES[pat.abs_sign[tape.paths[k]]]
+        if tape.ops[k] == _ABS
+        else pat.branch_active[tape.paths[k]]
+        for k in slots
+    ]
+    if math.prod(len(c) for c in choices) > SELECTION_CAP:
+        raise EnumerationLimitError(
+            f"more than {SELECTION_CAP} local selections; perturb the point"
+        )
+    return [dict(zip(slots, combo)) for combo in itertools.product(*choices)]
 
 
-def _enumerate_selections(e: Expr, x: np.ndarray, act_tol: float = 0.0):
-    choices, _ = _branch_choices(e, x, act_tol)
-    total = 1
-    for _, _, opts in choices:
-        total *= len(opts)
-        if total > SELECTION_CAP:
-            raise EnumerationLimitError(
-                f"more than {SELECTION_CAP} local selections; perturb the point"
-            )
-    sels = []
-    for combo in itertools.product(*[opts for _, _, opts in choices]):
-        branch, sign = {}, {}
-        for (kind, path, _), pick in zip(choices, combo):
-            if kind == "branch":
-                branch[path] = pick
-            else:
-                sign[path] = pick
-        sels.append(_Selection(branch, sign))
-    return sels
+def _sel_sweep(e: Expr, sel: dict, x: np.ndarray) -> tuple:
+    """Per-node values and gradients at x of the smooth piece ``sel`` picks."""
+
+    tape = _tape(e)
+
+    def pick(k, op, V, D):
+        p = sel[k]
+        if op == _ABS:
+            c = tape.kids[k][0]
+            return p * V[c], p * D[c]
+        c = tape.kids[k][p]
+        return V[c], D[c]
+
+    return _sweep(tape, x, grad=True, hook=pick)
 
 
-def _linearize(node: Expr, sel: _Selection, n: int, path: tuple = ()) -> tuple:
-    """Affine (a, b) of a PA subtree under a full selection."""
-    if isinstance(node, Const):
-        return np.zeros(n), node.c
-    if isinstance(node, Var):
-        a = np.zeros(n)
-        a[node.i] = 1.0
-        return a, 0.0
-    if isinstance(node, Affine):
-        return np.asarray(node.a, dtype=float).copy(), node.b
-    if isinstance(node, Sum):
-        a, b = np.zeros(n), 0.0
-        for i, t in enumerate(node.terms):
-            ai, bi = _linearize(t, sel, n, path + (i,))
-            a += ai
-            b += bi
-        return a, b
-    if isinstance(node, Scale):
-        a, b = _linearize(node.child, sel, n, path + (0,))
-        return node.c * a, node.c * b
-    if isinstance(node, (Max, Min)):
-        i = sel.branch[path]
-        return _linearize(node.terms[i], sel, n, path + (i,))
-    if isinstance(node, Abs):
-        s = sel.sign[path]
-        a, b = _linearize(node.child, sel, n, path + (0,))
-        return s * a, s * b
-    raise SubdiffError("cannot linearize a non-PA subtree")
+def _sel_constraints(e: Expr, sel: dict, n: int) -> tuple:
+    """Branch-dominance rows (a, c), meaning a.z + c >= 0, of the cell of
+    ``sel`` in pre-order, and the slope of its piece.
 
-
-def _sel_constraints(e: Expr, sel: _Selection, n: int):
-    """Branch-dominance rows (a, c) meaning a.z + c >= 0 for the cell of sel."""
+    One sweep at z = 0 gives every node's affine form: its gradient is the
+    slope and its value the offset.
+    """
+    tape = _tape(e)
+    B, A = _sel_sweep(e, sel, np.zeros(n))
     rows = []
-
-    def rec(node: Expr, path: tuple):
-        if isinstance(node, (Max, Min)):
-            i = sel.branch[path]
-            ai, bi = _linearize(node.terms[i], sel, n, path + (i,))
-            for j, t in enumerate(node.terms):
-                if j == i:
-                    continue
-                aj, bj = _linearize(t, sel, n, path + (j,))
-                if isinstance(node, Max):
-                    rows.append((ai - aj, bi - bj))
-                else:
-                    rows.append((aj - ai, bj - bi))
-        if isinstance(node, Abs):
-            s = sel.sign[path]
-            a, b = _linearize(node.child, sel, n, path + (0,))
-            rows.append((s * a, s * b))
-        for i, c in enumerate(node.children()):
-            rec(c, path + (i,))
-
-    rec(e, ())
-    return rows
-
-
-def _sel_gradient(e: Expr, sel: _Selection, x: np.ndarray) -> np.ndarray:
-    """Gradient at x of the smooth piece picked out by a full selection."""
-    n = x.size
-
-    def rec(node: Expr, path: tuple):
-        if isinstance(node, Const):
-            return node.c, np.zeros(n)
-        if isinstance(node, Var):
-            g = np.zeros(n)
-            g[node.i] = 1.0
-            return float(x[node.i]), g
-        if isinstance(node, Affine):
-            a = np.asarray(node.a, dtype=float)
-            return float(a @ x + node.b), a.copy()
-        if isinstance(node, Sum):
-            v, g = 0.0, np.zeros(n)
-            for i, t in enumerate(node.terms):
-                vi, gi = rec(t, path + (i,))
-                v += vi
-                g += gi
-            return v, g
-        if isinstance(node, Scale):
-            v, g = rec(node.child, path + (0,))
-            return node.c * v, node.c * g
-        if isinstance(node, (Max, Min)):
-            i = sel.branch[path]
-            return rec(node.terms[i], path + (i,))
-        if isinstance(node, Abs):
-            s = sel.sign[path]
-            v, g = rec(node.child, path + (0,))
-            return s * v, s * g
-        if isinstance(node, Sq):
-            v, g = rec(node.child, path + (0,))
-            return v * v, 2.0 * v * g
-        raise SubdiffError(f"unexpected node {node!r}")
-
-    return rec(e, ())[1]
+    for k in tape.preorder:
+        op, ks = tape.ops[k], tape.kids[k]
+        if op == _MAX or op == _MIN:
+            i = ks[sel[k]]
+            for j in ks:
+                if j != i:
+                    rows.append(
+                        (A[i] - A[j], B[i] - B[j]) if op == _MAX else (A[j] - A[i], B[j] - B[i])
+                    )
+        elif op == _ABS:
+            rows.append((sel[k] * A[ks[0]], sel[k] * B[ks[0]]))
+    return rows, A[-1]
 
 
 def _clean_rows(rows, x: np.ndarray, drop_inconsistent: bool = True):
@@ -494,51 +400,28 @@ def _cell_is_essential(rows, x: np.ndarray, n: int) -> bool:
     return res.optimal and -res.value >= ESSENTIAL_MARGIN
 
 
-def _essential_selection_data(e: Expr, x: np.ndarray, act_tol: float = 0.0):
-    """(gradient, normalized rows) for every essentially active selection."""
-    n = x.size
-    out = []
-    for sel in _enumerate_selections(e, x, act_tol):
-        rows = _clean_rows(_sel_constraints(e, sel, n), x)
-        if rows is None:
-            continue
-        # selections assembled from active children always contain x
-        scale = 1.0 + float(np.abs(x).max())
-        if any(float(a @ x) + c < -1e-8 * scale for a, c in rows):
-            continue
-        if _cell_is_essential(rows, x, n):
-            out.append((_sel_gradient(e, sel, x), rows))
-    return out
-
-
-def _dedupe_points(points, tol: float = 1e-10):
-    uniq: list = []
-    for p in points:
-        if not any(np.all(np.abs(p - q) <= tol * (1.0 + np.abs(q).max())) for q in uniq):
-            uniq.append(p)
-    uniq.sort(key=lambda p: tuple(p))
-    return uniq
-
-
-def _require_exact_fragment(e: Expr, op: str) -> FragmentClass:
-    frag = classify_fragment(e)
-    if frag not in (FragmentClass.PA, FragmentClass.PLQ):
-        raise UnsupportedFragmentError(f"USE_SAMPLED: {op} needs a PA/PLQ tree")
-    return frag
-
-
 def bouligand(e: Expr, x) -> SubdiffSet:
     """Exact Bouligand subdifferential of a PA/PLQ tree at x (dim <= 4).
 
     Returns the finite set of gradients of essentially active smooth
     selections, one singleton component per gradient.
     """
-    _require_exact_fragment(e, "bouligand")
+    if classify_fragment(e) not in (FragmentClass.PA, FragmentClass.PLQ):
+        raise UnsupportedFragmentError("USE_SAMPLED: bouligand needs a PA/PLQ tree")
     x = np.asarray(x, dtype=float).ravel()
-    if x.size > 4:
+    n = x.size
+    if n > 4:
         raise SubdiffError("dimension cap exceeded (bouligand supports dim <= 4)")
-    grads = [g for g, _ in _essential_selection_data(e, x)]
-    pts = _dedupe_points(grads)
+    grads = []
+    for sel in _enumerate_selections(e, x):
+        rows = _clean_rows(_sel_constraints(e, sel, n)[0], x)
+        # selections assembled from active children always contain x
+        scale = 1.0 + float(np.abs(x).max())
+        if rows is None or any(float(a @ x) + c < -1e-8 * scale for a, c in rows):
+            continue
+        if _cell_is_essential(rows, x, n):
+            grads.append(_sel_sweep(e, sel, x)[1][-1])
+    pts = _canon_vertices(_dedupe_points(np.array(grads))) if grads else []
     comps = tuple(VPolytope(np.array([p])) for p in pts)
     return SubdiffSet(kind=SubdiffKind.BOULIGAND, set=SetUnion(comps), at=x)
 
@@ -599,11 +482,10 @@ def _phi_cells(phi: Expr, n: int):
     cells = []
     seen = set()
     for sel in _enumerate_selections(phi, zero, act_tol=0.0):
-        rows_raw = _sel_constraints(phi, sel, n)
+        rows_raw, g = _sel_constraints(phi, sel, n)
         rows = _clean_rows(rows_raw, zero)
         if rows is None:
             continue
-        g, b = _linearize(phi, sel, n)
         key = (tuple(np.round(g, 12)), tuple(sorted(tuple(np.round(a, 12)) for a, _ in rows)))
         if key in seen:
             continue
@@ -679,8 +561,6 @@ def frechet(e: Expr, x) -> SubdiffSet:
         raise UnsupportedFragmentError(
             "exact frechet needs a PA tree of dim <= 3 or a 1-D expression"
         )
-    from .expr import active_pattern  # local import to avoid cycle confusion
-
     pat = active_pattern(e, x, tol=0.0)
     phi = _derivative_expr_from_pattern(e, pat)
     return _frechet_from_phi(phi, x.size, x)
@@ -699,50 +579,7 @@ def _pattern_along(e: Expr, x: np.ndarray, d: np.ndarray) -> ActivePattern:
     """
     branch: dict = {}
     signs: dict = {}
-
-    def rec(node: Expr, path: tuple):
-        if isinstance(node, Const):
-            return node.c, 0.0
-        if isinstance(node, Var):
-            return float(x[node.i]), float(d[node.i])
-        if isinstance(node, Affine):
-            a = np.asarray(node.a)
-            return float(a @ x + node.b), float(a @ d)
-        if isinstance(node, Sum):
-            pairs = [rec(t, path + (i,)) for i, t in enumerate(node.terms)]
-            return sum(v for v, _ in pairs), sum(g for _, g in pairs)
-        if isinstance(node, Scale):
-            v, g = rec(node.child, path + (0,))
-            return node.c * v, node.c * g
-        if isinstance(node, (Max, Min)):
-            pairs = [rec(t, path + (i,)) for i, t in enumerate(node.terms)]
-            vals = [v for v, _ in pairs]
-            v = max(vals) if isinstance(node, Max) else min(vals)
-            act0 = [i for i, vv in enumerate(vals) if vv == v]
-            ds = [pairs[i][1] for i in act0]
-            tol_d = 1e-9 * max(1.0, max(abs(t) for t in ds))
-            if isinstance(node, Max):
-                dbest = max(ds)
-                act = tuple(i for i, gg in zip(act0, ds) if gg >= dbest - tol_d)
-            else:
-                dbest = min(ds)
-                act = tuple(i for i, gg in zip(act0, ds) if gg <= dbest + tol_d)
-            branch[path] = act
-            return v, dbest
-        if isinstance(node, Abs):
-            v, g = rec(node.child, path + (0,))
-            if v > 0.0:
-                signs[path] = "+"
-                return v, g
-            if v < 0.0:
-                signs[path] = "-"
-                return -v, -g
-            tol_d = 1e-9 * max(1.0, abs(g))
-            signs[path] = "0" if abs(g) <= tol_d else ("+" if g > 0 else "-")
-            return 0.0, abs(g)
-        raise SubdiffError("pattern walk needs a PA tree")
-
-    rec(e, ())
+    _dir_value(e, x, d, (branch, signs))
     return ActivePattern(branch_active=branch, abs_sign=signs, tol=0.0)
 
 
@@ -821,7 +658,11 @@ def limiting(e: Expr, x) -> SubdiffSet:
     realizable arbitrarily close to x and union the pattern Frechet sets
     with the Frechet set at x itself.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    return _limiting(e, np.asarray(x, dtype=float).ravel())
+
+
+def _limiting(e: Expr, x: np.ndarray, fs: Optional[SubdiffSet] = None) -> SubdiffSet:
+    """:func:`limiting` at a raveled x, reusing the Frechet set ``fs`` at x."""
     frag = classify_fragment(e)
     if x.size == 1:
         if frag not in (FragmentClass.PA, FragmentClass.PLQ):
@@ -840,8 +681,6 @@ def limiting(e: Expr, x) -> SubdiffSet:
             "exact limiting needs PA (dim <= 3) or a 1-D PA/PLQ tree"
         )
     n = x.size
-    from .expr import active_pattern
-
     pat0 = active_pattern(e, x, tol=0.0)
     phi = _derivative_expr_from_pattern(e, pat0)
     cells = _phi_cells(phi, n)
@@ -855,7 +694,7 @@ def limiting(e: Expr, x) -> SubdiffSet:
                 sigs.add(key)
                 pieces.append(comp)
 
-    add(frechet(e, x))
+    add(frechet(e, x) if fs is None else fs)
     seen_patterns = set()
     for dvec in _face_directions(cells, n):
         pat = _pattern_along(e, x, dvec)

@@ -257,3 +257,185 @@ class TestBuiltins:
         assert evaluate(f, [-2.0]) == -2.0
         t = 0.25
         assert evaluate(f, [t]) == pytest.approx(t + t * t * math.sin(1 / t))
+
+
+class TestTape:
+    """Each tree is compiled once into a tape kept on its root node."""
+
+    @staticmethod
+    def _count_compiles(monkeypatch) -> list:
+        import nonsmooth.expr as ex
+
+        seen = []
+        real = ex._compile
+
+        def counting(e):
+            seen.append(e)
+            return real(e)
+
+        monkeypatch.setattr(ex, "_compile", counting)
+        return seen
+
+    def test_compiled_once_per_instance(self, monkeypatch):
+        from nonsmooth.expr import dim_required
+        from nonsmooth.sampled import as_gradient_oracle
+        from nonsmooth.solvers import oracle_from_expr
+        from nonsmooth.subdiff import bouligand, dir_deriv, frechet
+
+        seen = self._count_compiles(monkeypatch)
+        e = parse_expr("(max (affine (1 2) 0) (abs (var 1)) (scale -1 (var 0)))")
+        twin = parse_expr(print_expr(e))
+        for x in ([0.0, 0.0], [1.0, -2.0], [0.5, 0.25]):
+            evaluate(e, x)
+            active_pattern(e, x, tol=1e-8)
+            dir_deriv(e, x, [1.0, -1.0])
+            oracle_from_expr(e).subgrad(x)
+            as_gradient_oracle(e)(x)
+            bouligand(e, x)
+        assert dim_required(e) == 2 and classify_fragment(e) is FragmentClass.PA
+        frechet(e, [0.0, 0.0])  # compiles the derivative trees it builds, not e
+        assert [s for s in seen if s is e] == [e]
+        # the cache is invisible to equality, hashing and repr
+        assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+        assert not any(s is twin for s in seen)
+        evaluate(twin, [1.0, 1.0])
+        assert sum(s is twin for s in seen) == 1
+
+    def test_pickled_tree_keeps_working(self):
+        import pickle
+
+        e = f1_expr()
+        evaluate(e, [0.25])
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and hash(copy) == hash(e)
+        assert evaluate(copy, [0.25]) == evaluate(e, [0.25])
+
+    @pytest.mark.parametrize(
+        "e, good, bad",
+        [
+            (vsum(Var(0), Var(2)), [0.5, 0.5, 0.5], [1.0, 2.0]),  # Var out of range
+            (vmax(Affine((1.0, 2.0), 0.0), Var(0)), [0.5, 0.5], [1.0, 2.0, 3.0]),  # Affine length
+            (vmax(Affine((1.0, 2.0), 0.0), Var(0)), [0.5, 0.5], []),  # empty point
+            (vmax(Affine((1.0, 2.0), 0.0), Var(0)), [0.5, 0.5], [1.0, math.inf]),  # non-finite
+            (Abs(Var(0)), [0.5], [math.nan]),
+        ],
+    )
+    def test_bad_points_still_raise_with_a_cached_tape(self, e, good, bad):
+        from nonsmooth.subdiff import dir_deriv
+
+        evaluate(e, good)
+        for call in (evaluate, active_pattern, lambda e, p: dir_deriv(e, p, p)):
+            with pytest.raises(DimensionMismatchError):
+                call(e, bad)
+
+    def test_mismatch_messages_name_the_first_bad_leaf(self):
+        e = vsum(Affine((1.0, 1.0, 1.0), 0.0), Var(5), Affine((1.0,), 0.0))
+        with pytest.raises(DimensionMismatchError, match="affine coefficient length 3 != dimension 2"):
+            evaluate(e, [1.0, 2.0])
+        with pytest.raises(DimensionMismatchError, match="var 5 out of range for dimension 3"):
+            evaluate(e, [1.0, 2.0, 3.0])
+
+
+# Functions allowed to dispatch on the leaf and linear node types: the tape
+# compiler and the tree rewriters.  Every numeric walk goes through the tape.
+_DISPATCH_ALLOWED = {
+    "expr.py": {"_compile", "print_expr"},
+    "subdiff.py": {"_derivative_expr_from_pattern", "compose_affine"},
+}
+_LINEAR_NODES = {"Const", "Var", "Affine", "Sum", "Scale"}
+
+
+def _dispatch_sites(tree) -> list:
+    """(owner, line) of every isinstance/issubclass or ``type(x) is`` test,
+    class-keyed dict or match pattern naming a linear node type.  The owner
+    is the enclosing top-level function or ``Class.method``; nested
+    functions count for their owner."""
+    import ast
+
+    def names(node) -> set:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & _LINEAR_NODES
+
+    def is_dispatch(node) -> bool:
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("isinstance", "issubclass"):
+            return len(node.args) == 2 and bool(names(node.args[1]))
+        if isinstance(node, ast.Compare):
+            calls = [s for s in (node.left, *node.comparators) if isinstance(s, ast.Call)]
+            return any(getattr(c.func, "id", "") == "type" for c in calls) and bool(names(node))
+        if isinstance(node, ast.Dict):
+            return any(isinstance(k, ast.Name) and k.id in _LINEAR_NODES for k in node.keys)
+        return isinstance(node, ast.MatchClass) and bool(names(node.cls))
+
+    owned = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            owned += [(f"{top.name}.{getattr(m, 'name', '')}", m) for m in top.body]
+        else:
+            owned.append((getattr(top, "name", "<module>"), top))
+    return [(owner, n.lineno) for owner, root in owned for n in ast.walk(root) if is_dispatch(n)]
+
+
+def test_no_tree_walker_outside_the_tape_compiler_and_rewriters():
+    import ast
+    import pathlib
+
+    import nonsmooth
+
+    offenders = []
+    for path in sorted(pathlib.Path(nonsmooth.__file__).parent.glob("*.py")):
+        allowed = _DISPATCH_ALLOWED.get(path.name, set())
+        for owner, line in _dispatch_sites(ast.parse(path.read_text())):
+            if owner not in allowed:
+                offenders.append(f"{path.name}:{line} in {owner}")
+    assert offenders == [], "dispatch on Const/Var/Affine/Sum/Scale: " + ", ".join(offenders)
+
+
+def test_dispatch_guard_catches_a_walker():
+    import ast
+
+    walker = ast.parse(
+        "def evaluate(e, x):\n"
+        "    if isinstance(e, (Max, Var)):\n"
+        "        return x[e.i]\n"
+        "def helper(e):\n"
+        "    return {Const: 0}.get(type(e))\n"
+        "def other(e):\n"
+        "    return type(e) is Sum\n"
+    )
+    assert [owner for owner, _ in _dispatch_sites(walker)] == ["evaluate", "helper", "other"]
+
+
+def test_tape_cache_shared_across_threads():
+    # many threads race to compile and use the same fresh trees; the cache
+    # write is idempotent, so every answer matches a single-threaded one
+    import sys
+    import threading
+
+    from nonsmooth.expr import _compile, _tape
+
+    rng = make_rng(31)
+    cases = [random_pa_instance(rng, dim=int(rng.integers(1, 4))) for _ in range(40)]
+    want = [evaluate(parse_expr(print_expr(e)), x) for e, x in cases]
+    trees = [parse_expr(print_expr(e)) for e, _ in cases]  # no tape yet
+    errors = []
+
+    def work():
+        try:
+            for _ in range(20):
+                for e, (_, x), w in zip(trees, cases, want):
+                    assert evaluate(e, x) == w
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(repr(_tape(e)) == repr(_compile(e)) for e in trees)

@@ -216,19 +216,27 @@ class TestSampledAgreement:
         # exact-vs-sampled agreement on 1-D instances with kinks
         from nonsmooth.sampled import gradient_sampling
 
-        rng = make_rng(84)
+        # trees with identical leaves included: a tie between children with
+        # equal gradients is no kink, so every instance has samples
         checked = 0
         for e, x, _ in corpus(40, seed=1004, max_dim=1):
             cs = clarke(e, x)
-            try:
-                ss = gradient_sampling(as_gradient_oracle(e), x, samples=800)
-            except ValueError:
-                continue
+            ss = gradient_sampling(as_gradient_oracle(e), x, samples=800)
             assert set_distance(ss.set, cs.set) <= 0.05 * max(
                 1.0, float(np.abs(np.vstack([c.vertices for c in cs.set.components])).max())
             )
             checked += 1
-        assert checked >= 30
+        assert checked == 40
+
+    def test_gradient_sampling_on_identical_leaves(self):
+        from nonsmooth.expr import Max, Scale, Var
+        from nonsmooth.sampled import gradient_sampling
+
+        e = Max((Var(0), Var(0), Scale(-1.0, Var(0))))
+        ss = gradient_sampling(as_gradient_oracle(e), [0.5])
+        cs = clarke(e, [0.5])
+        assert np.array_equal(ss.set.components[0].vertices, cs.set.components[0].vertices)
+        assert as_gradient_oracle(e)([0.0]) is None  # a real kink stays one
 
     def test_smooth_point_singleton_matches_fd(self):
         rng = make_rng(85)
@@ -252,3 +260,34 @@ class TestSampledAgreement:
                 assert abs(fd - g[i]) <= 1e-6 * max(1.0, abs(g[i]))
             checked += 1
         assert checked >= 25
+
+
+class TestSecondRoute:
+    """Exact answers re-checked by a route that shares no code with them."""
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_dir_deriv_is_the_exact_difference_quotient(self, seed, dim):
+        # along a ray, a PA tree is affine on [0, t] for small t; with dyadic
+        # data and t = 2^-20 the quotient (f(x + t d) - f(x)) / t is exact
+        rng = make_rng(seed)
+        e, x = random_pa_instance(rng, dim)
+        if dim_required(e) != dim:
+            return
+        t = 2.0**-20
+        for _ in range(5):
+            d = rng.integers(-4, 5, size=dim) / 4.0
+            quotient = (evaluate(e, x + t * d) - evaluate(e, x)) / t
+            assert dir_deriv(e, x, d).value == quotient
+
+    def test_classify_witness_descends(self):
+        from nonsmooth.stationarity import classify
+
+        descents = 0
+        for e, x, _ in corpus(120, seed=1006):
+            rep = classify(e, x)
+            if rep.is_d is False:
+                w = rep.witness_direction
+                assert evaluate(e, x + 1e-6 * w) < evaluate(e, x)
+                descents += 1
+        assert descents >= 100
