@@ -52,7 +52,7 @@ def as_gradient_oracle(e: Expr) -> Callable[[np.ndarray], Optional[np.ndarray]]:
 
     Returns the gradient where the expression is differentiable and ``None``
     at kinks (a Max/Min tie between children with different gradients, Abs
-    at zero, builtin non-smooth points).  Builtins contribute via their
+    of a zero with a non-zero gradient, builtin non-smooth points).  Builtins contribute via their
     registry derivative.
     """
 
@@ -69,9 +69,11 @@ def as_gradient_oracle(e: Expr) -> Callable[[np.ndarray], Optional[np.ndarray]]:
             return spec.value(t0), dv * g
         if op == _ABS:
             v, g = V[ks[0]], D[ks[0]]
-            if v == 0.0:
+            # |h| where h = 0 with a zero gradient is smooth, like a tie of
+            # equal gradients below
+            if v == 0.0 and g.any():
                 raise _Kink()
-            return abs(v), (g if v > 0 else -g)
+            return abs(v), (g if v >= 0 else -g)
         vals = [V[c] for c in ks]
         v = max(vals) if op == _MAX else min(vals)
         tied = [c for c, w in zip(ks, vals) if w == v]

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .expr import Expr, FragmentClass, classify_fragment, active_pattern
+from .expr import Expr, FragmentClass, classify_fragment
 from .polyhedra import (
     Ball,
     Box,
@@ -33,10 +33,9 @@ from .polyhedra import (
 from .subdiff import (
     SubdiffError,
     UnsupportedFragmentError,
-    _derivative_expr_from_pattern,
+    _cells_at,
     _limiting,
     _one_sided_slopes,
-    _phi_cells,
     clarke,
     convex_catalog_subdiff,
     frechet,
@@ -97,12 +96,12 @@ def _lex_smallest(rows: list) -> np.ndarray:
     return min(rows, key=lambda r: tuple(np.round(np.asarray(r, float), 12)))
 
 
-def _min_dirderiv_over_box(e: Expr, x: np.ndarray, tol: float):
+def _min_dirderiv_over_box(e: Expr, x: np.ndarray, cells: Optional[list]):
     """(min of f'(x, .) over the unit inf-ball, lex-smallest minimizer).
 
-    Enumerates the conic linearity cells of d -> f'(x, d) and minimizes the
-    cell-linear form over each cell intersected with the box, taking the
-    lexicographically smallest vertex of the minimizing face.
+    In 1-D from the one-sided slopes; otherwise minimizes the cell-linear
+    form over each of the ``cells`` of d -> f'(x, d) intersected with the
+    box, taking the lexicographically smallest vertex of the minimizing face.
     """
     n = x.size
     if n == 1:
@@ -111,18 +110,13 @@ def _min_dirderiv_over_box(e: Expr, x: np.ndarray, tol: float):
         best = min(v for v, _ in cand)
         dirs = [d for v, d in cand if v <= best + 1e-15]
         return best, np.array(_lex_smallest(dirs))
-    pat = active_pattern(e, x, tol=0.0)
-    phi = _derivative_expr_from_pattern(e, pat)
-    cells = _phi_cells(phi, n)
     best_val = np.inf
     best_dirs = []
-    for g, rows in cells:
-        A = [np.eye(n), -np.eye(n)]
-        b = [np.ones(n), np.ones(n)]
-        if rows:
-            A.append(-np.array(rows))
-            b.append(np.zeros(len(rows)))
-        H = HPolyhedron(np.vstack(A), np.concatenate(b))
+    for g, rows, _ in cells:
+        H = HPolyhedron(
+            np.vstack([np.eye(n), -np.eye(n), -rows]),
+            np.concatenate([np.ones(2 * n), np.zeros(rows.shape[0])]),
+        )
         verts = vertex_enumeration(H).vertices
         if verts.shape[0] == 0:
             continue
@@ -141,14 +135,20 @@ def classify(e: Expr, x, tol: float = 1e-8) -> StationarityReport:
 
     Fully exact for PA trees of dim <= 3 and 1-D PA/PLQ trees.  For 1-D
     registry-builtin trees only the d-flag is exact (via one-sided
-    derivatives); the other flags come back None.  d-stationarity is decided
-    by Frechet membership and cross-checked against the directional sweep
-    min over the unit box of f'(x, .) whenever both are available.
+    derivatives); the other flags come back None.  Where the directional
+    sweep (min over the unit box of f'(x, .)) is available, the d-flag is
+    that minimum being >= -tol, and Frechet membership cross-checks it;
+    otherwise the d-flag is Frechet membership.
     """
     x = np.asarray(x, dtype=float).ravel()
     frag = classify_fragment(e)
     n = x.size
     certs: dict = {}
+    exact = (frag in (FragmentClass.PA, FragmentClass.PLQ) and n == 1) or (
+        frag is FragmentClass.PA and n <= 3
+    )
+    # the cells of d -> f'(x, d), shared by Frechet, limiting and the sweep
+    cells = _cells_at(e, x) if exact and n > 1 else None
 
     is_C = is_l = is_d = None
     fs = cs = ls = None
@@ -156,34 +156,34 @@ def classify(e: Expr, x, tol: float = 1e-8) -> StationarityReport:
         cs = clarke(e, x)
         is_C = cs.contains(np.zeros(n), tol)
         certs["clarke_contains_zero"] = is_C
-    try:
-        fs = frechet(e, x)
-    except (UnsupportedFragmentError, SubdiffError):
-        fs = None
-    if (frag in (FragmentClass.PA, FragmentClass.PLQ) and n == 1) or (
-        frag is FragmentClass.PA and n <= 3
-    ):
-        ls = _limiting(e, x, fs)
+    if exact:
+        ls, fs = _limiting(e, x, cells)
         is_l = contains(ls.set, np.zeros(n), tol)
         certs["limiting_contains_zero"] = is_l
+    if fs is None:
+        try:
+            fs = frechet(e, x)
+        except (UnsupportedFragmentError, SubdiffError):
+            fs = None
     if fs is not None:
         is_d = (not fs.is_empty) and fs.contains(np.zeros(n), tol)
         certs["frechet_contains_zero"] = is_d
 
     witness = None
     wvalue = None
-    if frag in (FragmentClass.PA, FragmentClass.PLQ) and (
-        n == 1 or (frag is FragmentClass.PA and n <= 3)
-    ):
-        mval, mdir = _min_dirderiv_over_box(e, x, tol)
-        sweep_d = mval >= -tol
+    if exact:
+        mval, mdir = _min_dirderiv_over_box(e, x, cells)
         certs["sweep_min"] = float(mval)
-        if is_d is not None and sweep_d != is_d:
+        # only what the math rules out is an error: a Frechet point within
+        # tol * scale of 0 (scale: the set's largest entry, at least 1) bounds
+        # f'(x, .) below by -n tol scale on the unit box, and f'(x, .) >= 0
+        # puts 0 in the Frechet set
+        scale = max(1.0, float(np.abs(fs.set.components[0].vertices).max())) if is_d else 1.0
+        if (is_d and mval < -n * tol * scale) or (is_d is False and mval >= 0.0):
             raise SubdiffError(
                 "internal: Frechet membership disagrees with directional sweep"
             )
-        if is_d is None:
-            is_d = sweep_d
+        is_d = mval >= -tol
         if not is_d:
             witness = mdir
             wvalue = float(mval)

@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -209,8 +209,10 @@ class DirDerivValue:
 # ---------------------------------------------------------------------------
 
 # Relative tolerance under which tangents along d count as tied when the
-# pattern at x + t d is read off.  The directions come out of LPs, so two
-# tangents that are equal on the face in exact arithmetic differ by rounding.
+# pattern at x + t d is read off, and under which a unit cell generator lies
+# on a face (a unit row vanishes on it).  The directions are sums of computed
+# generators, so two tangents equal on the face in exact arithmetic differ
+# by rounding.
 _TANGENT_TIE_RTOL = 1e-9
 
 
@@ -357,13 +359,13 @@ def _sel_constraints(e: Expr, sel: dict, n: int) -> tuple:
     return rows, A[-1]
 
 
-def _clean_rows(rows, x: np.ndarray, drop_inconsistent: bool = True):
-    """Normalize rows, drop vacuous ones, report values at x."""
+def _clean_rows(rows):
+    """Normalize rows and drop vacuous ones; None when one is inconsistent."""
     out = []
     for a, c in rows:
         nrm = float(np.linalg.norm(a))
         if nrm <= 1e-13:
-            if c < -1e-10 and drop_inconsistent:
+            if c < -1e-10:
                 return None  # cell is empty
             continue
         out.append((a / nrm, c / nrm))
@@ -414,7 +416,7 @@ def bouligand(e: Expr, x) -> SubdiffSet:
         raise SubdiffError("dimension cap exceeded (bouligand supports dim <= 4)")
     grads = []
     for sel in _enumerate_selections(e, x):
-        rows = _clean_rows(_sel_constraints(e, sel, n)[0], x)
+        rows = _clean_rows(_sel_constraints(e, sel, n)[0])
         # selections assembled from active children always contain x
         scale = 1.0 + float(np.abs(x).max())
         if rows is None or any(float(a @ x) + c < -1e-8 * scale for a, c in rows):
@@ -472,18 +474,24 @@ def _derivative_expr_from_pattern(e: Expr, pattern: ActivePattern) -> Expr:
     return rec(e, ())
 
 
-def _phi_cells(phi: Expr, n: int):
-    """Essential conic cells of a positively homogeneous PA function.
+class _Cell(NamedTuple):
+    """A conic linearity cell {d : rows @ d >= 0} of a PA function, on which
+    the function equals g.d; ``rays`` generate the cone."""
 
-    Returns a list of (g, rows) pairs: on the cone {d : rows.d >= 0} the
-    function equals g.d.
-    """
+    g: np.ndarray
+    rows: np.ndarray
+    rays: np.ndarray
+
+
+def _phi_cells(phi: Expr, n: int) -> list:
+    """Essential conic cells of a positively homogeneous PA function, each
+    with its generators (+-I when it has no rows)."""
     zero = np.zeros(n)
     cells = []
     seen = set()
     for sel in _enumerate_selections(phi, zero, act_tol=0.0):
         rows_raw, g = _sel_constraints(phi, sel, n)
-        rows = _clean_rows(rows_raw, zero)
+        rows = _clean_rows(rows_raw)
         if rows is None:
             continue
         key = (tuple(np.round(g, 12)), tuple(sorted(tuple(np.round(a, 12)) for a, _ in rows)))
@@ -491,20 +499,22 @@ def _phi_cells(phi: Expr, n: int):
             continue
         seen.add(key)
         if _cell_is_essential(rows, zero, n):
-            cells.append((g, [a for a, _ in rows]))
+            R = np.array([a for a, _ in rows]).reshape(len(rows), n)
+            rays = cone_rays_from_halfspaces(R, n) if rows else np.vstack([np.eye(n), -np.eye(n)])
+            cells.append(_Cell(g, R, rays))
     return cells
 
 
-def _frechet_from_phi(phi: Expr, n: int, at: np.ndarray) -> SubdiffSet:
-    cells = _phi_cells(phi, n)
-    grads = np.array([g for g, _ in cells])
+def _cells_at(e: Expr, x: np.ndarray) -> list:
+    """The cells of d -> f'(x, d) for a PA tree."""
+    return _phi_cells(_derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0)), x.size)
+
+
+def _frechet_from_cells(cells: list, n: int, at: np.ndarray) -> SubdiffSet:
+    """{v : v.r <= g.r for every generator r of every cell}."""
+    grads = np.array([c.g for c in cells])
     rows_A, rows_b = [], []
-    for g, rows in cells:
-        rays = (
-            cone_rays_from_halfspaces(np.array(rows), n)
-            if rows
-            else np.vstack([np.eye(n), -np.eye(n)])
-        )
+    for g, _, rays in cells:
         for r in rays:
             rows_A.append(r)
             rows_b.append(float(g @ r))
@@ -561,9 +571,7 @@ def frechet(e: Expr, x) -> SubdiffSet:
         raise UnsupportedFragmentError(
             "exact frechet needs a PA tree of dim <= 3 or a 1-D expression"
         )
-    pat = active_pattern(e, x, tol=0.0)
-    phi = _derivative_expr_from_pattern(e, pat)
-    return _frechet_from_phi(phi, x.size, x)
+    return _frechet_from_cells(_cells_at(e, x), x.size, x)
 
 
 # ---------------------------------------------------------------------------
@@ -583,69 +591,26 @@ def _pattern_along(e: Expr, x: np.ndarray, d: np.ndarray) -> ActivePattern:
     return ActivePattern(branch_active=branch, abs_sign=signs, tol=0.0)
 
 
-def _face_directions(cells, n: int):
-    """Relative-interior representatives of the faces of the given cones.
+def _face_directions(cells: list, n: int) -> list:
+    """Relative-interior representatives of the faces of the given cells.
 
-    Each cone is {d : rows.d >= 0}.  For every seed subset J of rows we
-    solve for a direction vanishing on J with maximal margin on the other
-    rows, absorbing implied-zero rows until the margin separates.
+    For every seed subset J of fewer than n rows of a cell, the generators
+    on the face {d in cell : rows[J] d = 0} sum to a point of its relative
+    interior.  A zero sum means the face is a linear subspace; along it the
+    pattern is the one at x, so it is skipped.
     """
     reps = []
-    for _, rows in cells:
-        R = np.array(rows) if rows else np.zeros((0, n))
-        m = R.shape[0]
-        idx = list(range(m))
-        seeds = [()]
-        for k in range(1, n):
-            seeds.extend(itertools.combinations(idx, k))
-        for J in seeds:
-            Z = set(J)
-            for _ in range(m + 1):
-                free = [i for i in idx if i not in Z]
-                # vars (d, t): max t  s.t.  R[Z] d = 0, R[free] d >= t,
-                #                          |d|_inf <= 1, t <= 1
-                A_ub = []
-                b_ub = []
-                for i in free:
-                    row = np.zeros(n + 1)
-                    row[:n] = -R[i]
-                    row[n] = 1.0
-                    A_ub.append(row)
-                    b_ub.append(0.0)
-                for i in range(n):
-                    for s in (1.0, -1.0):
-                        row = np.zeros(n + 1)
-                        row[i] = s
-                        A_ub.append(row)
-                        b_ub.append(1.0)
-                cap = np.zeros(n + 1)
-                cap[n] = 1.0
-                A_ub.append(cap)
-                b_ub.append(1.0)
-                A_eq = None
-                b_eq = None
-                if Z:
-                    A_eq = np.zeros((len(Z), n + 1))
-                    for r_i, i in enumerate(sorted(Z)):
-                        A_eq[r_i, :n] = R[i]
-                    b_eq = np.zeros(len(Z))
-                obj = np.zeros(n + 1)
-                obj[n] = -1.0
-                res = lp_solve(obj, np.array(A_ub), np.array(b_ub), A_eq, b_eq)
-                if not res.optimal:
-                    break
-                dvec = res.x[:n]
-                margin = -res.value
-                if margin >= 1e-6:
-                    if np.abs(dvec).max() > 1e-7:
-                        reps.append(dvec)
-                    break
-                implied = [
-                    i for i in free if abs(float(R[i] @ dvec)) <= 1e-9
-                ]
-                if not implied:
-                    break
-                Z.update(implied)
+    for _, R, rays in cells:
+        on = np.abs(R @ rays.T) <= _TANGENT_TIE_RTOL
+        faces = set()
+        for k in range(n):
+            for J in itertools.combinations(range(R.shape[0]), k):
+                mask = on[list(J)].all(axis=0)
+                if mask.tobytes() not in faces:
+                    faces.add(mask.tobytes())
+                    d = rays[mask].sum(axis=0)
+                    if np.abs(d).max() > _TANGENT_TIE_RTOL:
+                        reps.append(d)
     return reps
 
 
@@ -658,11 +623,12 @@ def limiting(e: Expr, x) -> SubdiffSet:
     realizable arbitrarily close to x and union the pattern Frechet sets
     with the Frechet set at x itself.
     """
-    return _limiting(e, np.asarray(x, dtype=float).ravel())
+    return _limiting(e, np.asarray(x, dtype=float).ravel())[0]
 
 
-def _limiting(e: Expr, x: np.ndarray, fs: Optional[SubdiffSet] = None) -> SubdiffSet:
-    """:func:`limiting` at a raveled x, reusing the Frechet set ``fs`` at x."""
+def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
+    """(:func:`limiting`, Frechet set at x) at a raveled x, from the cells of
+    d -> f'(x, d) when given; the Frechet set is None in 1-D."""
     frag = classify_fragment(e)
     if x.size == 1:
         if frag not in (FragmentClass.PA, FragmentClass.PLQ):
@@ -675,15 +641,15 @@ def _limiting(e: Expr, x: np.ndarray, fs: Optional[SubdiffSet] = None) -> Subdif
             comps.append(conv_hull([[sl], [sr]]))
         else:
             comps.extend([VPolytope([[sl]]), VPolytope([[sr]])])
-        return SubdiffSet(kind=SubdiffKind.LIMITING, set=SetUnion(tuple(comps)), at=x)
+        return SubdiffSet(kind=SubdiffKind.LIMITING, set=SetUnion(tuple(comps)), at=x), None
     if frag is not FragmentClass.PA or x.size > 3:
         raise UnsupportedFragmentError(
             "exact limiting needs PA (dim <= 3) or a 1-D PA/PLQ tree"
         )
     n = x.size
-    pat0 = active_pattern(e, x, tol=0.0)
-    phi = _derivative_expr_from_pattern(e, pat0)
-    cells = _phi_cells(phi, n)
+    phi = _derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0))
+    if cells is None:
+        cells = _phi_cells(phi, n)
     pieces: list = []
     sigs = set()
 
@@ -694,16 +660,15 @@ def _limiting(e: Expr, x: np.ndarray, fs: Optional[SubdiffSet] = None) -> Subdif
                 sigs.add(key)
                 pieces.append(comp)
 
-    add(frechet(e, x) if fs is None else fs)
-    seen_patterns = set()
+    fs = _frechet_from_cells(cells, n, x)
+    add(fs)
+    # faces whose derivative tree is one already handled add nothing new
+    trees = {phi}
     for dvec in _face_directions(cells, n):
-        pat = _pattern_along(e, x, dvec)
-        sig = pat.signature()
-        if sig in seen_patterns:
-            continue
-        seen_patterns.add(sig)
-        phi_face = _derivative_expr_from_pattern(e, pat)
-        add(_frechet_from_phi(phi_face, n, x))
+        tree = _derivative_expr_from_pattern(e, _pattern_along(e, x, dvec))
+        if tree not in trees:
+            trees.add(tree)
+            add(_frechet_from_cells(_phi_cells(tree, n), n, x))
     # drop components swallowed by strictly larger components
     def _subset(ca, cb) -> bool:
         return all(contains(cb, v, 1e-9) for v in ca.vertices)
@@ -720,7 +685,7 @@ def _limiting(e: Expr, x: np.ndarray, fs: Optional[SubdiffSet] = None) -> Subdif
         if not swallowed:
             keep.append(ci)
     keep.sort(key=lambda c: tuple(map(tuple, c.vertices)))
-    return SubdiffSet(kind=SubdiffKind.LIMITING, set=SetUnion(tuple(keep)), at=x)
+    return SubdiffSet(kind=SubdiffKind.LIMITING, set=SetUnion(tuple(keep)), at=x), fs
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ real.  Each instance is checked both at its engineered kink anchor and at a
 generic random point.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonsmooth.expr import Sum, dim_required, evaluate
+from nonsmooth.expr import Sum, dim_required, evaluate, parse_expr
 from nonsmooth.polyhedra import SetUnion, conv_hull, contains, minkowski_sum, set_distance
 from nonsmooth.rng import make_rng
 from nonsmooth.sampled import as_gradient_oracle
@@ -131,6 +133,45 @@ class TestFrechetVertices:
                 assert np.all(slack <= 1e-9 * scale)
                 tight = H.A[np.abs(slack) <= 1e-9 * scale]
                 assert np.linalg.matrix_rank(tight) == n
+
+
+def _nearby_frechet_in_limiting(e, x):
+    # every Frechet set at a point y = x + 2^-30 d near x is part of the
+    # limiting set at x; with dyadic data the activity at y is exact.  The
+    # 1/3 points on each pair of vertices catch a segment that the limiting
+    # set covers only at its ends.
+    ls = limiting(e, x)
+    for d in itertools.product((-1.0, 0.0, 1.0), repeat=x.size):
+        if not any(d):
+            continue
+        V = frechet(e, x + 2.0**-30 * np.array(d)).set
+        for comp in V.components:
+            pts = list(comp.vertices)
+            pts += [(2 * p + q) / 3 for p, q in itertools.permutations(comp.vertices, 2)]
+            for p in pts:
+                assert contains(ls.set, p, 1e-8), (d, p)
+
+
+class TestLimitingCoversNearbyFrechet:
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_nearby_frechet_sets_lie_in_limiting(self, seed, dim):
+        e, x = random_pa_instance(make_rng(seed), dim)
+        if dim_required(e) != dim:
+            return
+        _nearby_frechet_in_limiting(e, x)
+
+    def test_face_with_rows_repeated_by_nested_abs(self):
+        # nested abs repeats a row of a cell; the face where it vanishes
+        # carries the segment from (-1, 0) to (-1, 2)
+        e = parse_expr(
+            "(sum (affine (-1 1) -1.75) (abs (scale 1 (min (abs (sum (affine (3 -2) 1.25)"
+            " (affine (-3 3) -3.25))) (affine (3 2) -6.25)))))"
+        )
+        x = np.array([0.75, 2.0])
+        near = frechet(e, x + 2.0**-30 * np.array([1.0, 0.0])).set
+        assert set_distance(near, SetUnion((conv_hull([[-1.0, 0.0], [-1.0, 2.0]]),))) <= 1e-12
+        _nearby_frechet_in_limiting(e, x)
 
 
 class TestCalculusRules:

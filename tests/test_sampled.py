@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nonsmooth.expr import Abs, Scale, Sq, Var
+from nonsmooth.expr import Abs, Scale, Sq, Sum, Var
 from nonsmooth.gallery import neg_abs, xsinlog_expr, xsqsin_expr
 from nonsmooth.polyhedra import SetUnion, conv_hull, set_distance
+from nonsmooth.subdiff import clarke
 from nonsmooth.sampled import (
     as_evaluator,
     as_gradient_oracle,
@@ -80,6 +81,14 @@ class TestGradientSampling:
         ss = gradient_sampling(as_gradient_oracle(Sq(Var(0))), [0.0])
         target = SetUnion((conv_hull([[0.0]]),))
         assert set_distance(ss.set, target) <= 0.02
+
+    def test_abs_of_a_zero_function(self):
+        # |x - x| vanishes with a zero gradient: smooth, with gradient 0
+        e = Abs(Sum((Var(0), Scale(-1.0, Var(0)))))
+        ss = gradient_sampling(as_gradient_oracle(e), [0.5])
+        assert np.array_equal(ss.set.components[0].vertices, [[0.0]])
+        assert np.array_equal(clarke(e, [0.5]).set.components[0].vertices, [[0.0]])
+        assert as_gradient_oracle(Abs(Var(0)))([0.0]) is None  # a real kink stays one
 
     def test_deterministic_given_seed(self):
         a = gradient_sampling(as_gradient_oracle(neg_abs()), [0.0], seed=5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonsmooth.expr import Abs, Affine, Scale, Sum, Var, evaluate, vmax
+from nonsmooth.expr import Abs, Affine, Const, Min, Scale, Sum, Var, evaluate, vmax
 from nonsmooth.gallery import f1_expr, f2_expr, xsqsin_expr
 from nonsmooth.polyhedra import Box, HPolyhedron, lp_solve, vertex_enumeration
 from nonsmooth.rng import make_rng
@@ -11,7 +11,7 @@ from nonsmooth.stationarity import (
     convex_optimality_check,
     lspar_d_stationarity_check,
 )
-from nonsmooth.subdiff import dir_deriv
+from nonsmooth.subdiff import SubdiffError, dir_deriv
 
 from conftest import random_convex_pa, random_pa_instance
 
@@ -42,6 +42,44 @@ class TestClassify:
         assert rep.is_d is False
         assert rep.is_l is None and rep.is_C is None
         assert rep.witness_direction is not None
+
+    @pytest.mark.parametrize(
+        "e",
+        [Scale(-1e-10, Abs(Var(0))), Min((Affine((1e-10,), 0.0), Const(0.0)))],
+        ids=["scaled_neg_abs", "min_of_tiny_slope"],
+    )
+    def test_tiny_concave_1d_kink_is_d_at_tol(self, e):
+        # f'(0, .) >= -1e-10 > -tol on the unit box although the Frechet set
+        # is empty; the d-flag at tol is the sweep's, as in higher dimension
+        rep = classify(e, [0.0])
+        assert rep.is_d is True and rep.witness_direction is None
+        assert rep.certificates["frechet_contains_zero"] is False
+        assert rep.certificates["sweep_min"] == pytest.approx(-1e-10, rel=1e-12)
+        assert (rep.is_l, rep.is_C) == (True, True)
+        e2 = Scale(-1e-10, Sum((Abs(Var(0)), Abs(Var(1)))))
+        assert classify(e2, [0.0, 0.0]).is_d is True
+
+    @pytest.mark.parametrize(
+        "e, x",
+        [
+            (Abs(Var(0)), [0.0]),
+            (Scale(-1.0, Abs(Var(0))), [0.0]),
+            (Scale(-1.0, Sum((Abs(Var(0)), Abs(Var(1))))), [0.0, 0.0]),
+        ],
+        ids=["abs", "neg_abs", "neg_l1_2d"],
+    )
+    def test_sweep_sign_flip_trips_the_cross_check(self, monkeypatch, e, x):
+        import nonsmooth.stationarity as stat
+
+        real = stat._min_dirderiv_over_box
+
+        def flipped(e, x, cells):
+            val, d = real(e, x, cells)
+            return -val, d
+
+        monkeypatch.setattr(stat, "_min_dirderiv_over_box", flipped)
+        with pytest.raises(SubdiffError, match="disagrees with directional sweep"):
+            classify(e, x)
 
     def test_hierarchy_on_random_corpus(self, rng):
         for _ in range(200):

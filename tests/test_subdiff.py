@@ -193,11 +193,11 @@ class TestLimiting:
     def test_1d_slope_path_matches_face_path(self):
         # dimension-1 PA trees can run both the slope specialization and the
         # generic face enumeration; they must agree
-        from nonsmooth.expr import active_pattern
         from nonsmooth.subdiff import (
+            _cells_at,
             _derivative_expr_from_pattern,
             _face_directions,
-            _frechet_from_phi,
+            _frechet_from_cells,
             _pattern_along,
             _phi_cells,
         )
@@ -205,20 +205,46 @@ class TestLimiting:
         for e, x in ((neg_abs(), 0.0), (f1_expr(), 0.0), (f2_expr(), 0.0), (abs_x(), 0.0)):
             xa = np.array([x])
             slope = limiting(e, xa)
-            pat0 = active_pattern(e, xa, tol=0.0)
-            phi = _derivative_expr_from_pattern(e, pat0)
-            cells = _phi_cells(phi, 1)
+            cells = _cells_at(e, xa)
             comps = []
             fr = frechet(e, xa)
             if not fr.is_empty:
                 comps.extend(fr.set.components)
             for d in _face_directions(cells, 1):
                 pat = _pattern_along(e, xa, d)
-                ss = _frechet_from_phi(_derivative_expr_from_pattern(e, pat), 1, xa)
+                phi = _derivative_expr_from_pattern(e, pat)
+                ss = _frechet_from_cells(_phi_cells(phi, 1), 1, xa)
                 if not ss.is_empty:
                     comps.extend(ss.set.components)
             got = SetUnion(tuple(comps))
             assert set_distance(got, slope.set) <= 1e-9
+
+    def test_cells_enumerated_once_per_tree(self, monkeypatch):
+        # classify shares the cells at x between the Frechet set, limiting
+        # and the sweep; limiting visits each distinct face tree once
+        import nonsmooth.subdiff as sd
+        from nonsmooth.expr import active_pattern, vmax
+        from nonsmooth.stationarity import classify
+
+        seen = []
+        real = sd._phi_cells
+
+        def counting(phi, n):
+            seen.append(phi)
+            return real(phi, n)
+
+        monkeypatch.setattr(sd, "_phi_cells", counting)
+        cases = (
+            (vsum(Abs(Var(0)), Scale(-1.0, Abs(Var(1)))), np.zeros(2)),
+            (vsum(vmax(Var(0), Var(1), Var(2)), Scale(-1.0, Abs(Var(0)))), np.zeros(3)),
+        )
+        for e, x in cases:
+            at_x = sd._derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0))
+            for run in (classify, limiting):
+                seen.clear()
+                run(e, x)
+                assert seen.count(at_x) == 1
+                assert len(seen) == len(set(seen)) > 1
 
     def test_2d_concave_corner(self):
         # -|x1| - |x2| at 0: Frechet empty everywhere near 0 except smooth
