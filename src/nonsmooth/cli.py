@@ -10,7 +10,8 @@ Subcommands::
     gallery     run the worked-example gallery and print a pass/fail table
 
 Exit codes: 0 on success, 1 when a gallery expectation fails, 2 on usage
-errors.
+errors, 3 when a cap refuses the input (one stderr line names the cap and
+the way around it).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import experiments
 from .expr import evaluate, parse_expr
 from .gallery import run_gallery
-from .polyhedra import Ball, Box
+from .polyhedra import Ball, Box, DimensionCapError
 from .sampled import as_gradient_oracle, gradient_sampling
 from .solvers import (
     Constant,
@@ -39,10 +40,17 @@ from .solvers import (
     projected_subgradient,
     subgradient_method,
 )
-from .stationarity import classify
-from .subdiff import bouligand, clarke, frechet, limiting
+from .stationarity import TooManyTiesError, classify
+from .subdiff import EnumerationLimitError, bouligand, clarke, frechet, limiting
 
 __all__ = ["main"]
+
+# each cap's error, its name on stderr, and the way around it
+_CAPS = (
+    (EnumerationLimitError, "selection cap", "perturb the point"),
+    (TooManyTiesError, "tie cap", "perturb W"),
+    (DimensionCapError, "dimension cap", "lower the dimension"),
+)
 
 
 def _load_expr(spec: str):
@@ -313,7 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(err for err, _, _ in _CAPS) as exc:
+        cap, fix = next((c, f) for err, c, f in _CAPS if isinstance(exc, err))
+        msg = str(exc) if fix in str(exc) else f"{exc}; {fix}"
+        print(f"nonsmooth: {cap} reached ({type(exc).__name__}): {msg}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

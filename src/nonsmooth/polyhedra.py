@@ -2,8 +2,10 @@
 
 Everything here is desk scale by design: polytopes live in dimension <= 4,
 the LP solver is a dense two-phase simplex with Bland's rule (no cycling),
-and cone representation conversion uses the double description method with
-LP-based pruning.  All values are plain numpy arrays; all functions are pure.
+and a cone given by halfspaces gets its generators in closed form: a basis
+of its lineality space with both signs, and the signed null vectors of row
+subsets of one less than the rank, stacked with that basis.  All values are
+plain numpy arrays; all functions are pure.
 
 Set components:
 
@@ -546,72 +548,119 @@ def contains(S, z, tol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cones: double description and duality
+# Cones: closed-form generators and duality
 # ---------------------------------------------------------------------------
 
+# Rows are scaled to unit length first.  A cross product, triple product or
+# singular value at or below NULL_VECTOR_TOL counts as zero: it comes from
+# rows of lower rank.  A candidate generator is kept when every row is
+# >= -CONE_SIGN_TOL on it, and two within NULL_VECTOR_TOL are one.
+NULL_VECTOR_TOL = 1e-9
+CONE_SIGN_TOL = 1e-10
 
-def _prune_rays(rays: list, tol: float = 1e-9) -> list:
-    """Drop zero, duplicate, and conically redundant rays."""
-    cleaned = []
-    for r in rays:
-        nrm = float(np.linalg.norm(r))
-        if nrm <= tol:
-            continue
-        r = r / nrm
-        if not any(np.linalg.norm(r - q) <= 1e-9 for q in cleaned):
-            cleaned.append(r)
-    # LP-prune: a ray is redundant if it is a conic combination of the others
-    i = 0
-    while i < len(cleaned):
-        others = cleaned[:i] + cleaned[i + 1 :]
-        if others and _in_cone_rays(np.array(others), cleaned[i], 1e-9):
-            cleaned.pop(i)
-        else:
-            i += 1
-    return cleaned
+
+def _distinct(V: np.ndarray) -> np.ndarray:
+    """Rows of ``V`` minus later ones within NULL_VECTOR_TOL of them."""
+    k = V.shape[0]
+    if k <= 1:
+        return V
+    close = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2) <= NULL_VECTOR_TOL
+    idx = np.arange(k)
+    return V[~(close & (idx[:, None] > idx)).any(axis=1)]
+
+
+def _signed(C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Rows +-c of the unit candidates ``C`` that every row holds on, given
+    ``D = rows @ C.T``; +c before -c, duplicates dropped."""
+    keep = np.concatenate([D.min(axis=0) >= -CONE_SIGN_TOL, D.max(axis=0) <= CONE_SIGN_TOL])
+    return _distinct(_pm(C)[keep.reshape(2, -1).T.ravel()])
+
+
+def _unit(V: np.ndarray) -> np.ndarray:
+    return V / np.sqrt((V * V).sum(axis=-1, keepdims=True))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
+def _pm(B: np.ndarray) -> np.ndarray:
+    """Each row of ``B`` followed by its negative (their sum is exactly 0)."""
+    return np.concatenate([B, -B], axis=1).reshape(-1, B.shape[-1])
 
 
 def cone_rays_from_halfspaces(normals, dim: int) -> np.ndarray:
-    """Generators of {z : normals @ z >= 0} by double description (dim <= 4)."""
+    """Generators of {z : normals @ z >= 0} in closed form (dim <= 4).
+
+    With rho the rank of the rows, the cone is its lineality space
+    null(normals) plus a pointed cone whose extreme rays are the null vectors
+    of (rho - 1)-subsets of rows stacked with a basis of that space.  The
+    result is the basis, each vector followed by its negative, then +-each
+    such null vector that every row holds on; all unit length, duplicates
+    dropped, ``(0, dim)`` for the cone {0}.  In dims 1-3 a null vector is a
+    sign, a perpendicular or a cross product; dim 4 uses stacked SVDs.
+    """
     if dim > MAX_POLYTOPE_DIM:
         raise DimensionCapError("cone ray enumeration supports dim <= 4")
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    rays = [v for v in np.vstack([np.eye(dim), -np.eye(dim)])]
-    for a in normals:
-        if np.all(np.abs(a) <= 1e-14):
-            continue
-        a = a / np.linalg.norm(a)
-        dots = [float(a @ r) for r in rays]
-        pos = [r for r, d in zip(rays, dots) if d > 1e-10]
-        zero = [r for r, d in zip(rays, dots) if abs(d) <= 1e-10]
-        neg = [(r, d) for r, d in zip(rays, dots) if d < -1e-10]
-        new = pos + zero
-        for rp, dp in [(r, d) for r, d in zip(rays, dots) if d > 1e-10]:
-            for rn, dn in neg:
-                new.append(dp * rn - dn * rp)
-        rays = _prune_rays(new)
-        if not rays:
-            break
-    return np.array(rays).reshape(len(rays), dim)
+    R = np.asarray(normals, dtype=float).reshape(-1, dim)
+    R = _unit(R[np.abs(R).max(axis=1) > 1e-14])
+    m = R.shape[0]
+    if m == 0:
+        return _pm(np.eye(dim))
+    if dim == 1:
+        return _signed(np.ones((1, 1)), R)
+    if dim == 2:
+        perp = np.stack([-R[:, 1], R[:, 0]], axis=1)
+        D = R @ perp.T  # D[j, i] = cross(row i, row j)
+        if np.abs(D).max() > NULL_VECTOR_TOL:  # rank 2
+            return _signed(perp, D)
+        return np.concatenate([_pm(perp[:1]), _signed(R[:1], R @ R[0][:, None])])
+    if dim == 3:
+        I, J = np.triu_indices(m, 1)
+        C = _cross(R[I], R[J])
+        norms = np.sqrt((C * C).sum(axis=1))
+        C = C[norms > NULL_VECTOR_TOL] / norms[norms > NULL_VECTOR_TOL, None]
+        if C.shape[0] == 0:  # rank 1: a plane of lineality
+            a = R[0]
+            u = _unit(_cross(a, np.eye(3)[np.argmin(np.abs(a))]))
+            return np.concatenate([_pm(np.array([u, _cross(a, u)])), _signed(R[:1], R @ a[:, None])])
+        D = R @ C.T
+        if np.abs(D).max() > NULL_VECTOR_TOL:  # rank 3
+            return _signed(C, D)
+        line = C[np.argmax(norms[norms > NULL_VECTOR_TOL])]
+        Q = _unit(_cross(R, line))
+        return np.concatenate([_pm(line[None, :]), _signed(Q, R @ Q.T)])
+    _, s, Vt = np.linalg.svd(R)
+    rho = int((s > NULL_VECTOR_TOL).sum())
+    B = Vt[rho:]
+    subsets = np.array(list(itertools.combinations(range(m), rho - 1)), dtype=np.intp)
+    subsets = subsets.reshape(math.comb(m, rho - 1), rho - 1)
+    M = np.concatenate(
+        [R[subsets], np.broadcast_to(B, (subsets.shape[0],) + B.shape)], axis=1
+    )
+    _, sm, Vm = np.linalg.svd(M)
+    C = Vm[sm[:, -1] > NULL_VECTOR_TOL, -1]
+    return np.concatenate([_pm(B), _signed(C, R @ C.T)])
 
 
 def cone_from_rays(rays, dim: Optional[int] = None) -> Cone:
-    """Cone generated by ``rays``; adds an H-rep at dim <= 4."""
+    """Cone generated by ``rays``, with an H-rep at dim <= 4.
+
+    At dim <= 4 the normals are the generators of the dual cone and the
+    rays are recomputed from them, so redundant input rays drop out.  Above
+    that the input rays are kept at unit length, duplicates dropped.
+    """
     rays = np.atleast_2d(np.asarray(rays, dtype=float))
     if rays.size == 0:
         if dim is None:
             raise PolyhedraError("empty ray list needs an explicit dimension")
         rays = rays.reshape(0, dim)
     n = rays.shape[1]
-    pruned = _prune_rays(list(rays))
-    rays = np.array(pruned).reshape(len(pruned), n)
-    normals = None
-    if n <= MAX_POLYTOPE_DIM:
-        # H-rep of cone(rays) = dual of the dual: normals are the dual's rays
-        normals = cone_rays_from_halfspaces(rays, n) if rays.shape[0] else None
-        if rays.shape[0] == 0:
-            normals = np.vstack([np.eye(n), -np.eye(n)])  # {0} = {z: +-z >= 0}
-    return Cone(rays=rays, normals=normals, validate=False)
+    if n > MAX_POLYTOPE_DIM:
+        rays = _distinct(_unit(rays[np.linalg.norm(rays, axis=1) > NULL_VECTOR_TOL]))
+        return Cone(rays=rays, validate=False)
+    normals = cone_rays_from_halfspaces(rays, n)
+    return Cone(rays=cone_rays_from_halfspaces(normals, n), normals=normals, validate=False)
 
 
 def dual_cone(C: Cone) -> Cone:

@@ -372,16 +372,24 @@ def _clean_rows(rows):
     return out
 
 
-def _cell_is_essential(rows, x: np.ndarray, n: int) -> bool:
+def _cell_is_essential(rows, x: np.ndarray, n: int, rays=None) -> bool:
     """Strict-feasibility LP: does the cell have interior near x?
 
     ``rows`` are normalized (a, c) with a.z + c >= 0; only rows active at x
     constrain nearby interiors.  We look for a direction of margin >= some
-    positive amount within the unit box (the problem is scale free).
+    positive amount within the unit box (the problem is scale free).  The
+    sum of the generators of the cone of the active rows (``rays`` when
+    given), scaled into the box, is a feasible point of that LP: when its
+    margin already reaches ESSENTIAL_MARGIN, the LP is skipped.
     """
     scale = 1.0 + (float(np.abs(x).max()) if x.size else 0.0)
     active = [(a, c) for a, c in rows if abs(float(a @ x) + c) <= 1e-9 * scale]
     if not active:
+        return True
+    A = np.array([a for a, _ in active])
+    d = (cone_rays_from_halfspaces(A, n) if rays is None else rays).sum(axis=0)
+    top = float(np.abs(d).max())
+    if top > 0.0 and float((A @ d).min()) >= ESSENTIAL_MARGIN * top:
         return True
     # vars (d, m): maximize m  s.t.  a.d >= m, |d|_inf <= 1, m <= 1
     k = len(active)
@@ -498,9 +506,9 @@ def _phi_cells(phi: Expr, n: int) -> list:
         if key in seen:
             continue
         seen.add(key)
-        if _cell_is_essential(rows, zero, n):
-            R = np.array([a for a, _ in rows]).reshape(len(rows), n)
-            rays = cone_rays_from_halfspaces(R, n) if rows else np.vstack([np.eye(n), -np.eye(n)])
+        R = np.array([a for a, _ in rows]).reshape(len(rows), n)
+        rays = cone_rays_from_halfspaces(R, n)
+        if _cell_is_essential(rows, zero, n, rays):
             cells.append(_Cell(g, R, rays))
     return cells
 
@@ -513,25 +521,24 @@ def _cells_at(e: Expr, x: np.ndarray) -> list:
 def _frechet_from_cells(cells: list, n: int, at: np.ndarray) -> SubdiffSet:
     """{v : v.r <= g.r for every generator r of every cell}."""
     grads = np.array([c.g for c in cells])
-    rows_A, rows_b = [], []
-    for g, _, rays in cells:
-        for r in rays:
-            rows_A.append(r)
-            rows_b.append(float(g @ r))
     # coordinate bounds: the Frechet set sits inside conv of the cell gradients
-    lo = grads.min(axis=0)
-    hi = grads.max(axis=0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = 1.0
-        rows_A.extend([ei, -ei])
-        rows_b.extend([float(hi[i]), float(-lo[i])])
-    H = HPolyhedron(np.array(rows_A), np.array(rows_b))
+    eye = np.eye(n)
+    coords = np.stack([eye, -eye], axis=1).reshape(2 * n, n)
+    bounds = np.stack([grads.max(axis=0), -grads.min(axis=0)], axis=1).ravel()
+    H = HPolyhedron(
+        np.vstack([c.rays for c in cells] + [coords]),
+        np.concatenate([c.rays @ c.g for c in cells] + [bounds]),
+    )
+    # enumerate at unit scale, so that the enumeration's absolute slack does
+    # not swallow a tiny set: s is a power of two, so b / s and V * s are exact
+    top = float(np.abs(grads).max())
+    frac, exp = math.frexp(top)
+    s = math.ldexp(1.0, exp - (frac == 0.5)) if top > 0.0 else 1.0
     # H is bounded by its coordinate rows: it is empty iff it has no vertex
-    V = vertex_enumeration(H)
+    V = vertex_enumeration(HPolyhedron(H.A, H.b / s))
     return SubdiffSet(
         kind=SubdiffKind.FRECHET,
-        set=SetUnion(() if V.is_empty else (V,)),
+        set=SetUnion(() if V.is_empty else (VPolytope(V.vertices * s),)),
         at=at,
         halfspaces=H,
     )
@@ -650,7 +657,7 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
     phi = _derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0))
     if cells is None:
         cells = _phi_cells(phi, n)
-    pieces: list = []
+    pieces: list = []  # (component, the halfspaces it was enumerated from)
     sigs = set()
 
     def add(ss: SubdiffSet):
@@ -658,7 +665,7 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
             key = tuple(sorted(map(tuple, np.round(comp.vertices, 10).tolist())))
             if key not in sigs:
                 sigs.add(key)
-                pieces.append(comp)
+                pieces.append((comp, ss.halfspaces))
 
     fs = _frechet_from_cells(cells, n, x)
     add(fs)
@@ -669,9 +676,13 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
         if tree not in trees:
             trees.add(tree)
             add(_frechet_from_cells(_phi_cells(tree, n), n, x))
-    # drop components swallowed by strictly larger components
-    def _subset(ca, cb) -> bool:
-        return all(contains(cb, v, 1e-9) for v in ca.vertices)
+    # drop components swallowed by strictly larger components, testing the
+    # vertices of one against the halfspaces of the other as contains()
+    # tests an HPolyhedron
+    def _subset(pa, pb) -> bool:
+        V, H = pa[0].vertices, pb[1]
+        scale = np.maximum(1.0, np.abs(V).max(axis=1))
+        return bool(np.all(V @ H.A.T - H.b <= 1e-9 * scale[:, None]))
 
     keep = []
     for i, ci in enumerate(pieces):
@@ -683,7 +694,7 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
                 swallowed = True
                 break
         if not swallowed:
-            keep.append(ci)
+            keep.append(ci[0])
     keep.sort(key=lambda c: tuple(map(tuple, c.vertices)))
     return SubdiffSet(kind=SubdiffKind.LIMITING, set=SetUnion(tuple(keep)), at=x), fs
 

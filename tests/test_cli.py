@@ -233,6 +233,53 @@ class TestUsageErrors:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestCapExits:
+    """A cap refusal exits 3 with one stderr line naming the cap and the way
+    around it."""
+
+    def check(self, args, capsys, cap, fix):
+        code, out, err = run_cli(args, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"nonsmooth: {cap} reached")
+        assert fix in err
+
+    def test_selection_cap(self, capsys):
+        # 13 abs kinks at one point: 2^13 selections, over the 4096 cap
+        expr = "(sum" + " (abs (var 0))" * 13 + ")"
+        self.check(
+            ["subdiff", "--expr", expr, "--point", "0", "--which", "bouligand"],
+            capsys,
+            "selection cap",
+            "perturb the point",
+        )
+
+    def test_dimension_cap(self, capsys):
+        # a sampled Clarke set in dimension 5 needs a 5-D hull
+        expr = "(max (affine (1 1 1 1 1) 0) (affine (1 -1 1 -1 1) 0))"
+        self.check(
+            ["subdiff", "--expr", expr, "--point", "0,0,0,0,0", "--which", "clarke", "--sampled"],
+            capsys,
+            "dimension cap",
+            "lower the dimension",
+        )
+
+    def test_tie_cap(self, monkeypatch, capsys):
+        from nonsmooth import solvers
+        from nonsmooth.stationarity import TooManyTiesError
+
+        def refuse(*args, **kwargs):
+            raise TooManyTiesError("TOO_MANY_TIES: 4097+ branch selections; perturb W")
+
+        monkeypatch.setattr(solvers, "lspar_d_stationarity_check", refuse)
+        self.check(
+            ["solve", "--method", "mm", "--problem", "lspar", "--N", "10", "--seed", "1"],
+            capsys,
+            "tie cap",
+            "perturb W",
+        )
+
+
 class TestExperimentCommand:
     def test_small_lspar_run(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -16,6 +16,7 @@ from nonsmooth.polyhedra import (
     SetUnion,
     VPolytope,
     cone_from_rays,
+    cone_rays_from_halfspaces,
     cones_equal,
     contains,
     conv_hull,
@@ -214,6 +215,127 @@ class TestCones:
     def test_cross_validation_rejects_mismatch(self):
         with pytest.raises(Exception):
             Cone(rays=np.array([[1.0, 0.0]]), normals=np.array([[-1.0, 0.0]]))
+
+
+def reference_prune_rays(rays, tol=1e-9):
+    """Drop zero, duplicate and conically redundant rays (one LP each)."""
+    cleaned = []
+    for r in rays:
+        nrm = float(np.linalg.norm(r))
+        if nrm <= tol:
+            continue
+        r = r / nrm
+        if not any(np.linalg.norm(r - q) <= 1e-9 for q in cleaned):
+            cleaned.append(r)
+    i = 0
+    while i < len(cleaned):
+        others = cleaned[:i] + cleaned[i + 1 :]
+        if others and polyhedra._in_cone_rays(np.array(others), cleaned[i], 1e-9):
+            cleaned.pop(i)
+        else:
+            i += 1
+    return cleaned
+
+
+def reference_cone_rays(normals, dim):
+    """Double description with LP pruning: the reference the closed-form
+    generators match as cones."""
+    normals = np.asarray(normals, dtype=float).reshape(-1, dim)
+    rays = [v for v in np.vstack([np.eye(dim), -np.eye(dim)])]
+    for a in normals:
+        if np.all(np.abs(a) <= 1e-14):
+            continue
+        a = a / np.linalg.norm(a)
+        dots = [float(a @ r) for r in rays]
+        new = [r for r, d in zip(rays, dots) if d >= -1e-10]
+        for rp, dp in zip(rays, dots):
+            if dp > 1e-10:
+                new.extend(dp * rn - dn * rp for rn, dn in zip(rays, dots) if dn < -1e-10)
+        rays = reference_prune_rays(new)
+        if not rays:
+            break
+    return np.array(rays).reshape(len(rays), dim)
+
+
+@st.composite
+def cone_rows(draw):
+    """Integer or dyadic (k/4) rows in dims 1-4, some repeated as they are,
+    doubled or negated; zero rows and no rows at all included."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-8, 8).map(lambda k: k / 4.0))
+    R = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    R = np.array(R, dtype=float).reshape(-1, n)
+    if R.shape[0]:
+        picks = draw(st.lists(st.tuples(st.integers(0, R.shape[0] - 1), st.sampled_from([1.0, 2.0, -1.0])), max_size=3))
+        R = np.vstack([R] + [c * R[i][None, :] for i, c in picks])
+    return R, n
+
+
+def in_cone(rays, p):
+    return polyhedra._in_cone_rays(rays, p, 1e-8)
+
+
+class TestConeGenerators:
+    def check(self, R, n):
+        G = cone_rays_from_halfspaces(R, n)
+        assert G.shape[1] == n
+        np.testing.assert_allclose(np.linalg.norm(G, axis=1), 1.0, atol=1e-12)
+        if R.size:
+            assert np.all(G @ R.T >= -1e-10)
+        ref = reference_cone_rays(R, n)
+        assert all(in_cone(ref, g) for g in G)
+        assert all(in_cone(G, r) for r in ref)
+        # outside the lineality space every generator is extreme
+        for i, g in enumerate(G):
+            if R.size and np.abs(R @ g).max() > 1e-9:
+                assert not in_cone(np.delete(G, i, axis=0), g)
+        return G
+
+    @given(cone_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_double_description(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_whole_space_and_origin(self, n):
+        for R in (np.zeros((0, n)), np.zeros((2, n))):
+            G = self.check(R, n)
+            assert G.shape == (2 * n, n) and not G.sum(axis=0).any()
+        eye = np.eye(n)
+        assert self.check(np.vstack([eye, -eye]), n).shape == (0, n)
+        assert self.check(np.vstack([eye, -eye.sum(axis=0)]), n).shape == (0, n)
+
+    @pytest.mark.parametrize(
+        "R, lineality",
+        [
+            ([[1.0, 0.0]], 1),
+            ([[1.0, 1.0], [-1.0, -1.0]], 1),
+            ([[1.0, 0.0, 0.0]], 2),
+            ([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]], 1),
+            ([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0], [0.0, 0.0, 1.0]], 1),
+            ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], 2),
+            ([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]], 1),
+        ],
+    )
+    def test_lineality_basis_with_both_signs(self, R, lineality):
+        R = np.array(R)
+        G = self.check(R, R.shape[1])
+        L = G[: 2 * lineality]
+        np.testing.assert_array_equal(L[::2], -L[1::2])
+        assert np.abs(R @ L.T).max() <= 1e-12
+        assert np.linalg.matrix_rank(L) == lineality
+        assert np.all(np.abs(R @ G[2 * lineality :].T).max(axis=0) > 1e-9)
+
+    def test_cone_from_rays_drops_redundant_rays(self):
+        C = cone_from_rays([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
+        assert lex_rows(np.round(C.rays, 12).tolist()).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert np.all(C.normals @ C.rays.T >= -1e-12)
+        assert contains(C, [2.0, 3.0]) and not contains(C, [-1.0, 3.0])
+
+    def test_cone_from_rays_keeps_a_line(self):
+        C = cone_from_rays([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        assert cones_equal(C, Cone(rays=np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 1.0]]), validate=False))
+        assert C.rays.shape == (3, 3)
 
 
 class TestContains:

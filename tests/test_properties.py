@@ -13,11 +13,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonsmooth.expr import Sum, dim_required, evaluate, parse_expr
-from nonsmooth.polyhedra import SetUnion, conv_hull, contains, minkowski_sum, set_distance
+from nonsmooth.expr import Sum, active_pattern, dim_required, evaluate, parse_expr
+from nonsmooth.polyhedra import (
+    SetUnion,
+    cone_rays_from_halfspaces,
+    conv_hull,
+    contains,
+    minkowski_sum,
+    set_distance,
+)
 from nonsmooth.rng import make_rng
 from nonsmooth.sampled import as_gradient_oracle
 from nonsmooth.subdiff import (
+    ESSENTIAL_MARGIN,
+    _cell_is_essential,
+    _clean_rows,
+    _derivative_expr_from_pattern,
+    _enumerate_selections,
+    _sel_constraints,
     clarke,
     clarke_dir_deriv,
     compose_affine,
@@ -133,6 +146,28 @@ class TestFrechetVertices:
                 assert np.all(slack <= 1e-9 * scale)
                 tight = H.A[np.abs(slack) <= 1e-9 * scale]
                 assert np.linalg.matrix_rank(tight) == n
+        _check_cells(e, x)
+
+
+def _check_cells(e, x):
+    # every cell of d -> f'(x, d), essential or not: its generators hold
+    # every row, and the essential test decides alike with its fast path
+    # (the generators' sum) and with the LP alone
+    n = x.size
+    zero = np.zeros(n)
+    phi = _derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0))
+    for sel in _enumerate_selections(phi, zero):
+        rows = _clean_rows(_sel_constraints(phi, sel, n)[0])
+        if not rows:
+            continue
+        R = np.array([a for a, _ in rows])
+        rays = cone_rays_from_halfspaces(R, n)
+        assert np.all(R @ rays.T >= -1e-10)
+        lp = _cell_is_essential(rows, zero, n, np.zeros((0, n)))
+        assert _cell_is_essential(rows, zero, n, rays) == lp
+        d = rays.sum(axis=0)
+        if d.any() and (R @ d).min() >= ESSENTIAL_MARGIN * np.abs(d).max():
+            assert lp
 
 
 def _nearby_frechet_in_limiting(e, x):

@@ -176,6 +176,20 @@ class TestFrechet:
         assert isinstance(fs.halfspaces, HPolyhedron) and fs.halfspaces.dim == 2
         assert hpoly_is_empty(fs.halfspaces)
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
+    def test_tiny_slopes_keep_their_shape(self, c):
+        # the enumeration runs at unit scale, so its absolute slack does not
+        # swallow a small set: -c (|x1| + |x2|) has no Frechet subgradient
+        # for any c > 0, and c (|x1| + |x2|) has the square [-c, c]^2
+        l1 = vsum(Abs(Var(0)), Abs(Var(1)))
+        fs = frechet(Scale(-c, l1), [0.0, 0.0])
+        assert fs.is_empty
+        assert np.abs(fs.halfspaces.b).max() <= 2 * c  # kept unscaled
+        (square,) = frechet(Scale(c, l1), [0.0, 0.0]).set.components
+        np.testing.assert_allclose(
+            square.vertices, [[-c, -c], [-c, c], [c, -c], [c, c]], rtol=1e-12, atol=0
+        )
+
 
 class TestLimiting:
     def test_neg_abs(self):
