@@ -33,7 +33,9 @@ from .polyhedra import (
 from .subdiff import (
     SubdiffError,
     UnsupportedFragmentError,
+    _bouligand_from_cells,
     _cells_at,
+    _clarke_from_bouligand,
     _limiting,
     _one_sided_slopes,
     clarke,
@@ -144,16 +146,16 @@ def classify(e: Expr, x, tol: float = 1e-8) -> StationarityReport:
     frag = classify_fragment(e)
     n = x.size
     certs: dict = {}
-    exact = (frag in (FragmentClass.PA, FragmentClass.PLQ) and n == 1) or (
-        frag is FragmentClass.PA and n <= 3
-    )
-    # the cells of d -> f'(x, d), shared by Frechet, limiting and the sweep
-    cells = _cells_at(e, x) if exact and n > 1 else None
+    pa_plq = frag in (FragmentClass.PA, FragmentClass.PLQ)
+    exact = (pa_plq and n == 1) or (frag is FragmentClass.PA and n <= 3)
+    # the cells of d -> f'(x, d), shared by Clarke, Frechet, limiting and
+    # the sweep
+    cells = _cells_at(e, x) if pa_plq and n <= 4 else None
 
     is_C = is_l = is_d = None
     fs = cs = ls = None
-    if frag in (FragmentClass.PA, FragmentClass.PLQ) and n <= 4:
-        cs = clarke(e, x)
+    if cells is not None:
+        cs = _clarke_from_bouligand(_bouligand_from_cells(cells, x))
         is_C = cs.contains(np.zeros(n), tol)
         certs["clarke_contains_zero"] = is_C
     if exact:

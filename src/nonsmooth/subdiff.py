@@ -1,16 +1,17 @@
 """Exact subdifferentials for piecewise-affine / linear-quadratic expressions.
 
-The exact engine rests on one construction: a *selection* fixes a branch at
-every Max/Min node and a sign at every Abs node of a tree.  Each selection
-linearizes the tree into a single smooth piece, valid on the polyhedral cell
-cut out by the branch-dominance inequalities.  A selection is *essentially
-active* at ``x`` when its cell has non-empty interior arbitrarily close to
-``x`` (decided by a strict-feasibility LP); only those selections contribute
-gradients.
+The exact engine rests on one construction: the conic cells of the
+positively homogeneous PA function d -> f'(x, d).  A *selection* fixes a
+branch at every Max/Min node and a sign at every Abs node of its tree, and
+linearizes it into one piece g.d, valid on the cone cut out by the
+branch-dominance inequalities.  A cell is *essential* when that cone has
+interior, which the sum of its generators shows; the gradients g of the
+essential cells are the gradients of the pieces of f essentially active at
+``x``.
 
 From that one primitive we obtain, exactly:
 
-* ``bouligand``  -- the set of essentially-active selection gradients,
+* ``bouligand``  -- the gradients of the essential cells of d -> f'(x, d),
 * ``clarke``     -- its convex hull,
 * ``dir_deriv``  -- one-sided directional derivatives from one forward sweep
   over the tree's tape (max over active children, signed Abs, 2 e e' for
@@ -57,13 +58,13 @@ from .expr import (
     _check_point,
     _sweep,
     _tape,
-    active_pattern,
     classify_fragment,
 )
 from .polyhedra import (
     Ball,
     Box,
     Cone,
+    DimensionCapError,
     HPolyhedron,
     SetUnion,
     VPolytope,
@@ -73,7 +74,6 @@ from .polyhedra import (
     cone_rays_from_halfspaces,
     contains,
     conv_hull,
-    lp_solve,
     minkowski_sum,
     set_to_json,
     support_value,
@@ -217,7 +217,8 @@ _TANGENT_TIE_RTOL = 1e-9
 
 
 def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
-    """(value, one-sided derivative along d) at x; exact ties.
+    """Per-node lists (values at x, one-sided derivatives along d), root
+    last; exact ties.
 
     With ``pattern = (branch, signs)``, also writes the Max/Min and Abs
     activity at x + t d for infinitesimal t > 0 into those dicts.
@@ -263,8 +264,7 @@ def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
             )
         return v, g
 
-    V, D = _sweep(tape, x, d=d, hook=along)
-    return V[-1], D[-1]
+    return _sweep(tape, x, d=d, hook=along)
 
 
 def dir_deriv(e: Expr, x, d) -> DirDerivValue:
@@ -281,8 +281,7 @@ def dir_deriv(e: Expr, x, d) -> DirDerivValue:
         raise UnsupportedFragmentError("USE_SAMPLED: exact rules need PA/PLQ or 1-D")
     x = _check_point(e, x)
     d = np.asarray(d, dtype=float).ravel()
-    _, g = _dir_value(e, x, d)
-    return DirDerivValue(value=float(g), kind="ordinary")
+    return DirDerivValue(value=float(_dir_value(e, x, d)[1][-1]), kind="ordinary")
 
 
 def clarke_dir_deriv(e: Expr, x, d) -> DirDerivValue:
@@ -293,164 +292,16 @@ def clarke_dir_deriv(e: Expr, x, d) -> DirDerivValue:
 
 
 # ---------------------------------------------------------------------------
-# Selections of a tree at a point
+# The conic cells of d -> f'(x, d)
 # ---------------------------------------------------------------------------
 
 
-_SIGN_CHOICES = {"+": (1.0,), "-": (-1.0,), "0": (1.0, -1.0)}
+def _derivative_expr_from_pattern(e: Expr, pattern: ActivePattern, values=None) -> Expr:
+    """The PA function d -> f'(y, d) for any y realizing ``pattern``.
 
-
-def _enumerate_selections(e: Expr, x: np.ndarray, act_tol: float = 0.0) -> list:
-    """Every selection admissible at x, as {tape position: branch index or
-    sign} over the Max/Min/Abs nodes."""
-    pat = active_pattern(e, x, act_tol)
-    tape = _tape(e)
-    slots = [k for k, op in enumerate(tape.ops) if op in (_MAX, _MIN, _ABS)]
-    choices = [
-        _SIGN_CHOICES[pat.abs_sign[tape.paths[k]]]
-        if tape.ops[k] == _ABS
-        else pat.branch_active[tape.paths[k]]
-        for k in slots
-    ]
-    if math.prod(len(c) for c in choices) > SELECTION_CAP:
-        raise EnumerationLimitError(
-            f"more than {SELECTION_CAP} local selections; perturb the point"
-        )
-    return [dict(zip(slots, combo)) for combo in itertools.product(*choices)]
-
-
-def _sel_sweep(e: Expr, sel: dict, x: np.ndarray) -> tuple:
-    """Per-node values and gradients at x of the smooth piece ``sel`` picks."""
-
-    tape = _tape(e)
-
-    def pick(k, op, V, D):
-        p = sel[k]
-        if op == _ABS:
-            c = tape.kids[k][0]
-            return p * V[c], p * D[c]
-        c = tape.kids[k][p]
-        return V[c], D[c]
-
-    return _sweep(tape, x, grad=True, hook=pick)
-
-
-def _sel_constraints(e: Expr, sel: dict, n: int) -> tuple:
-    """Branch-dominance rows (a, c), meaning a.z + c >= 0, of the cell of
-    ``sel`` in pre-order, and the slope of its piece.
-
-    One sweep at z = 0 gives every node's affine form: its gradient is the
-    slope and its value the offset.
+    A PLQ tree needs ``values``, each node's value at y by path: Sq(h) has
+    the derivative d -> 2 h(y) h'(y; d).
     """
-    tape = _tape(e)
-    B, A = _sel_sweep(e, sel, np.zeros(n))
-    rows = []
-    for k in tape.preorder:
-        op, ks = tape.ops[k], tape.kids[k]
-        if op == _MAX or op == _MIN:
-            i = ks[sel[k]]
-            for j in ks:
-                if j != i:
-                    rows.append(
-                        (A[i] - A[j], B[i] - B[j]) if op == _MAX else (A[j] - A[i], B[j] - B[i])
-                    )
-        elif op == _ABS:
-            rows.append((sel[k] * A[ks[0]], sel[k] * B[ks[0]]))
-    return rows, A[-1]
-
-
-def _clean_rows(rows):
-    """Normalize rows and drop vacuous ones; None when one is inconsistent."""
-    out = []
-    for a, c in rows:
-        nrm = float(np.linalg.norm(a))
-        if nrm <= 1e-13:
-            if c < -1e-10:
-                return None  # cell is empty
-            continue
-        out.append((a / nrm, c / nrm))
-    return out
-
-
-def _cell_is_essential(rows, x: np.ndarray, n: int, rays=None) -> bool:
-    """Strict-feasibility LP: does the cell have interior near x?
-
-    ``rows`` are normalized (a, c) with a.z + c >= 0; only rows active at x
-    constrain nearby interiors.  We look for a direction of margin >= some
-    positive amount within the unit box (the problem is scale free).  The
-    sum of the generators of the cone of the active rows (``rays`` when
-    given), scaled into the box, is a feasible point of that LP: when its
-    margin already reaches ESSENTIAL_MARGIN, the LP is skipped.
-    """
-    scale = 1.0 + (float(np.abs(x).max()) if x.size else 0.0)
-    active = [(a, c) for a, c in rows if abs(float(a @ x) + c) <= 1e-9 * scale]
-    if not active:
-        return True
-    A = np.array([a for a, _ in active])
-    d = (cone_rays_from_halfspaces(A, n) if rays is None else rays).sum(axis=0)
-    top = float(np.abs(d).max())
-    if top > 0.0 and float((A @ d).min()) >= ESSENTIAL_MARGIN * top:
-        return True
-    # vars (d, m): maximize m  s.t.  a.d >= m, |d|_inf <= 1, m <= 1
-    k = len(active)
-    A_ub = np.zeros((k + 2 * n + 1, n + 1))
-    b_ub = np.zeros(k + 2 * n + 1)
-    for i, (a, _) in enumerate(active):
-        A_ub[i, :n] = -a
-        A_ub[i, n] = 1.0
-    A_ub[k : k + n, :n] = np.eye(n)
-    b_ub[k : k + n] = 1.0
-    A_ub[k + n : k + 2 * n, :n] = -np.eye(n)
-    b_ub[k + n : k + 2 * n] = 1.0
-    A_ub[-1, n] = 1.0
-    b_ub[-1] = 1.0
-    c_obj = np.zeros(n + 1)
-    c_obj[n] = -1.0
-    res = lp_solve(c_obj, A_ub, b_ub)
-    return res.optimal and -res.value >= ESSENTIAL_MARGIN
-
-
-def bouligand(e: Expr, x) -> SubdiffSet:
-    """Exact Bouligand subdifferential of a PA/PLQ tree at x (dim <= 4).
-
-    Returns the finite set of gradients of essentially active smooth
-    selections, one singleton component per gradient.
-    """
-    if classify_fragment(e) not in (FragmentClass.PA, FragmentClass.PLQ):
-        raise UnsupportedFragmentError("USE_SAMPLED: bouligand needs a PA/PLQ tree")
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.size
-    if n > 4:
-        raise SubdiffError("dimension cap exceeded (bouligand supports dim <= 4)")
-    grads = []
-    for sel in _enumerate_selections(e, x):
-        rows = _clean_rows(_sel_constraints(e, sel, n)[0])
-        # selections assembled from active children always contain x
-        scale = 1.0 + float(np.abs(x).max())
-        if rows is None or any(float(a @ x) + c < -1e-8 * scale for a, c in rows):
-            continue
-        if _cell_is_essential(rows, x, n):
-            grads.append(_sel_sweep(e, sel, x)[1][-1])
-    pts = _canon_vertices(_dedupe_points(np.array(grads))) if grads else []
-    comps = tuple(VPolytope(np.array([p])) for p in pts)
-    return SubdiffSet(kind=SubdiffKind.BOULIGAND, set=SetUnion(comps), at=x)
-
-
-def clarke(e: Expr, x) -> SubdiffSet:
-    """Exact Clarke subdifferential: convex hull of the Bouligand set."""
-    b = bouligand(e, x)
-    pts = np.vstack([c.vertices for c in b.set.components])
-    hull = conv_hull(pts)
-    return SubdiffSet(kind=SubdiffKind.CLARKE, set=SetUnion((hull,)), at=b.at)
-
-
-# ---------------------------------------------------------------------------
-# Frechet subdifferential via the conic cells of d -> f'(x, d)
-# ---------------------------------------------------------------------------
-
-
-def _derivative_expr_from_pattern(e: Expr, pattern: ActivePattern) -> Expr:
-    """The PA function d -> f'(y, d) for any y realizing ``pattern``."""
 
     def rec(node: Expr, path: tuple) -> Expr:
         if isinstance(node, Const):
@@ -463,6 +314,8 @@ def _derivative_expr_from_pattern(e: Expr, pattern: ActivePattern) -> Expr:
             return Sum(tuple(rec(t, path + (i,)) for i, t in enumerate(node.terms)))
         if isinstance(node, Scale):
             return Scale(node.c, rec(node.child, path + (0,)))
+        if isinstance(node, Sq) and values is not None:
+            return Scale(2.0 * values[path + (0,)], rec(node.child, path + (0,)))
         if isinstance(node, (Max, Min)):
             act = pattern.branch_active[path]
             kids = tuple(rec(node.terms[i], path + (i,)) for i in act)
@@ -482,6 +335,71 @@ def _derivative_expr_from_pattern(e: Expr, pattern: ActivePattern) -> Expr:
     return rec(e, ())
 
 
+def _enumerate_selections(phi: Expr) -> list:
+    """Every selection of a positively homogeneous tree, as {tape position:
+    branch index or sign} over the Max/Min/Abs nodes.  Every node is 0 at
+    the origin, so every branch and both signs are admissible there."""
+    tape = _tape(phi)
+    slots = [k for k, op in enumerate(tape.ops) if op in (_MAX, _MIN, _ABS)]
+    choices = [(1.0, -1.0) if tape.ops[k] == _ABS else range(len(tape.kids[k])) for k in slots]
+    if math.prod(len(c) for c in choices) > SELECTION_CAP:
+        raise EnumerationLimitError(
+            f"more than {SELECTION_CAP} local selections; perturb the point"
+        )
+    return [dict(zip(slots, combo)) for combo in itertools.product(*choices)]
+
+
+def _sel_constraints(phi: Expr, sel: dict, n: int) -> tuple:
+    """Branch-dominance rows a, meaning a.d >= 0, of the cone on which the
+    positively homogeneous ``phi`` follows ``sel``, in pre-order, and the
+    slope of that piece.
+
+    One sweep gives every node's slope under ``sel``.
+    """
+    tape = _tape(phi)
+
+    def pick(k, op, V, D):
+        p = sel[k]
+        if op == _ABS:
+            c = tape.kids[k][0]
+            return p * V[c], p * D[c]
+        c = tape.kids[k][p]
+        return V[c], D[c]
+
+    A = _sweep(tape, np.zeros(n), grad=True, hook=pick)[1]
+    rows = []
+    for k in tape.preorder:
+        op, ks = tape.ops[k], tape.kids[k]
+        if op == _MAX or op == _MIN:
+            i = ks[sel[k]]
+            rows += [A[i] - A[j] if op == _MAX else A[j] - A[i] for j in ks if j != i]
+        elif op == _ABS:
+            rows.append(sel[k] * A[ks[0]])
+    return rows, A[-1]
+
+
+def _clean_rows(rows, n: int) -> np.ndarray:
+    """The rows at unit length, vacuous ones dropped, as an (m, n) array."""
+    norms = [float(np.linalg.norm(a)) for a in rows]
+    out = [a / nrm for a, nrm in zip(rows, norms) if nrm > 1e-13]
+    return np.array(out).reshape(len(out), n)
+
+
+def _cell_is_essential(R: np.ndarray, rays: np.ndarray) -> bool:
+    """Does the cone {d : R d >= 0} with generators ``rays`` have interior?
+
+    A cone with no rows is the whole space.  Otherwise the sum d of the
+    generators lies in the cone's relative interior, which is the interior
+    exactly when the cone has one; it counts as interior when
+    min(R d) >= ESSENTIAL_MARGIN * |d|_inf.
+    """
+    if R.shape[0] == 0:
+        return True
+    d = rays.sum(axis=0)
+    top = float(np.abs(d).max())
+    return top > 0.0 and float((R @ d).min()) >= ESSENTIAL_MARGIN * top
+
+
 class _Cell(NamedTuple):
     """A conic linearity cell {d : rows @ d >= 0} of a PA function, on which
     the function equals g.d; ``rays`` generate the cone."""
@@ -494,28 +412,73 @@ class _Cell(NamedTuple):
 def _phi_cells(phi: Expr, n: int) -> list:
     """Essential conic cells of a positively homogeneous PA function, each
     with its generators (+-I when it has no rows)."""
-    zero = np.zeros(n)
     cells = []
     seen = set()
-    for sel in _enumerate_selections(phi, zero, act_tol=0.0):
-        rows_raw, g = _sel_constraints(phi, sel, n)
-        rows = _clean_rows(rows_raw)
-        if rows is None:
-            continue
-        key = (tuple(np.round(g, 12)), tuple(sorted(tuple(np.round(a, 12)) for a, _ in rows)))
+    for sel in _enumerate_selections(phi):
+        rows, g = _sel_constraints(phi, sel, n)
+        R = _clean_rows(rows, n)
+        key = (tuple(np.round(g, 12)), tuple(sorted(tuple(np.round(a, 12)) for a in R)))
         if key in seen:
             continue
         seen.add(key)
-        R = np.array([a for a, _ in rows]).reshape(len(rows), n)
         rays = cone_rays_from_halfspaces(R, n)
-        if _cell_is_essential(rows, zero, n, rays):
+        if _cell_is_essential(R, rays):
             cells.append(_Cell(g, R, rays))
     return cells
 
 
+def _derivative_tree(e: Expr, x: np.ndarray) -> Expr:
+    """The tree of d -> f'(x, d) for a PA/PLQ tree, from one sweep at x that
+    gives both the activity pattern and each node's value."""
+    pattern = ({}, {})
+    V = _dir_value(e, _check_point(e, x), np.zeros(x.size), pattern)[0]
+    return _derivative_expr_from_pattern(e, ActivePattern(*pattern), dict(zip(_tape(e).paths, V)))
+
+
 def _cells_at(e: Expr, x: np.ndarray) -> list:
-    """The cells of d -> f'(x, d) for a PA tree."""
-    return _phi_cells(_derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0)), x.size)
+    """The cells of d -> f'(x, d) for a PA/PLQ tree."""
+    return _phi_cells(_derivative_tree(e, x), x.size)
+
+
+# ---------------------------------------------------------------------------
+# Bouligand and Clarke subdifferentials
+# ---------------------------------------------------------------------------
+
+
+def bouligand(e: Expr, x) -> SubdiffSet:
+    """Exact Bouligand subdifferential of a PA/PLQ tree at x (dim <= 4).
+
+    Returns the gradients of the essential cells of d -> f'(x, d), which
+    are the gradients of the pieces essentially active at x, one singleton
+    component per gradient.
+    """
+    if classify_fragment(e) not in (FragmentClass.PA, FragmentClass.PLQ):
+        raise UnsupportedFragmentError("USE_SAMPLED: bouligand needs a PA/PLQ tree")
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size > 4:
+        raise DimensionCapError("dimension cap exceeded (bouligand supports dim <= 4)")
+    return _bouligand_from_cells(_cells_at(e, x), x)
+
+
+def _bouligand_from_cells(cells: list, at: np.ndarray) -> SubdiffSet:
+    pts = _canon_vertices(_dedupe_points(np.array([c.g for c in cells])))
+    comps = tuple(VPolytope(np.array([p])) for p in pts)
+    return SubdiffSet(kind=SubdiffKind.BOULIGAND, set=SetUnion(comps), at=at)
+
+
+def clarke(e: Expr, x) -> SubdiffSet:
+    """Exact Clarke subdifferential: convex hull of the Bouligand set."""
+    return _clarke_from_bouligand(bouligand(e, x))
+
+
+def _clarke_from_bouligand(b: SubdiffSet) -> SubdiffSet:
+    hull = conv_hull(np.vstack([c.vertices for c in b.set.components]))
+    return SubdiffSet(kind=SubdiffKind.CLARKE, set=SetUnion((hull,)), at=b.at)
+
+
+# ---------------------------------------------------------------------------
+# Frechet subdifferential via the conic cells of d -> f'(x, d)
+# ---------------------------------------------------------------------------
 
 
 def _frechet_from_cells(cells: list, n: int, at: np.ndarray) -> SubdiffSet:
@@ -525,10 +488,14 @@ def _frechet_from_cells(cells: list, n: int, at: np.ndarray) -> SubdiffSet:
     eye = np.eye(n)
     coords = np.stack([eye, -eye], axis=1).reshape(2 * n, n)
     bounds = np.stack([grads.max(axis=0), -grads.min(axis=0)], axis=1).ravel()
-    H = HPolyhedron(
-        np.vstack([c.rays for c in cells] + [coords]),
-        np.concatenate([c.rays @ c.g for c in cells] + [bounds]),
-    )
+    A = np.vstack([c.rays for c in cells] + [coords])
+    b = np.concatenate([c.rays @ c.g for c in cells] + [bounds])
+    # a ray shared by adjacent cells repeats its row: keep the first copy
+    first: dict = {}
+    for i, row in enumerate(np.column_stack([A, b]).tolist()):
+        first.setdefault(tuple(row), i)
+    keep = list(first.values())
+    H = HPolyhedron(A[keep], b[keep])
     # enumerate at unit scale, so that the enumeration's absolute slack does
     # not swallow a tiny set: s is a power of two, so b / s and V * s are exact
     top = float(np.abs(grads).max())
@@ -550,8 +517,8 @@ def _one_sided_slopes(e: Expr, x: np.ndarray) -> tuple:
     The left slope is the slope of the piece on (x - delta, x), i.e.
     -f'(x, -1); the right slope is f'(x, +1).
     """
-    _, right = _dir_value(e, x, np.array([1.0]))
-    _, back = _dir_value(e, x, np.array([-1.0]))
+    right = _dir_value(e, x, np.array([1.0]))[1][-1]
+    back = _dir_value(e, x, np.array([-1.0]))[1][-1]
     return -back, right
 
 
@@ -654,7 +621,7 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
             "exact limiting needs PA (dim <= 3) or a 1-D PA/PLQ tree"
         )
     n = x.size
-    phi = _derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0))
+    phi = _derivative_tree(e, x)
     if cells is None:
         cells = _phi_cells(phi, n)
     pieces: list = []  # (component, the halfspaces it was enumerated from)

@@ -127,6 +127,20 @@ class TestClassify:
         assert payload["is_l"] is True
         assert payload["is_d"] is False
 
+    @pytest.mark.parametrize(
+        "expr,point",
+        [
+            ("(max (affine (0) 1e-12) (var 0) (scale -1 (var 0)))", "0"),
+            ("(max (affine (0 0) 1e-12) (var 0) (scale -1 (var 0)))", "0,0"),
+        ],
+    )
+    def test_near_tie_with_a_constant(self, expr, point, capsys):
+        # only the constant is active: f is constant near 0
+        code, out, _ = run_cli(["classify", "--expr", expr, "--point", point], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["is_C"], payload["is_l"], payload["is_d"]) == (True, True, True)
+
 
 class TestSolve:
     def test_subgrad_with_trace(self, tmp_path, capsys):
@@ -259,6 +273,16 @@ class TestCapExits:
         expr = "(max (affine (1 1 1 1 1) 0) (affine (1 -1 1 -1 1) 0))"
         self.check(
             ["subdiff", "--expr", expr, "--point", "0,0,0,0,0", "--which", "clarke", "--sampled"],
+            capsys,
+            "dimension cap",
+            "lower the dimension",
+        )
+
+    def test_exact_clarke_dimension_cap(self, capsys):
+        # the exact Bouligand and Clarke sets stop at dimension 4
+        expr = "(max (affine (1 1 1 1 1) 0) (affine (1 -1 1 -1 1) 0))"
+        self.check(
+            ["subdiff", "--expr", expr, "--point", "0,0,0,0,0", "--which", "clarke"],
             capsys,
             "dimension cap",
             "lower the dimension",

@@ -1,7 +1,7 @@
 """Differential test of the dense simplex against scipy's HiGHS.
 
-``lp_solve`` stays the essential-cell fallback and the core of
-``lspar_d_stationarity_check``; here its status and optimal value are
+``lp_solve`` stays the core of ``lspar_d_stationarity_check`` and the
+tests' reference for the essential-cell test; here its status and optimal value are
 compared with ``scipy.optimize.linprog`` on random feasible, infeasible and
 unbounded LPs, degenerate vertices and Beale's cycling example.  Test-only:
 the module is skipped where scipy is missing.
@@ -22,7 +22,11 @@ STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 def compare(c, A_ub, b_ub, A_eq=None, b_eq=None):
     """Both solvers agree on the status and, when optimal, on the value."""
     ours = lp_solve(c, A_ub, b_ub, A_eq, b_eq)
-    ref = linprog(c, A_ub, b_ub, A_eq, b_eq, bounds=(None, None), method="highs")
+    # HiGHS's presolve reports some feasible unbounded LPs as infeasible
+    # (see test_unbounded_along_a_tied_pair), so the reference runs without it
+    ref = linprog(
+        c, A_ub, b_ub, A_eq, b_eq, bounds=(None, None), method="highs", options={"presolve": False}
+    )
     assert ref.status in STATUS, ref.message
     assert ours.status == STATUS[ref.status]
     if ours.optimal:
@@ -68,6 +72,16 @@ class TestAgainstLinprog:
 
     def test_unbounded(self):
         assert compare([-1.0, 0.0], [[0.0, 1.0], [-1.0, 1.0]], [1.0, 1.0]).status == "unbounded"
+
+    def test_unbounded_along_a_tied_pair(self):
+        # x = 0 is feasible and x = t (1, 0, 0, 1) is feasible for every t,
+        # so the LP is unbounded; HiGHS with presolve calls it infeasible
+        A = np.zeros((7, 4))
+        A[4] = [1.0, -1.0, 0.0, -1.0]
+        A[6] = [-1.0, 1.0, 0.0, 1.0]
+        b = np.zeros(7)
+        b[6] = 1.0
+        assert compare([0.0, 0.0, 0.0, -1.0], A, b).status == "unbounded"
 
     def test_equality_rows(self):
         A = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]

@@ -19,6 +19,7 @@ from nonsmooth.polyhedra import (
     cone_rays_from_halfspaces,
     conv_hull,
     contains,
+    lp_solve,
     minkowski_sum,
     set_distance,
 )
@@ -31,6 +32,7 @@ from nonsmooth.subdiff import (
     _derivative_expr_from_pattern,
     _enumerate_selections,
     _sel_constraints,
+    bouligand,
     clarke,
     clarke_dir_deriv,
     compose_affine,
@@ -131,6 +133,16 @@ class TestFrechetVertices:
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
     @settings(max_examples=100, deadline=None)
     def test_vertices_are_basic_feasible_points_of_halfspaces(self, seed, dim):
+        self.check(seed, dim)
+
+    def test_rays_shared_by_cells_enter_once(self):
+        # 30 essential cells give 112 generator rows, 66 of them distinct;
+        # with every copy the enumeration would need C(118, 3) bases, over
+        # its cap
+        self.check(1795337225, 3)
+
+    @staticmethod
+    def check(seed, dim):
         # re-check each vertex against the H-description it was enumerated
         # from: feasible for every row and tight on n independent rows
         e, x = random_pa_instance(make_rng(seed), dim)
@@ -149,22 +161,41 @@ class TestFrechetVertices:
         _check_cells(e, x)
 
 
+def _essential_by_lp(R, n):
+    # the reference for the essential-cell test: a direction d in the unit
+    # box with R d >= m for some margin m >= ESSENTIAL_MARGIN (the problem
+    # is scale free).  Variables (d, m): maximize m s.t. R d >= m,
+    # |d|_inf <= 1, m <= 1.
+    k = R.shape[0]
+    A_ub = np.zeros((k + 2 * n + 1, n + 1))
+    b_ub = np.zeros(k + 2 * n + 1)
+    A_ub[:k, :n] = -R
+    A_ub[:k, n] = 1.0
+    A_ub[k : k + n, :n] = np.eye(n)
+    A_ub[k + n : k + 2 * n, :n] = -np.eye(n)
+    b_ub[k : k + 2 * n] = 1.0
+    A_ub[-1, n] = 1.0
+    b_ub[-1] = 1.0
+    c_obj = np.zeros(n + 1)
+    c_obj[n] = -1.0
+    res = lp_solve(c_obj, A_ub, b_ub)
+    return res.optimal and -res.value >= ESSENTIAL_MARGIN
+
+
 def _check_cells(e, x):
     # every cell of d -> f'(x, d), essential or not: its generators hold
-    # every row, and the essential test decides alike with its fast path
-    # (the generators' sum) and with the LP alone
+    # every row, and the essential test (the generators' sum alone) decides
+    # as the strict-feasibility LP
     n = x.size
-    zero = np.zeros(n)
     phi = _derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0))
-    for sel in _enumerate_selections(phi, zero):
-        rows = _clean_rows(_sel_constraints(phi, sel, n)[0])
-        if not rows:
+    for sel in _enumerate_selections(phi):
+        R = _clean_rows(_sel_constraints(phi, sel, n)[0], n)
+        if not R.shape[0]:
             continue
-        R = np.array([a for a, _ in rows])
         rays = cone_rays_from_halfspaces(R, n)
         assert np.all(R @ rays.T >= -1e-10)
-        lp = _cell_is_essential(rows, zero, n, np.zeros((0, n)))
-        assert _cell_is_essential(rows, zero, n, rays) == lp
+        lp = _essential_by_lp(R, n)
+        assert _cell_is_essential(R, rays) == lp
         d = rays.sum(axis=0)
         if d.any() and (R @ d).min() >= ESSENTIAL_MARGIN * np.abs(d).max():
             assert lp
@@ -185,6 +216,35 @@ def _nearby_frechet_in_limiting(e, x):
             pts += [(2 * p + q) / 3 for p, q in itertools.permutations(comp.vertices, 2)]
             for p in pts:
                 assert contains(ls.set, p, 1e-8), (d, p)
+
+
+class TestNoLP:
+    def test_exact_sets_solve_no_lp(self, monkeypatch):
+        # the cells' generators answer every question these sets ask; only
+        # the 3-D Clarke hull still prunes its points with LPs
+        import sys
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lp_solve(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):  # every module holding the name
+            if name.startswith("nonsmooth") and getattr(mod, "lp_solve", None) is lp_solve:
+                monkeypatch.setattr(mod, "lp_solve", counting)
+        rng = make_rng(4242)
+        checked = {1: 0, 2: 0, 3: 0}
+        for i in range(90):
+            dim = 1 + i % 3
+            e, x = random_pa_instance(rng, dim)
+            if dim_required(e) != dim:
+                continue
+            for f in (bouligand, frechet, limiting) + ((clarke,) if dim <= 2 else ()):
+                f(e, x)
+            checked[dim] += 1
+        assert calls == []
+        assert min(checked.values()) >= 20
 
 
 class TestLimitingCoversNearbyFrechet:

@@ -33,6 +33,14 @@ class TestClassify:
         assert (rep.is_C, rep.is_l, rep.is_d) == (True, True, True)
         assert rep.witness_direction is None
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_near_tie_with_a_constant(self, n):
+        # max(1e-12, x0, -x0) at 0: only the constant is active, so f is
+        # constant near 0
+        e = vmax(Affine((0.0,) * n, 1e-12), Var(0), Scale(-1.0, Var(0)))
+        rep = classify(e, np.zeros(n))
+        assert (rep.is_C, rep.is_l, rep.is_d) == (True, True, True)
+
     def test_f1_at_half_is_d(self):
         rep = classify(f1_expr(), [0.5])
         assert rep.is_d is True

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonsmooth.expr import Abs, Scale, Sq, Var, evaluate, vsum
+from nonsmooth.expr import Abs, Scale, Sq, Var, evaluate, parse_expr, vsum
 from nonsmooth.gallery import (
     abs_x,
     f1_expr,
@@ -129,6 +129,28 @@ class TestBouligand:
 
     def test_relu_loss(self):
         assert_sets_equal(bouligand(relu_loss_expr(), [0.0]).set, points(-1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "text,x",
+        [
+            ("(max (affine (0) 1e-12) (var 0) (scale -1 (var 0)))", [0.0]),
+            ("(max (affine (0 0) 1e-12) (var 0) (scale -1 (var 0)))", [0.0, 0.0]),
+        ],
+    )
+    def test_near_tie_with_a_constant(self, text, x):
+        # x0 and -x0 come within 1e-12 of the constant, but only the
+        # constant is active: f is constant near 0, and both sets are {0}
+        e = parse_expr(text)
+        for ss in (bouligand(e, x), clarke(e, x)):
+            (comp,) = ss.set.components
+            np.testing.assert_array_equal(comp.vertices, [np.zeros(len(x))])
+
+    def test_kinks_in_an_inactive_branch_are_not_enumerated(self):
+        # 13 abs kinks would be 2^13 selections, over the cap, but their
+        # branch is inactive at 0, so d -> f'(0, d) is 0
+        e = parse_expr("(max (const 1) (sum" + " (abs (var 0))" * 13 + "))")
+        (comp,) = bouligand(e, [0.0]).set.components
+        np.testing.assert_array_equal(comp.vertices, [[0.0]])
 
 
 class TestClarke:
