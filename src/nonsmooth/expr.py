@@ -475,9 +475,108 @@ def _sweep(tape: _Tape, x: np.ndarray, d=None, grad: bool = False, hook=None) ->
     return V, D
 
 
+def _sweep_rows(tape: _Tape, X: np.ndarray, grad: bool = False):
+    """One forward pass over ``tape`` at every row of ``X`` (S, n), checked
+    by :func:`_check_rows`: the values (S,), or with ``grad`` the tuple
+    (values, a.e. gradients (S, n), kink mask (S,)).
+
+    Each row gets the bits :func:`_sweep` gives it: Max/Min keep the first
+    maximal/minimal child as Python's ``max``/``min`` do, Sum adds from 0
+    as ``sum`` does, an Affine leaf takes one ``dot`` per row (a stacked
+    matmul, which rounds like ``np.dot``; ``X @ a`` does not), and builtins
+    map their scalar ``value``/``deriv`` over the column.  A row is a kink
+    when some node is not differentiable there: a Max/Min tie between
+    children with different gradients, Abs of a zero with a non-zero
+    gradient, or a builtin at one of its ``nondiff_points`` or where its
+    ``deriv`` is None.  Gradients of kink rows are meaningless.
+    """
+    ops, args, kids = tape.ops, tape.args, tape.kids
+    S, n = X.shape
+    V = [None] * len(ops)
+    G = [None] * len(ops) if grad else None
+    kink = np.zeros(S, dtype=bool)
+    for k, (op, arg, ks) in enumerate(zip(ops, args, kids)):
+        if op == _AFFINE:
+            a, b = arg
+            V[k] = (X[:, None, :] @ a)[:, 0] + b
+            if grad:
+                G[k] = np.broadcast_to(a, (S, n))
+        elif op == _VAR:
+            V[k] = X[:, arg].copy()
+            if grad:
+                G[k] = np.broadcast_to(np.eye(1, n, arg)[0], (S, n))
+        elif op == _CONST:
+            V[k] = np.full(S, arg, dtype=float)
+            if grad:
+                G[k] = np.broadcast_to(0.0, (S, n))
+        elif op == _SUM:
+            V[k] = sum([V[c] for c in ks])
+            if grad:
+                G[k] = sum([G[c] for c in ks])
+        elif op == _SCALE:
+            V[k] = arg * V[ks[0]]
+            if grad:
+                G[k] = arg * G[ks[0]]
+        elif op == _SQ:
+            v = V[ks[0]]
+            V[k] = v * v
+            if grad:
+                G[k] = (2.0 * v)[:, None] * G[ks[0]]
+        elif op == _ABS:
+            v = V[ks[0]]
+            V[k] = np.abs(v)
+            if grad:
+                g = G[ks[0]]
+                # |h| where h = 0 with a zero gradient is smooth, like a tie
+                # of equal gradients below
+                kink |= (v == 0.0) & g.any(axis=1)
+                G[k] = np.where((v >= 0)[:, None], g, -g)
+        elif op == _BUILTIN:
+            spec = BUILTINS[arg]
+            ts = V[ks[0]].tolist()
+            V[k] = np.array([spec.value(t) for t in ts])
+            if grad:
+                dv = [None if t in spec.nondiff_points else spec.deriv(t) for t in ts]
+                kink |= np.array([q is None for q in dv])
+                dv = np.array([0.0 if q is None else q for q in dv])
+                G[k] = dv[:, None] * G[ks[0]]
+        else:  # _MAX, _MIN
+            vals = [V[c] for c in ks]
+            v = vals[0]
+            for w in vals[1:]:  # a later child wins only when strictly better
+                v = np.where((w > v) if op == _MAX else (w < v), w, v)
+            V[k] = v
+            if grad:
+                tied = np.array([w == v for w in vals])
+                first = tied.argmax(axis=0)
+                rows = np.arange(S)
+                Gs = np.array([G[c] for c in ks])
+                g = Gs[first, rows]
+                # tied children with equal gradients leave the max/min smooth
+                tied[first, rows] = False
+                kink |= (tied & (Gs != g).any(axis=2)).any(axis=0)
+                G[k] = g
+    if not grad:
+        return V[-1]
+    return V[-1], np.array(G[-1]), kink
+
+
 def dim_required(e: Expr) -> int:
     """Smallest point dimension this expression can be evaluated at."""
     return _tape(e).dim
+
+
+def _check_dim(t: _Tape, n: int) -> None:
+    """Raise for the first leaf of ``t`` (pre-order) that dimension ``n``
+    does not fit."""
+    if t.dim > n or t.affine_len not in (None, n):
+        for op, arg in ((t.ops[k], t.args[k]) for k in t.preorder):
+            if op == _VAR and arg >= n:
+                raise DimensionMismatchError(f"var {arg} out of range for dimension {n}")
+            if op == _AFFINE and len(arg[0]) != n:
+                raise DimensionMismatchError(
+                    f"affine coefficient length {len(arg[0])} != dimension {n}"
+                )
 
 
 def _check_point(e: Expr, x) -> np.ndarray:
@@ -486,17 +585,21 @@ def _check_point(e: Expr, x) -> np.ndarray:
         raise DimensionMismatchError("empty point")
     if not all(map(math.isfinite, x.tolist())):
         raise DimensionMismatchError("point has non-finite entries")
-    t = _tape(e)
-    n = x.size
-    if t.dim > n or t.affine_len not in (None, n):
-        for op, arg in ((t.ops[k], t.args[k]) for k in t.preorder):  # first bad leaf
-            if op == _VAR and arg >= n:
-                raise DimensionMismatchError(f"var {arg} out of range for dimension {n}")
-            if op == _AFFINE and len(arg[0]) != n:
-                raise DimensionMismatchError(
-                    f"affine coefficient length {len(arg[0])} != dimension {n}"
-                )
+    _check_dim(_tape(e), x.size)
     return x
+
+
+def _check_rows(e: Expr, X) -> np.ndarray:
+    """The points ``X`` (S, n) as a C-contiguous float array, checked as
+    :func:`_check_point` checks one point."""
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise DimensionMismatchError(f"points must be the rows of an (S, n) array, got shape {X.shape}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DimensionMismatchError(f"point {bad[0]} has non-finite entries")
+    _check_dim(_tape(e), X.shape[1])
+    return X
 
 
 def evaluate(e: Expr, x) -> float:

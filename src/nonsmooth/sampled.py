@@ -6,6 +6,13 @@ difference-quotient estimates carry a convergence flag, and set estimates
 carry their sampling parameters and a per-rung trace.  All sampling is
 seeded through :mod:`nonsmooth.rng`, so results are reproducible
 bit-for-bit.
+
+Each oracle draws a rung of points at once and asks for all of them in one
+call of the callable's ``rows(P)``: :func:`as_evaluator` and
+:func:`as_gradient_oracle` answer it with one batched pass over the
+expression's tape, bit-equal to their single-point calls, and check the
+points as :func:`~nonsmooth.expr.evaluate` does.  A plain callable without
+``rows`` is called once per row.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import _ABS, _BUILTIN, _MAX, BUILTINS, Expr, _sweep, _tape, evaluate
+from .expr import Expr, _check_rows, _sweep_rows, _tape, evaluate
 from .polyhedra import SetUnion, conv_hull, contains, set_distance
 from .rng import make_rng
 from .subdiff import DirDerivValue, SubdiffKind, SubdiffSet
@@ -39,11 +46,20 @@ def default_schedule(k_lo: int = 8, k_hi: int = 40) -> np.ndarray:
 
 
 def as_evaluator(e: Expr) -> Callable[[np.ndarray], float]:
-    """Plain float evaluator for an expression."""
+    """Plain float evaluator for an expression.
+
+    ``f.rows(P)`` evaluates the rows of ``P`` (S, n) in one batched pass and
+    returns the values (S,), each bit-equal to ``f(P[i])``; it checks the
+    points as :func:`~nonsmooth.expr.evaluate` does.
+    """
 
     def f(x) -> float:
         return evaluate(e, x)
 
+    def rows(P) -> np.ndarray:
+        return _sweep_rows(_tape(e), _check_rows(e, P))
+
+    f.rows = rows
     return f
 
 
@@ -52,49 +68,42 @@ def as_gradient_oracle(e: Expr) -> Callable[[np.ndarray], Optional[np.ndarray]]:
 
     Returns the gradient where the expression is differentiable and ``None``
     at kinks (a Max/Min tie between children with different gradients, Abs
-    of a zero with a non-zero gradient, builtin non-smooth points).  Builtins contribute via their
-    registry derivative.
+    of a zero with a non-zero gradient, builtin non-smooth points).  Builtins
+    contribute via their registry derivative.  ``grad.rows(P)`` answers for
+    the rows of ``P`` (S, n) in one batched pass: the gradients (S, n) and
+    a kink mask (S,), where a kink row's gradient is meaningless.  Both
+    check the points as :func:`~nonsmooth.expr.evaluate` does.
     """
 
-    tape = _tape(e)
-
-    def smooth(k, op, V, D):
-        ks = tape.kids[k]
-        if op == _BUILTIN:
-            t0, g = V[ks[0]], D[ks[0]]
-            spec = BUILTINS[tape.args[k]]
-            dv = None if t0 in spec.nondiff_points else spec.deriv(t0)
-            if dv is None:
-                raise _Kink()
-            return spec.value(t0), dv * g
-        if op == _ABS:
-            v, g = V[ks[0]], D[ks[0]]
-            # |h| where h = 0 with a zero gradient is smooth, like a tie of
-            # equal gradients below
-            if v == 0.0 and g.any():
-                raise _Kink()
-            return abs(v), (g if v >= 0 else -g)
-        vals = [V[c] for c in ks]
-        v = max(vals) if op == _MAX else min(vals)
-        tied = [c for c, w in zip(ks, vals) if w == v]
-        g = D[tied[0]]
-        # tied children with equal gradients leave the max/min smooth
-        if any(not np.array_equal(D[c], g) for c in tied[1:]):
-            raise _Kink()
-        return v, g
+    def rows(P) -> tuple:
+        return _sweep_rows(_tape(e), _check_rows(e, P), grad=True)[1:]
 
     def grad(x) -> Optional[np.ndarray]:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        try:
-            return _sweep(tape, x, grad=True, hook=smooth)[1][-1]
-        except _Kink:
-            return None
+        G, kink = rows(np.reshape(np.asarray(x, dtype=float), (1, -1)))
+        return None if kink[0] else G[0]
 
+    grad.rows = rows
     return grad
 
 
-class _Kink(Exception):
-    pass
+def _rows(f: Callable, P: np.ndarray, grad: bool = False):
+    """``f`` at the rows of ``P``: ``f.rows(P)`` when ``f`` has it, else one
+    call per row.  Values (S,), or with ``grad`` (gradients (S, n), kink
+    mask (S,)) from an oracle that answers ``None`` at kinks."""
+    if hasattr(f, "rows"):
+        return f.rows(P)
+    out = [f(p) for p in P]
+    if not grad:
+        return np.array(out, dtype=float).reshape(len(P))  # a value may be a 1-element array
+    kink = np.array([g is None for g in out], dtype=bool)
+    G = np.array([np.zeros(P.shape[1]) if g is None else g for g in out], dtype=float)
+    return G.reshape(P.shape), kink
+
+
+def _pow10(exps: np.ndarray) -> np.ndarray:
+    """10 ** e for each e, rounded as the scalar power rounds (numpy's
+    vectorized power may differ from it in the last place)."""
+    return np.array([10.0 ** t for t in exps.tolist()])
 
 
 def fd_dir_deriv(
@@ -115,10 +124,12 @@ def fd_dir_deriv(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
     ts = default_schedule() if schedule is None else np.asarray(schedule, dtype=float)
+    if ts.size == 0:
+        raise ValueError("schedule must not be empty")
     if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
         raise ValueError("schedule must be positive and strictly decreasing")
-    f0 = f(x)
-    quotients = np.array([(f(x + t * d) - f0) / t for t in ts])
+    vals = _rows(f, np.vstack([x, x + ts[:, None] * d]))
+    quotients = (vals[1:] - vals[0]) / ts
     tail = quotients[-5:] if quotients.size >= 5 else quotients
     osc = float(tail.max() - tail.min())
     amp = float(quotients.max() - quotients.min())
@@ -153,6 +164,10 @@ def sampled_clarke_dd(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if rungs < 2:
+        raise ValueError("rungs must be at least 2 for the fit to radius 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
     n = x.size
@@ -163,13 +178,12 @@ def sampled_clarke_dd(
         rng = make_rng(seed, 101, k)
         offs = rng.uniform(-r, r, size=(samples, n))
         texp = rng.uniform(-8.0, 0.0, size=samples)
-        best = -math.inf
-        for off, te in zip(offs, texp):
-            xp = x + off
-            t = r * 10.0 ** te
-            q = (f(xp + t * d) - f(xp)) / t
-            if q > best:
-                best = q
+        xp = x + offs
+        t = r * _pow10(texp)
+        q = (_rows(f, xp + t[:, None] * d) - _rows(f, xp)) / t
+        q = q[~np.isnan(q)]  # a NaN quotient never raises the max
+        # the first largest quotient, as a running `q > best` keeps it
+        best = q[np.flatnonzero(q == q.max())[0]] if q.size else -math.inf
         rung_radii.append(r)
         rung_max.append(best)
     rr = np.array(rung_radii)
@@ -212,6 +226,10 @@ def gradient_sampling(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if rungs < 1:
+        raise ValueError("rungs must be at least 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
     hulls = []
@@ -221,15 +239,11 @@ def gradient_sampling(
         dirs = rng.standard_normal(size=(samples, n))
         dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
         rexp = rng.uniform(-8.0, 0.0, size=samples)
-        cloud = []
-        for u, re_ in zip(dirs, rexp):
-            y = x + (r * 10.0 ** re_) * u
-            g = grad(y)
-            if g is not None:
-                cloud.append(np.asarray(g, dtype=float))
-        if not cloud:
+        G, kink = _rows(grad, x + (r * _pow10(rexp))[:, None] * dirs, grad=True)
+        cloud = G[~kink]
+        if not len(cloud):
             raise ValueError("no differentiable samples found; enlarge the budget")
-        hulls.append(conv_hull(np.array(cloud)))
+        hulls.append(conv_hull(cloud))
     trace = [
         set_distance(SetUnion((a,)), SetUnion((b,))) for a, b in zip(hulls, hulls[1:])
     ]

@@ -481,6 +481,14 @@ def _clarke_from_bouligand(b: SubdiffSet) -> SubdiffSet:
 # ---------------------------------------------------------------------------
 
 
+def _grad_scale(cells: list) -> float:
+    """s = 2^ceil(log2 max|g|) over the cell gradients, 1 when all vanish:
+    a power of two, so dividing by it and multiplying back are exact."""
+    top = float(np.abs(np.array([c.g for c in cells])).max())
+    frac, exp = math.frexp(top)
+    return math.ldexp(1.0, exp - (frac == 0.5)) if top > 0.0 else 1.0
+
+
 def _frechet_from_cells(cells: list, n: int, at: np.ndarray) -> SubdiffSet:
     """{v : v.r <= g.r for every generator r of every cell}."""
     grads = np.array([c.g for c in cells])
@@ -497,10 +505,8 @@ def _frechet_from_cells(cells: list, n: int, at: np.ndarray) -> SubdiffSet:
     keep = list(first.values())
     H = HPolyhedron(A[keep], b[keep])
     # enumerate at unit scale, so that the enumeration's absolute slack does
-    # not swallow a tiny set: s is a power of two, so b / s and V * s are exact
-    top = float(np.abs(grads).max())
-    frac, exp = math.frexp(top)
-    s = math.ldexp(1.0, exp - (frac == 0.5)) if top > 0.0 else 1.0
+    # not swallow a tiny set
+    s = _grad_scale(cells)
     # H is bounded by its coordinate rows: it is empty iff it has no vertex
     V = vertex_enumeration(HPolyhedron(H.A, H.b / s))
     return SubdiffSet(
@@ -626,10 +632,13 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
         cells = _phi_cells(phi, n)
     pieces: list = []  # (component, the halfspaces it was enumerated from)
     sigs = set()
+    # components are compared at unit scale, as _frechet_from_cells
+    # enumerates them, so that tiny sets are not merged by the tolerances
+    s = _grad_scale(cells)
 
     def add(ss: SubdiffSet):
         for comp in ss.set.components:
-            key = tuple(sorted(map(tuple, np.round(comp.vertices, 10).tolist())))
+            key = tuple(sorted(map(tuple, np.round(comp.vertices / s, 10).tolist())))
             if key not in sigs:
                 sigs.add(key)
                 pieces.append((comp, ss.halfspaces))
@@ -647,9 +656,9 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
     # vertices of one against the halfspaces of the other as contains()
     # tests an HPolyhedron
     def _subset(pa, pb) -> bool:
-        V, H = pa[0].vertices, pb[1]
+        V, H = pa[0].vertices / s, pb[1]
         scale = np.maximum(1.0, np.abs(V).max(axis=1))
-        return bool(np.all(V @ H.A.T - H.b <= 1e-9 * scale[:, None]))
+        return bool(np.all(V @ H.A.T - H.b / s <= 1e-9 * scale[:, None]))
 
     keep = []
     for i, ci in enumerate(pieces):

@@ -278,7 +278,7 @@ class TestTape:
 
     def test_compiled_once_per_instance(self, monkeypatch):
         from nonsmooth.expr import dim_required
-        from nonsmooth.sampled import as_gradient_oracle
+        from nonsmooth.sampled import as_evaluator, as_gradient_oracle
         from nonsmooth.solvers import oracle_from_expr
         from nonsmooth.subdiff import bouligand, dir_deriv, frechet
 
@@ -291,6 +291,8 @@ class TestTape:
             dir_deriv(e, x, [1.0, -1.0])
             oracle_from_expr(e).subgrad(x)
             as_gradient_oracle(e)(x)
+            as_gradient_oracle(e).rows(np.array([x, x]))
+            as_evaluator(e).rows(np.array([x, [0.5, 0.5], x]))
             bouligand(e, x)
         assert dim_required(e) == 2 and classify_fragment(e) is FragmentClass.PA
         frechet(e, [0.0, 0.0])  # compiles the derivative trees it builds, not e
@@ -334,6 +336,167 @@ class TestTape:
             evaluate(e, [1.0, 2.0])
         with pytest.raises(DimensionMismatchError, match="var 5 out of range for dimension 3"):
             evaluate(e, [1.0, 2.0, 3.0])
+
+
+class _Kink(Exception):
+    pass
+
+
+def _reference_gradient(e, x):
+    """The a.e. gradient by the scalar sweep, with the kink rules written out
+    node by node: the reference for the batched pass."""
+    from nonsmooth.expr import _ABS, _BUILTIN, _MAX, BUILTINS, _sweep, _tape
+
+    tape = _tape(e)
+
+    def smooth(k, op, V, D):
+        ks = tape.kids[k]
+        if op == _BUILTIN:
+            t0, g = V[ks[0]], D[ks[0]]
+            spec = BUILTINS[tape.args[k]]
+            dv = None if t0 in spec.nondiff_points else spec.deriv(t0)
+            if dv is None:
+                raise _Kink()
+            return spec.value(t0), dv * g
+        if op == _ABS:
+            v, g = V[ks[0]], D[ks[0]]
+            if v == 0.0 and g.any():
+                raise _Kink()
+            return abs(v), (g if v >= 0 else -g)
+        vals = [V[c] for c in ks]
+        v = max(vals) if op == _MAX else min(vals)
+        tied = [c for c, w in zip(ks, vals) if w == v]
+        if any(not np.array_equal(D[c], D[tied[0]]) for c in tied[1:]):
+            raise _Kink()
+        return v, D[tied[0]]
+
+    try:
+        return _sweep(tape, np.asarray(x, dtype=float), grad=True, hook=smooth)[1][-1]
+    except _Kink:
+        return None
+
+
+# dyadic points and small integer coefficients: ties hold exactly, and -0.0
+# checks that signed zeros come out as the scalar sweep gives them
+_GRID = (-1.0, -0.75, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def _tree_and_rows(draw):
+    dim = draw(st.integers(1, 4))
+    num = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+    leaf = st.one_of(
+        num.map(Const),
+        st.integers(0, dim - 1).map(Var),
+        st.tuples(st.lists(st.integers(-2, 2).map(float), min_size=dim, max_size=dim), num).map(
+            lambda t: Affine(tuple(t[0]), t[1])
+        ),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=1, max_size=3).map(lambda l: Sum(tuple(l))),
+            st.lists(children, min_size=2, max_size=3).map(lambda l: Max(tuple(l))),
+            st.lists(children, min_size=2, max_size=3).map(lambda l: Min(tuple(l))),
+            children.map(Abs),
+            children.map(Sq),
+            children.map(lambda c: Abs(Sum((c, Scale(-1.0, c))))),  # abs of a zero function
+            st.tuples(st.sampled_from(("xsinlog", "xsqsin")), children).map(lambda t: Builtin1D(*t)),
+            st.tuples(st.sampled_from((-2.0, -1.0, 0.5, 2.0)), children).map(lambda t: Scale(*t)),
+        )
+
+    # a few leaves drawn from a small pool repeat often: identical leaves
+    e = draw(st.recursive(leaf, extend, max_leaves=8))
+    rows = draw(st.lists(st.lists(st.sampled_from(_GRID), min_size=dim, max_size=dim), min_size=1, max_size=6))
+    return e, np.array(rows)
+
+
+def _hex(a) -> list:
+    return [float(v).hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+class TestSweepRows:
+    """The batched pass gives every row the bits of the scalar sweep."""
+
+    @given(_tree_and_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_rows_match_the_scalar_sweep(self, case):
+        from nonsmooth.expr import _sweep_rows, _tape
+        from nonsmooth.sampled import as_evaluator, as_gradient_oracle
+
+        e, X = case
+        tape = _tape(e)
+        values = _sweep_rows(tape, X)
+        assert values.shape == (X.shape[0],)
+        assert _hex(values) == [float(evaluate(e, x)).hex() for x in X]
+        assert _hex(as_evaluator(e).rows(X)) == _hex(values)
+        again, G, kink = _sweep_rows(tape, X, grad=True)
+        assert _hex(again) == _hex(values) and G.shape == X.shape
+        oracle = as_gradient_oracle(e)
+        for x, g, at_kink in zip(X, G, kink):
+            want = _reference_gradient(e, x)
+            single = oracle(x)
+            assert at_kink == (want is None) == (single is None)
+            if want is not None:
+                assert _hex(g) == _hex(want) == _hex(single)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(sum (var 0))",  # sum() adds from 0: -0.0 reads 0.0
+            "(sum (var 0) (var 1))",
+            "(max (var 0) (var 1))",  # the first of tied zeros wins
+            "(min (var 1) (var 0))",
+            "(scale -1 (var 0))",
+            "(scale 2 (max (var 0) (const 0)))",
+            "(abs (var 0))",
+            "(sq (var 0))",
+            "(affine (1 1) 0)",
+            "(builtin xsqsin (var 0))",
+        ],
+    )
+    def test_signed_zeros(self, text):
+        from nonsmooth.expr import _sweep_rows, _tape
+
+        e = parse_expr(text)
+        X = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]])
+        assert _hex(_sweep_rows(_tape(e), X)) == [float(evaluate(e, x)).hex() for x in X]
+
+    def test_kink_rules(self):
+        from nonsmooth.expr import _sweep_rows, _tape
+
+        X = np.array([[0.0], [0.5], [-0.5]])
+        cases = [
+            (Abs(Var(0)), [True, False, False]),
+            (Abs(Sum((Var(0), Scale(-1.0, Var(0))))), [False, False, False]),  # |0| is smooth
+            (vmax(Var(0), Affine((1.0,), 0.0)), [False, False, False]),  # equal gradients tie
+            (vmax(Var(0), Const(0.0)), [True, False, False]),
+            (Builtin1D("xsinlog", Var(0)), [True, False, False]),  # nondiff_points
+            (Max((Const(0.0), Abs(Var(0)), Const(1.0))), [True, False, False]),  # inactive kink
+        ]
+        for e, want in cases:
+            assert _sweep_rows(_tape(e), X, grad=True)[2].tolist() == want
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_affine_product_rounds_like_dot(self, n):
+        from nonsmooth.expr import _sweep_rows, _tape
+
+        rng = make_rng(11, n)
+        a, b = rng.standard_normal(n), float(rng.standard_normal())
+        X = rng.standard_normal((4000, n)) * rng.uniform(0.0, 100.0, size=(4000, 1))
+        got = _sweep_rows(_tape(Affine(tuple(a), b)), X)
+        assert _hex(got) == [float(np.dot(a, x) + b).hex() for x in X]
+
+    def test_rows_are_the_callers_to_keep(self):
+        from nonsmooth.expr import _sweep_rows, _tape
+
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for e in (Var(1), Affine((1.0, 1.0), 0.0), Const(2.0)):
+            v, G, _ = _sweep_rows(_tape(e), X, grad=True)
+            v[:] = 7.0
+            G[:] = 7.0
+            assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+            assert _sweep_rows(_tape(e), X, grad=True)[1].tolist() != G.tolist()
 
 
 # Functions allowed to dispatch on the leaf and linear node types: the tape

@@ -226,6 +226,18 @@ class TestLimiting:
     def test_relu_loss_two_points(self):
         assert_sets_equal(limiting(relu_loss_expr(), [0.0]).set, points(-1.0, 0.0))
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+    def test_tiny_slopes_keep_their_pieces(self, c):
+        # pieces are merged at unit scale, so tiny limiting sets keep their
+        # shape: -c (|x1| + |x2|) has the 4 points (+-c, +-c), and
+        # c (|x1| + |x2|) the square [-c, c]^2
+        l1 = vsum(Abs(Var(0)), Abs(Var(1)))
+        corners = [[-c, -c], [-c, c], [c, -c], [c, c]]
+        comps = limiting(Scale(-c, l1), [0.0, 0.0]).set.components
+        assert sorted(comp.vertices.tolist() for comp in comps) == [[v] for v in corners]
+        (square,) = limiting(Scale(c, l1), [0.0, 0.0]).set.components
+        np.testing.assert_allclose(square.vertices, corners, rtol=1e-12, atol=0)
+
     def test_1d_slope_path_matches_face_path(self):
         # dimension-1 PA trees can run both the slope specialization and the
         # generic face enumeration; they must agree
