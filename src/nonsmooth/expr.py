@@ -639,12 +639,6 @@ class ActivePattern:
             s != "0" for s in self.abs_sign.values()
         )
 
-    def signature(self) -> tuple:
-        return (
-            tuple(sorted((p, tuple(a)) for p, a in self.branch_active.items())),
-            tuple(sorted(self.abs_sign.items())),
-        )
-
 
 def active_pattern(e: Expr, x, tol: float = 0.0) -> ActivePattern:
     """Activity record of every Max/Min/Abs node of ``e`` at ``x``.

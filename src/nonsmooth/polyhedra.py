@@ -464,8 +464,12 @@ def _dedupe_points(pts: np.ndarray) -> np.ndarray:
     """Rows of ``pts`` minus later ones on the same :data:`DEDUPE_GRID` cell,
     in their original order."""
     grid = DEDUPE_GRID * max(1.0, float(np.abs(pts).max()))
-    _, idx = np.unique(np.round(pts / grid) * grid, axis=0, return_index=True)
-    return pts[np.sort(idx)]
+    cells = np.round(pts / grid) * grid
+    order = np.lexsort(cells.T[::-1])  # stable: equal cells keep input order
+    run = cells[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (run[1:] != run[:-1]).any(axis=1)
+    return pts[np.sort(order[first])]
 
 
 def conv_hull(points, tol: float = 1e-9) -> VPolytope:

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .expr import _ABS, _BUILTIN, _MAX, BUILTINS, Expr, _sweep, _tape, evaluate
+from .expr import _ABS, _BUILTIN, _MAX, BUILTINS, Expr, _check_point, _sweep, _tape, evaluate
 from .polyhedra import Ball, Box, HPolyhedron
 from .stationarity import DStatCertificate, lspar_d_stationarity_check
 
@@ -129,10 +129,20 @@ StepSchedule = Union[Constant, Diminishing, Geometric, Polyak]
 
 @dataclass(frozen=True)
 class SubgradOracle:
-    """Objective evaluator plus a map returning one subgradient element."""
+    """Objective evaluator plus a map returning one subgradient element.
+
+    ``both``, when given, returns ``(fn(x), subgrad(x))`` from one
+    evaluation; the solvers call it in place of the pair.
+    """
 
     fn: Callable[[np.ndarray], float]
     subgrad: Callable[[np.ndarray], np.ndarray]
+    both: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def value_and_subgrad(self, x) -> tuple:
+        if self.both is not None:
+            return self.both(x)
+        return self.fn(x), self.subgrad(x)
 
 
 def oracle_from_expr(e: Expr) -> SubgradOracle:
@@ -141,6 +151,9 @@ def oracle_from_expr(e: Expr) -> SubgradOracle:
     Argmax/argmin ties resolve to the smallest child index; the Abs node at
     zero contributes 0 (the midpoint of its subdifferential interval), so
     Sign(0) = 0.  Builtins use their registry derivative where it exists.
+    The tie rule keeps every node value of :func:`evaluate`, so ``both``
+    reads the objective off the subgradient's sweep; ``subgrad`` checks its
+    point as ``fn`` does.
     """
 
     tape = _tape(e)
@@ -162,16 +175,18 @@ def oracle_from_expr(e: Expr) -> SubgradOracle:
                 return v, g
             if v < 0:
                 return -v, -g
-            return 0.0, np.zeros(g.size)  # Sign(0) -> 0
+            return abs(v), np.zeros(g.size)  # Sign(0) -> 0
         vals = [V[c] for c in ks]
         v = max(vals) if op == _MAX else min(vals)
         return v, D[ks[vals.index(v)]]  # smallest index wins ties
 
-    def sg(x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return _sweep(tape, x, grad=True, hook=tie_rule)[1][-1]
+    def both(x) -> tuple:
+        V, D = _sweep(tape, _check_point(e, x), grad=True, hook=tie_rule)
+        return V[-1], D[-1]
 
-    return SubgradOracle(fn=lambda x: evaluate(e, np.atleast_1d(x)), subgrad=sg)
+    return SubgradOracle(
+        fn=lambda x: evaluate(e, np.atleast_1d(x)), subgrad=lambda x: both(x)[1], both=both
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +254,8 @@ def subgradient_method(
     termination = "MAX_ITER"
     t0 = time.perf_counter()
     for k in range(max_iter):
-        f = float(oracle.fn(x))
+        f, s = oracle.value_and_subgrad(x)
+        f = float(f)
         fs.append(f)
         walls.append(time.perf_counter() - t0)
         if dist is not None:
@@ -248,7 +264,7 @@ def subgradient_method(
             iterates.append(x.copy())
         if f < best_f:
             best_f, best_x = f, x.copy()
-        s = np.asarray(oracle.subgrad(x), dtype=float)
+        s = np.asarray(s, dtype=float)
         gnorm = float(np.linalg.norm(s))
         if gnorm <= stop_tol:
             steps.append(0.0)
@@ -331,14 +347,15 @@ def projected_subgradient(
     termination = "MAX_ITER"
     t0 = time.perf_counter()
     for k in range(max_iter):
-        f = float(oracle.fn(x))
+        f, s = oracle.value_and_subgrad(x)
+        f = float(f)
         fs.append(f)
         walls.append(time.perf_counter() - t0)
         if dist is not None:
             dists.append(dist(x))
         if f < best_f:
             best_f, best_x = f, x.copy()
-        s = np.asarray(oracle.subgrad(x), dtype=float)
+        s = np.asarray(s, dtype=float)
         gnorm = float(np.linalg.norm(s))
         if gnorm <= stop_tol:
             steps.append(0.0)
@@ -609,7 +626,8 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
     first one on ties) when the true objective decreases by at least
     eta * ||delta W||^2.  When no candidate passes, the exact
     d-stationarity test either certifies termination or eps shrinks and
-    the proximal weight grows.
+    the proximal weight grows.  The test runs once per distinct iterate:
+    rejected iterations keep W, so they reuse its certificate.
 
     Returns (trace, certificate); certificate is the d-stationarity record
     at the final iterate in every termination path.  ``trace.extras`` counts
@@ -668,14 +686,16 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
             # successful steps relax the proximal damping so a stable branch
             # assignment converges at the rate of its least-squares subproblem
             c = max(params.c_min, 0.5 * c)
+            cert = None  # W moved
             continue
-        cert = lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol)
+        if cert is None:  # the check is a function of (dataset, W) alone
+            cert = lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol)
         if cert.is_d_stationary:
             termination = "CONVERGED"
             break
         eps *= params.shrink
         c *= 2.0
-    if termination == "MAX_ITER":
+    if cert is None:
         cert = lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol)
     trace = SolverTrace(
         objectives=np.array(fs),

@@ -323,8 +323,9 @@ def lspar_d_stationarity_check(
     exact box-constrained minimum is found in closed form (linear case) or
     by one LP (when positive-coefficient samples carry ties).
 
-    Raises :class:`TooManyTiesError` above ``selection_cap`` selections;
-    callers perturb W instead.
+    A branch is active at a sample when it is within ``act_tol`` (default
+    ``tol``, must be >= 0) of the max.  Raises :class:`TooManyTiesError`
+    above ``selection_cap`` selections; callers perturb W instead.
     """
     X, y = _lspar_arrays(dataset)
     W = np.asarray(W, dtype=float)
@@ -333,65 +334,60 @@ def lspar_d_stationarity_check(
         raise SubdiffError("lspar check supports k*n <= 16")
     N = X.shape[0]
     act_tol = tol if act_tol is None else act_tol
+    if not act_tol >= 0:
+        raise ValueError(f"act_tol must be >= 0, got {act_tol}")
     Z = X @ W  # (N, k) branch values
     gvals = Z.max(axis=1)
     resid = gvals - y
-    actives = [np.flatnonzero(Z[s] >= gvals[s] - act_tol) for s in range(N)]
-
-    neg_tied = [s for s in range(N) if resid[s] < 0 and actives[s].size > 1]
+    active = Z >= (gvals - act_tol)[:, None]
+    tied = active.sum(axis=1) > 1
+    neg, pos = tied & (resid < 0), tied & (resid > 0)
     total = 1
-    for s in neg_tied:
-        total *= actives[s].size
+    for size in active[neg].sum(axis=1).tolist():
+        total *= size
         if total > selection_cap:
             raise TooManyTiesError(
                 f"TOO_MANY_TIES: {total}+ branch selections; perturb W"
             )
-    pos_tied = [s for s in range(N) if resid[s] > 0 and actives[s].size > 1]
 
-    base = np.zeros((n, k))  # linear part common to all selections
-    for s in range(N):
-        if resid[s] == 0.0 or s in pos_tied or (resid[s] < 0 and actives[s].size > 1):
-            continue
-        i = int(actives[s][0]) if resid[s] < 0 else int(np.argmax(Z[s]))
-        base[:, i] += (resid[s] / N) * X[s]
+    # linear part common to all selections: every sample with a non-zero
+    # residual and one active branch (its argmax, as act_tol >= 0), added
+    # in sample order as the per-sample sum would
+    one = (resid != 0.0) & ~neg & ~pos
+    base = np.zeros((n, k))
+    np.add.at(base.T, Z[one].argmax(axis=1), (resid[one] / N)[:, None] * X[one])
+
+    lp = bool(pos.any())
+    if lp:
+        # vars: D (n*k, box; row-major (n, k)) and one epigraph var z_j per
+        # tied positive sample s_j; rows d_i^T x_s - z_j <= 0 for j, then i
+        # ascending, then the box
+        nv = n * k + int(pos.sum())
+        jj, ii = np.nonzero(active[pos])
+        r = np.arange(jj.size)
+        ties = np.zeros((jj.size, nv))
+        ties[r[:, None], np.arange(n) * k + ii[:, None]] = X[pos][jj]
+        ties[r, n * k + jj] = -1.0
+        eye = np.eye(n * k, nv)
+        A_ub = np.concatenate([ties, eye, -eye])
+        b_ub = np.concatenate([np.zeros(jj.size), np.ones(2 * n * k)])
+        c_ties = resid[pos] / N
 
     best_val = np.inf
     best_witnesses: list = []
     n_sel = 0
-    choice_lists = [list(map(int, actives[s])) for s in neg_tied]
-    for combo in itertools.product(*choice_lists) if choice_lists else [()]:
+    neg_terms = (resid[neg] / N)[:, None] * X[neg]
+    choice_lists = [np.flatnonzero(row).tolist() for row in active[neg]]
+    for combo in itertools.product(*choice_lists):
         n_sel += 1
         G = base.copy()
-        for s, i in zip(neg_tied, combo):
-            G[:, i] += (resid[s] / N) * X[s]
-        if not pos_tied:
+        for term, i in zip(neg_terms, combo):
+            G[:, i] += term
+        if not lp:
             val = float(-np.abs(G).sum())
             Dw = np.where(G > 0, -1.0, np.where(G < 0, 1.0, -1.0))
         else:
-            # vars: D (n*k, box) and one epigraph var per tied positive sample
-            t = len(pos_tied)
-            nv = n * k + t
-            c = np.zeros(nv)
-            c[: n * k] = G.ravel()
-            for j, s in enumerate(pos_tied):
-                c[n * k + j] = resid[s] / N
-            A_ub = []
-            b_ub = []
-            for j, s in enumerate(pos_tied):
-                for i in actives[s]:
-                    # d_i^T x_s - z_j <= 0 ; D stored row-major as (n, k).ravel()
-                    row = np.zeros(nv)
-                    for a in range(n):
-                        row[a * k + i] = X[s, a]
-                    row[n * k + j] = -1.0
-                    A_ub.append(row)
-                    b_ub.append(0.0)
-            eye = np.eye(n * k, nv)
-            A_ub.extend(eye)
-            b_ub.extend(np.ones(n * k))
-            A_ub.extend(-eye)
-            b_ub.extend(np.ones(n * k))
-            res = lp_solve(c, np.array(A_ub), np.array(b_ub))
+            res = lp_solve(np.concatenate([G.ravel(), c_ties]), A_ub, b_ub)
             if not res.optimal:
                 raise SubdiffError("internal: lspar direction LP failed")
             val = float(res.value)

@@ -78,3 +78,30 @@ def sample_set_points(su, rng: np.random.Generator, per_comp: int = 4) -> np.nda
 @pytest.fixture
 def rng():
     return make_rng(20240)
+
+
+def criterion7_trial(N: int, trial: int):
+    """The dataset and start of one trial of the LSPAR experiment (root seed 0)."""
+    from nonsmooth.experiments import LSPAR_TRUE_W, gen_lspar_data
+    from nonsmooth.rng import stream_key
+
+    ds = gen_lspar_data(N, 0.1, stream_key(0, N, trial, 11))
+    return ds, make_rng(0, N, trial, 22).standard_normal(LSPAR_TRUE_W.shape)
+
+
+def checked_mm_iterates(monkeypatch, ds, W0, params):
+    """mm_lspar's (trace, certificate) and the W of every d-stationarity
+    check it ran."""
+    from nonsmooth import solvers
+
+    check = solvers.lspar_d_stationarity_check
+    seen = []
+
+    def recording(dataset, W, **kwargs):
+        seen.append(np.array(W, copy=True))
+        return check(dataset, W, **kwargs)
+
+    monkeypatch.setattr(solvers, "lspar_d_stationarity_check", recording)
+    tr, cert = solvers.mm_lspar(ds, W0, params)
+    monkeypatch.undo()
+    return tr, cert, seen

@@ -31,6 +31,8 @@ from nonsmooth.polyhedra import (
     support_value,
     vertex_enumeration,
 )
+from nonsmooth.rng import make_rng
+
 
 def brute_force_lp(c, A, b, tol=1e-9):
     """Vertex-enumeration oracle for bounded feasible LPs (independent of
@@ -166,6 +168,44 @@ class TestSupport:
         lhs = support_value(S, d1 + d2)
         rhs = support_value(S, d1) + support_value(S, d2)
         assert lhs <= rhs + 1e-12
+
+
+def unique_dedupe_points(pts):
+    """The ``np.unique(axis=0)`` form of ``_dedupe_points``."""
+    grid = polyhedra.DEDUPE_GRID * max(1.0, float(np.abs(pts).max()))
+    _, idx = np.unique(np.round(pts / grid) * grid, axis=0, return_index=True)
+    return pts[np.sort(idx)]
+
+
+class TestDedupePoints:
+    def check(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        got, ref = polyhedra._dedupe_points(pts), unique_dedupe_points(pts)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_fixed_sets(self):
+        rng = make_rng(31)
+        line = np.outer(rng.integers(-3, 4, 12), [1.0, -2.0, 0.5])
+        self.check(line)  # collinear, with repeats
+        self.check(np.repeat(rng.standard_normal((5, 2)), 3, axis=0)[rng.permutation(15)])
+        self.check(rng.standard_normal((40, 4)))
+        self.check([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])  # signed zeros
+        self.check([[1.0, 2.0], [1.0 + 1e-14, 2.0], [1.0, 2.0 - 1e-14], [3.0, 3.0]])  # one grid cell
+        self.check([[5.0]])
+        self.check(np.zeros((6, 3)))
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1e-13, 0.25])),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique(self, rows):
+        pts = np.array(rows, dtype=float)
+        self.check(pts)
+        self.check(np.outer(pts[:, 0] + pts[:, 2], [1.0, -0.5]))  # collinear
 
 
 class TestCones:

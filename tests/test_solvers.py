@@ -30,6 +30,8 @@ from nonsmooth.solvers import (
 )
 from nonsmooth.stationarity import lspar_d_stationarity_check
 
+from conftest import checked_mm_iterates, criterion7_trial, random_pa_instance
+
 W_TRUE = np.array([[1.0, 1.0, -2.0, -2.0], [1.0, -1.0, 1.0, -1.0]])
 
 
@@ -104,6 +106,48 @@ class TestSubgradientMethod:
         )
         assert tr.termination == "SMALL_SUBGRADIENT"
         assert tr.final_x[0] == 0.0
+
+
+def assert_same_run(a, b):
+    """Two solver traces with bit-identical objectives and iterates."""
+    assert a.objectives.tobytes() == b.objectives.tobytes()
+    assert a.steps.tobytes() == b.steps.tobytes()
+    assert a.termination == b.termination
+    assert len(a.iterates) == len(b.iterates)
+    for u, v in zip(a.iterates, b.iterates):
+        assert u.tobytes() == v.tobytes()
+    assert a.final_x.tobytes() == b.final_x.tobytes()
+
+
+class TestOneSweepOracle:
+    """``both`` against the two-sweep pair ``fn`` then ``subgrad``."""
+
+    def test_matches_two_sweeps_on_random_pa_trees(self):
+        rng = make_rng(2024, 9)
+        for case in range(60):
+            dim = 1 + case % 3
+            e, anchor = random_pa_instance(rng, dim)
+            oracle = oracle_from_expr(e)
+            two = SubgradOracle(fn=oracle.fn, subgrad=oracle.subgrad)
+            # the anchor is a kink; the others are generic points
+            for x in [anchor] + list(anchor + rng.uniform(-1, 1, (3, dim))):
+                f, g = oracle.both(x)
+                assert np.float64(f).tobytes() == np.float64(oracle.fn(x)).tobytes()
+                assert g.tobytes() == oracle.subgrad(x).tobytes()
+            runs = [
+                subgradient_method(o, anchor + 0.25, Diminishing(0.1), max_iter=40, record_iterates=True)
+                for o in (oracle, two)
+            ]
+            assert_same_run(*runs)
+
+    def test_points_are_checked(self):
+        from nonsmooth.expr import DimensionMismatchError
+
+        oracle = oracle_from_expr(Abs(Var(1)))
+        for x in ([float("nan"), 0.0], [0.0]):
+            for call in (oracle.fn, oracle.subgrad, oracle.both):
+                with pytest.raises(DimensionMismatchError):
+                    call(x)
 
 
 class TestProjectedSubgradient:
@@ -424,6 +468,34 @@ class TestStackedMM:
         tr, _ = mm_lspar(ds, make_rng(7).standard_normal((2, 4)))
         assert tr.extras["outer_iters"] >= max(1, tr.steps.size)
         assert tr.extras["candidates"] >= tr.extras["outer_iters"]
+
+
+class TestOneCheckPerIterate:
+    @pytest.mark.parametrize(
+        "N, trial, params",
+        [
+            (50, 0, MMParams()),  # stalls: every late iteration is rejected
+            (50, 3, MMParams()),  # converges
+            (10, 0, MMParams(max_outer=1)),  # stops right after an accepted step
+            (50, 0, MMParams(max_outer=0)),
+        ],
+    )
+    def test_no_two_checks_at_an_equal_iterate(self, monkeypatch, N, trial, params):
+        ds, W0 = criterion7_trial(N, trial)
+        tr, cert, seen = checked_mm_iterates(monkeypatch, ds, W0, params)
+        assert seen
+        for a in range(len(seen)):
+            for b in range(a):
+                assert not np.array_equal(seen[a], seen[b])
+        assert np.array_equal(seen[-1], tr.final_x)
+        fresh = lspar_d_stationarity_check(ds, tr.final_x, tol=params.dstat_tol)
+        assert cert.is_d_stationary == fresh.is_d_stationary == tr.extras["certificate"]
+        assert cert.min_value == fresh.min_value
+        # one check per outer iteration at most, and never one per rejection
+        # of an unchanged iterate
+        assert len(seen) <= tr.steps.size + 1
+        if tr.termination == "MAX_ITER" and params.max_outer > tr.steps.size:
+            assert tr.extras["outer_iters"] > len(seen)
 
 
 class TestSharpGeometricConvergence:

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from nonsmooth.expr import Abs, Affine, Const, Min, Scale, Sum, Var, evaluate, vmax
+from nonsmooth.expr import Abs, Affine, Const, Max, Min, Scale, Sq, Sum, Var, evaluate, vmax
 from nonsmooth.gallery import f1_expr, f2_expr, xsqsin_expr
 from nonsmooth.polyhedra import Box, HPolyhedron, lp_solve, vertex_enumeration
 from nonsmooth.rng import make_rng
 from nonsmooth.stationarity import (
+    DStatCertificate,
     TooManyTiesError,
     classify,
     convex_optimality_check,
@@ -13,7 +16,7 @@ from nonsmooth.stationarity import (
 )
 from nonsmooth.subdiff import SubdiffError, dir_deriv
 
-from conftest import random_convex_pa, random_pa_instance
+from conftest import checked_mm_iterates, criterion7_trial, random_convex_pa, random_pa_instance
 
 
 class TestClassify:
@@ -333,3 +336,223 @@ class TestLsparDStationarity:
         ds.y = np.zeros(1)
         with pytest.raises(Exception):
             lspar_d_stationarity_check(ds, np.zeros((5, 4)))
+
+
+class _Data:
+    def __init__(self, X, y):
+        self.X = X
+        self.y = y
+
+
+def dyadic_tie_dataset(seed: int, N: int = 8):
+    """(dataset, W) with n = 2, k = 4 and halves for X and W, so branch ties
+    are exact and every residual (a multiple of 1/2) has a known sign."""
+    rng = make_rng(seed, 5)
+    X = rng.integers(-2, 3, (N, 2)) / 2.0
+    W = rng.integers(-1, 2, (2, 4)) / 2.0
+    y = (X @ W).max(axis=1) - rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], N)
+    return _Data(X, y), W
+
+
+def tie_counts(ds, W):
+    """(positive-residual samples with a tie, negative-residual samples with a tie)."""
+    Z = ds.X @ W
+    g = Z.max(axis=1)
+    tied = (Z == g[:, None]).sum(axis=1) > 1
+    r = g - ds.y
+    return int((tied & (r > 0)).sum()), int((tied & (r < 0)).sum())
+
+
+def lspar_tree(X, y, k: int):
+    """The LSPAR objective (1/2N) sum_s (max_i w_i^T x_s - y_s)^2 as a PLQ
+    tree in the variables W.ravel() (W stored row-major as (n, k))."""
+    N, n = X.shape
+    terms = []
+    for s in range(N):
+        leaves = []
+        for i in range(k):
+            a = np.zeros(n * k)
+            a[i::k] = X[s]
+            leaves.append(Affine(tuple(a), -float(y[s])))
+        terms.append(Sq(Max(tuple(leaves))))
+    return Scale(0.5 / N, Sum(tuple(terms)))
+
+
+class TestLsparCheckSecondRoute:
+    """The check's exact minimum of D -> f'(W; D) against ``dir_deriv`` of the
+    objective written as an expression tree, at dyadic points with exact ties."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_min_value_bounds_dir_deriv(self, seed):
+        ds, W = dyadic_tie_dataset(seed)
+        pos, neg = tie_counts(ds, W)
+        assert pos + neg > 0
+        cert = lspar_d_stationarity_check(ds, W)
+        e = lspar_tree(ds.X, ds.y, W.shape[1])
+        rng = make_rng(seed, 6)
+        for D in rng.uniform(-1.0, 1.0, (40, W.size)):
+            assert cert.min_value <= dir_deriv(e, W.ravel(), D).value + 1e-12
+        assert cert.witness is not None  # these points all have a descent direction
+        assert np.abs(cert.witness).max() <= 1.0 + 1e-12
+        at_witness = dir_deriv(e, W.ravel(), cert.witness.ravel()).value
+        assert at_witness == pytest.approx(cert.min_value, abs=1e-12)
+
+    def test_cases_cover_both_tie_kinds(self):
+        counts = [tie_counts(*dyadic_tie_dataset(seed)) for seed in range(8)]
+        assert any(pos > 0 and neg > 0 for pos, neg in counts)
+        assert any(pos > 0 and neg == 0 for pos, neg in counts)
+        assert any(neg >= 3 for _, neg in counts)
+
+    def test_stationary_point_with_ties(self):
+        ds, W = dyadic_tie_dataset(0)
+        ds.y = (ds.X @ W).max(axis=1)  # every residual 0
+        cert = lspar_d_stationarity_check(ds, W)
+        assert cert.is_d_stationary and cert.witness is None
+        e = lspar_tree(ds.X, ds.y, W.shape[1])
+        for D in make_rng(0, 7).uniform(-1.0, 1.0, (10, W.size)):
+            assert cert.min_value <= dir_deriv(e, W.ravel(), D).value + 1e-12
+
+
+def reference_lspar_d_stationarity_check(dataset, W, tol=1e-6, act_tol=None, selection_cap=4096):
+    """The row-by-row check: per-sample loops for the active sets and the
+    common linear part, and the direction LP built one row at a time."""
+    X = np.asarray(dataset.X, dtype=float)
+    y = np.asarray(dataset.y, dtype=float).ravel()
+    W = np.asarray(W, dtype=float)
+    n, k = W.shape
+    N = X.shape[0]
+    act_tol = tol if act_tol is None else act_tol
+    Z = X @ W
+    gvals = Z.max(axis=1)
+    resid = gvals - y
+    actives = [np.flatnonzero(Z[s] >= gvals[s] - act_tol) for s in range(N)]
+    neg_tied = [s for s in range(N) if resid[s] < 0 and actives[s].size > 1]
+    total = 1
+    for s in neg_tied:
+        total *= actives[s].size
+        if total > selection_cap:
+            raise TooManyTiesError(f"TOO_MANY_TIES: {total}+ branch selections; perturb W")
+    pos_tied = [s for s in range(N) if resid[s] > 0 and actives[s].size > 1]
+    base = np.zeros((n, k))
+    for s in range(N):
+        if resid[s] == 0.0 or s in pos_tied or (resid[s] < 0 and actives[s].size > 1):
+            continue
+        i = int(actives[s][0]) if resid[s] < 0 else int(np.argmax(Z[s]))
+        base[:, i] += (resid[s] / N) * X[s]
+    best_val = np.inf
+    best_witnesses: list = []
+    n_sel = 0
+    choice_lists = [list(map(int, actives[s])) for s in neg_tied]
+    for combo in itertools.product(*choice_lists) if choice_lists else [()]:
+        n_sel += 1
+        G = base.copy()
+        for s, i in zip(neg_tied, combo):
+            G[:, i] += (resid[s] / N) * X[s]
+        if not pos_tied:
+            val = float(-np.abs(G).sum())
+            Dw = np.where(G > 0, -1.0, np.where(G < 0, 1.0, -1.0))
+        else:
+            t = len(pos_tied)
+            nv = n * k + t
+            c = np.zeros(nv)
+            c[: n * k] = G.ravel()
+            for j, s in enumerate(pos_tied):
+                c[n * k + j] = resid[s] / N
+            A_ub = []
+            b_ub = []
+            for j, s in enumerate(pos_tied):
+                for i in actives[s]:
+                    row = np.zeros(nv)
+                    for a in range(n):
+                        row[a * k + i] = X[s, a]
+                    row[n * k + j] = -1.0
+                    A_ub.append(row)
+                    b_ub.append(0.0)
+            eye = np.eye(n * k, nv)
+            A_ub.extend(eye)
+            b_ub.extend(np.ones(n * k))
+            A_ub.extend(-eye)
+            b_ub.extend(np.ones(n * k))
+            res = lp_solve(c, np.array(A_ub), np.array(b_ub))
+            assert res.optimal
+            val = float(res.value)
+            Dw = res.x[: n * k].reshape(n, k)
+        if val < best_val - 1e-12:
+            best_val = val
+            best_witnesses = [Dw]
+        elif val <= best_val + 1e-12:
+            best_witnesses.append(Dw)
+    is_d = best_val >= -tol
+    witness = None
+    if not is_d:
+        witness = min(best_witnesses, key=lambda D: tuple(np.round(D.ravel(), 12)))
+    return DStatCertificate(bool(is_d), float(best_val), tol, n_sel, witness)
+
+
+def assert_same_certificate(got, ref):
+    """Every field equal, the floats bit for bit."""
+    assert got.is_d_stationary is ref.is_d_stationary
+    assert np.float64(got.min_value).tobytes() == np.float64(ref.min_value).tobytes()
+    assert got.tol == ref.tol
+    assert got.n_selections == ref.n_selections
+    if ref.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.shape == ref.witness.shape
+        assert got.witness.dtype == ref.witness.dtype
+        assert got.witness.tobytes() == ref.witness.tobytes()
+
+
+class TestLsparCheckMatchesRowByRow:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dyadic_ties(self, seed):
+        ds, W = dyadic_tie_dataset(seed)
+        for act_tol in (None, 0.0, 0.6):
+            assert_same_certificate(
+                lspar_d_stationarity_check(ds, W, act_tol=act_tol),
+                reference_lspar_d_stationarity_check(ds, W, act_tol=act_tol),
+            )
+
+    @pytest.mark.parametrize("N", [10, 50])
+    def test_seeded_datasets_and_wide_tolerances(self, N):
+        from nonsmooth.experiments import LSPAR_TRUE_W, gen_lspar_data
+
+        for seed in range(6):
+            ds = gen_lspar_data(N, 0.1, seed)
+            rng = make_rng(seed, N, 8)
+            for W in (LSPAR_TRUE_W, LSPAR_TRUE_W + 0.01 * rng.standard_normal(LSPAR_TRUE_W.shape)):
+                # a wide act_tol turns near-ties into ties of both signs
+                for act_tol in (None, 0.05, 0.2):
+                    assert_same_certificate(
+                        lspar_d_stationarity_check(ds, W, act_tol=act_tol, selection_cap=2**16),
+                        reference_lspar_d_stationarity_check(ds, W, act_tol=act_tol, selection_cap=2**16),
+                    )
+
+    @pytest.mark.parametrize("N, trial", [(10, 0), (50, 0), (50, 3)])
+    def test_mm_iterates(self, monkeypatch, N, trial):
+        # N = 50 trial 0 stops at max_outer with a positive-residual sample
+        # tied within act_tol; trial 3 is certified
+        from nonsmooth.solvers import MMParams
+
+        ds, W0 = criterion7_trial(N, trial)
+        _, _, seen = checked_mm_iterates(monkeypatch, ds, W0, MMParams())
+        assert seen
+        for W in seen:
+            assert_same_certificate(
+                lspar_d_stationarity_check(ds, W), reference_lspar_d_stationarity_check(ds, W)
+            )
+
+    def test_rejects_negative_act_tol(self):
+        ds, W = dyadic_tie_dataset(0)
+        for bad in (-1e-9, float("nan")):
+            with pytest.raises(ValueError, match="act_tol"):
+                lspar_d_stationarity_check(ds, W, act_tol=bad)
+
+    def test_tie_cap_message(self):
+        ds = _Data(np.zeros((13, 2)), np.ones(13))
+        W = TestLsparDStationarity.W_TRUE
+        with pytest.raises(TooManyTiesError) as got:
+            lspar_d_stationarity_check(ds, W)
+        with pytest.raises(TooManyTiesError) as ref:
+            reference_lspar_d_stationarity_check(ds, W)
+        assert str(got.value) == str(ref.value)
