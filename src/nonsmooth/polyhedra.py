@@ -4,8 +4,11 @@ Everything here is desk scale by design: polytopes live in dimension <= 4,
 the LP solver is a dense two-phase simplex with Bland's rule (no cycling),
 and a cone given by halfspaces gets its generators in closed form: a basis
 of its lineality space with both signs, and the signed null vectors of row
-subsets of one less than the rank, stacked with that basis.  All values are
-plain numpy arrays; all functions are pure.
+subsets of one less than the rank, stacked with that basis.  Membership in
+a V-polytope or a ray cone, and every distance to one, comes from one
+nearest-point search (Wolfe's method on conv(V) + cone(R)), which returns
+the weights that certify its point; no set question here solves an LP.
+All values are plain numpy arrays; all functions are pure.
 
 Set components:
 
@@ -397,40 +400,88 @@ class SetUnion:
 # ---------------------------------------------------------------------------
 
 
+# Wolfe's search stops when no point or ray would bring the nearest point
+# closer to p by more than NEAREST_STOP * scale (the gap bounds the distance
+# from below): far below every membership tolerance (1e-9 relative), far
+# above the rounding of a product of two rows
+NEAREST_STOP = 1e-12
+# every step drops a corral member or strictly shortens the distance, so
+# the search ends in a few times (dim + 1) steps; this many means a fault
+NEAREST_MAX_STEPS = 1000
+
+
+def _nearest_point(V: np.ndarray, R: np.ndarray, p: np.ndarray) -> tuple:
+    """(lam, mu, z): the point z of conv(V) + cone(R) nearest to p, with
+    lam >= 0 summing to 1, mu >= 0 and z = V.T @ lam + R.T @ mu.
+
+    Wolfe's active-set method (Math. Programming 1976), with rays (V = {0}
+    makes it Lawson-Hanson NNLS).  The corral is the points and rays with
+    positive weight.  Each step solves the corral's least-squares system
+    with ``lstsq``, so affinely dependent points get a least-norm solution.
+    If every weight of it is positive, a major step adds the point or ray
+    that brings z nearest to p; otherwise the weights move towards it until
+    the first one reaches 0, and that member leaves.  The search stops when
+    no member would bring z nearer, or when the distance stops falling
+    under rounding.
+    """
+    k = V.shape[0]
+    norms = np.sqrt((R * R).sum(axis=1))
+    norms[norms == 0] = 1.0
+    P = np.concatenate([V - p, R / norms[:, None]])
+    scale = max(1.0, float(np.abs(P).max()))
+    S = np.array([np.argmin((P[:k] * P[:k]).sum(axis=1))])  # the corral, points first
+    w = np.zeros(P.shape[0])
+    w[S] = 1.0
+    last = np.inf
+    for _ in range(NEAREST_MAX_STEPS):
+        # weights of the nearest point of aff(corral points) + span(corral
+        # rays): q_0 + sum t_i (q_i - q_0) + sum t_r r
+        rest = S[1:]
+        M = P[rest] - (rest < k)[:, None] * P[S[0]]
+        t = np.linalg.lstsq(M.T, -P[S[0]], rcond=None)[0]
+        y = np.concatenate([[1.0 - t[rest < k].sum()], t])
+        if np.all(y > 0):  # the corral's own nearest point: a major step
+            w[S] = y
+            x = y @ P[S]
+            dist = float(np.sqrt(x @ x))
+            gap = P @ x  # (q - x).x per point, scale * r.x per ray: < 0 brings x nearer
+            gap[:k] -= x @ x
+            gap[k:] *= scale
+            gap[S] = np.inf
+            j = int(np.argmin(gap))
+            if gap[j] >= -NEAREST_STOP * scale * dist or dist >= last:
+                break
+            last = dist
+            S = np.sort(np.append(S, j))
+            continue
+        wS = w[S]
+        down = y <= 0
+        step = np.min(wS[down] / np.where(wS[down] > y[down], wS[down] - y[down], 1.0))
+        wS = wS + step * (y - wS)
+        wS[np.flatnonzero(down)[np.argmin(wS[down])]] = 0.0
+        w[S] = np.maximum(wS, 0.0)
+        S = S[w[S] > 0]
+    else:
+        raise PolyhedraError("nearest-point search did not settle")
+    lam, mu = w[:k], w[k:] / norms
+    return lam, mu, lam @ V + mu @ R
+
+
+def _within(V: np.ndarray, R: np.ndarray, p: np.ndarray, tol: float) -> bool:
+    """The membership rule: the point of conv(V) + cone(R) nearest to p lies
+    within ``tol * scale`` of p in every coordinate, scale the largest |entry|
+    of V and p (at least 1).  Such a point is a combination within that
+    bound, so an LP would accept p too."""
+    scale = max(1.0, float(np.abs(V).max()), float(np.abs(p).max()))
+    return bool(np.all(np.abs(_nearest_point(V, R, p)[2] - p) <= tol * scale))
+
+
 def _in_conv_hull(points: np.ndarray, p: np.ndarray, tol: float) -> bool:
-    """LP certificate for p in conv(points), to absolute tolerance tol."""
-    if points.shape[0] == 0:
-        return False
-    k, n = points.shape
-    scale = max(1.0, float(np.abs(points).max()), float(np.abs(p).max()))
-    # variables: weights lambda (k,)
-    A_ub = [-np.eye(k)]
-    b_ub = [np.zeros(k)]
-    A_ub.append(points.T)
-    b_ub.append(p + tol * scale)
-    A_ub.append(-points.T)
-    b_ub.append(-(p - tol * scale))
-    res = lp_solve(
-        np.zeros(k),
-        np.vstack(A_ub),
-        np.concatenate(b_ub),
-        A_eq=np.ones((1, k)),
-        b_eq=np.array([1.0]),
-    )
-    return res.optimal
+    return points.shape[0] > 0 and _within(points, np.zeros((0, p.size)), p, tol)
 
 
 def _in_cone_rays(rays: np.ndarray, p: np.ndarray, tol: float) -> bool:
-    """LP certificate for p in cone(rays) (conic combination), tolerance tol."""
-    scale = max(1.0, float(np.abs(p).max()))
-    if np.all(np.abs(p) <= tol * scale):
-        return True
-    if rays.shape[0] == 0:
-        return False
-    k = rays.shape[0]
-    A_ub = np.vstack([-np.eye(k), rays.T, -rays.T])
-    b_ub = np.concatenate([np.zeros(k), p + tol * scale, -(p - tol * scale)])
-    return lp_solve(np.zeros(k), A_ub, b_ub).optimal
+    return _within(np.zeros((1, p.size)), rays, p, tol)
 
 
 def _monotone_chain_2d(pts: np.ndarray) -> np.ndarray:
@@ -478,8 +529,9 @@ def conv_hull(points, tol: float = 1e-9) -> VPolytope:
     Degenerate inputs (duplicates, collinear points) are fine; the result is
     canonicalized by lexicographic vertex ordering.  Empty input gives the
     empty polytope.  Dimensions 1 and 2 use direct geometric hulls; higher
-    dimensions use LP-based redundancy pruning, so keep those point sets at
-    desk scale.
+    dimensions drop, one at a time, each point that lies in the hull of the
+    others by the membership rule of :func:`contains`, so keep those point
+    sets at desk scale.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -528,7 +580,13 @@ def support_value(S: Union[VPolytope, SetUnion], d) -> float:
 
 
 def contains(S, z, tol: float = 1e-9) -> bool:
-    """Membership test for any set component or union, to tolerance ``tol``."""
+    """Membership test for any set component or union, to tolerance ``tol``.
+
+    A V-polytope, or a cone known by its rays only, holds z when its point
+    nearest to z lies within ``tol * scale`` of z in every coordinate; scale
+    is the largest |entry| of z and, for a polytope, of its vertices (at
+    least 1).  Halfspace forms check their rows to the same bound.
+    """
     z = np.asarray(z, dtype=float).ravel()
     if isinstance(S, SetUnion):
         return any(contains(c, z, tol) for c in S.components)
@@ -691,7 +749,7 @@ def polar_cone(C: Cone) -> Cone:
 
 
 def cones_equal(C: Cone, D: Cone, tol: float = 1e-8) -> bool:
-    """Mutual inclusion of ray hulls (exact LP membership)."""
+    """Mutual inclusion of ray hulls, by the membership rule of :func:`contains`."""
     return all(_in_cone_rays(D.rays, r, tol) for r in C.rays) and all(
         _in_cone_rays(C.rays, r, tol) for r in D.rays
     )
@@ -758,64 +816,16 @@ def minkowski_sum(P: VPolytope, Q: VPolytope) -> VPolytope:
 # ---------------------------------------------------------------------------
 
 
-def _point_to_vertices_dist(p: np.ndarray, verts: np.ndarray, tol: float = 1e-9) -> float:
-    """Exact distance from p to conv(verts) via projections onto vertex-subset
-    affine hulls (Caratheodory: the projection lives on some face)."""
-    if verts.shape[0] == 0:
-        raise EmptySetError("EMPTY_SET")
-    if _in_conv_hull(verts, p, tol):
-        return 0.0
-    n = verts.shape[1]
-    best = float("inf")
-    k_max = min(verts.shape[0], n + 1)
-    for k in range(1, k_max + 1):
-        for idx in itertools.combinations(range(verts.shape[0]), k):
-            S = verts[list(idx)]
-            q0 = S[0]
-            if k == 1:
-                q = q0
-            else:
-                W = (S[1:] - q0).T  # (n, k-1)
-                t, *_ = np.linalg.lstsq(W, p - q0, rcond=None)
-                q = q0 + W @ t
-            if k > 1 and not _in_conv_hull(S, q, 1e-8):
-                continue
-            best = min(best, float(np.linalg.norm(p - q)))
-    return best
-
-
 def _point_to_component_dist(p: np.ndarray, comp: Component) -> float:
+    if isinstance(comp, HPolyhedron):
+        comp = vertex_enumeration(comp)  # bounded by assumption; empty raises below
     if isinstance(comp, VPolytope):
-        return _point_to_vertices_dist(p, comp.vertices)
+        if comp.is_empty:
+            raise EmptySetError("EMPTY_SET")
+        return float(np.linalg.norm(_nearest_point(comp.vertices, np.zeros((0, p.size)), p)[2] - p))
     if isinstance(comp, Ball):
         return max(0.0, float(np.linalg.norm(p - comp.center)) - comp.radius)
-    if isinstance(comp, HPolyhedron):
-        A, b = comp.A, comp.b
-        if np.all(A @ p - b <= 1e-9):
-            return 0.0
-        n, m = comp.dim, A.shape[0]
-        best = float("inf")
-        for k in range(0, min(m, n) + 1):
-            for rows in itertools.combinations(range(m), k):
-                if k == 0:
-                    q = p
-                else:
-                    sub = A[list(rows)]
-                    rhs = b[list(rows)]
-                    # projection onto {sub q = rhs}
-                    try:
-                        lam = np.linalg.solve(sub @ sub.T, sub @ p - rhs)
-                    except np.linalg.LinAlgError:
-                        continue
-                    q = p - sub.T @ lam
-                if np.all(A @ q - b <= 1e-8):
-                    best = min(best, float(np.linalg.norm(p - q)))
-        return best
     raise PolyhedraError(f"no distance rule for {type(comp).__name__}")
-
-
-def _point_to_union_dist(p: np.ndarray, U: SetUnion) -> float:
-    return min(_point_to_component_dist(p, c) for c in U.components)
 
 
 def _component_samples(comp: Component, per_edge: int = 7) -> np.ndarray:
@@ -896,7 +906,9 @@ def set_distance(A: Union[SetUnion, Component], B: Union[SetUnion, Component]) -
 
     Exact for 1-D interval unions and whenever the far side is a single
     convex component (the sup is then attained at a vertex); otherwise the
-    sup side is approximated over sampled boundaries and vertices.
+    sup side is approximated over sampled boundaries and vertices.  A point's
+    distance to a polytope is to its nearest point; an H-polyhedron counts
+    by its vertices, and an empty one raises :class:`EmptySetError`.
     """
     if not isinstance(A, SetUnion):
         A = SetUnion((A,))
@@ -918,7 +930,7 @@ def set_distance(A: Union[SetUnion, Component], B: Union[SetUnion, Component]) -
                 else _component_samples(comp)
             )
             for p in pts:
-                worst = max(worst, _point_to_union_dist(p, Q))
+                worst = max(worst, min(_point_to_component_dist(p, c) for c in Q.components))
         return worst
 
     return max(directed(A, B), directed(B, A))

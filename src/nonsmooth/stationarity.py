@@ -26,6 +26,7 @@ from .polyhedra import (
     Box,
     HPolyhedron,
     VPolytope,
+    _nearest_point,
     contains,
     lp_solve,
     vertex_enumeration,
@@ -235,9 +236,11 @@ def convex_optimality_check(
 
     ``g`` is a convex expression (convexity is the caller's assertion; trees
     that are a max of affine pieces are convex by construction) or a catalog
-    item.  ``C`` may be None for the unconstrained problem.  On success the
-    certificate carries the decomposition 0 = s + nu with s a subgradient
-    and nu a normal direction.
+    item.  ``C`` may be None for the unconstrained problem.  The test finds
+    the point s + nu of (subdifferential) + N_C(x) nearest to 0 and accepts
+    when it is within ``tol`` of 0 in every coordinate; the certificate then
+    carries s, a subgradient, and nu, a normal direction, read from the
+    weights of that point.
     """
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
@@ -252,28 +255,10 @@ def convex_optimality_check(
         rays = np.zeros((0, n))
     else:
         rays = normal_cone(C, x, tol=1e-9).rays
-    k, m = V.shape[0], rays.shape[0]
-    # vars: lambda (k) >= 0 summing to 1, mu (m) >= 0:  V^T lambda + R^T mu = 0
-    nv = k + m
-    A_ub = [-np.eye(nv)]
-    b_ub = [np.zeros(nv)]
-    body = np.hstack([V.T, rays.T]) if m else V.T
-    A_ub.append(body)
-    b_ub.append(tol * np.ones(n))
-    A_ub.append(-body)
-    b_ub.append(tol * np.ones(n))
-    A_eq = np.zeros((1, nv))
-    A_eq[0, :k] = 1.0
-    res = lp_solve(
-        np.zeros(nv), np.vstack(A_ub), np.concatenate(b_ub), A_eq, np.array([1.0])
-    )
-    if not res.optimal:
+    lam, mu, z = _nearest_point(V, rays, np.zeros(n))
+    if np.abs(z).max() > tol:
         return OptimalityCertificate(False)
-    lam = res.x[:k]
-    mu = res.x[k:]
-    s = V.T @ lam
-    nu = rays.T @ mu if m else np.zeros(n)
-    return OptimalityCertificate(True, s=s, nu=nu)
+    return OptimalityCertificate(True, s=lam @ V, nu=mu @ rays)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,54 @@ class TestCones:
             Cone(rays=np.array([[1.0, 0.0]]), normals=np.array([[-1.0, 0.0]]))
 
 
+def reference_in_conv_hull(points, p, tol):
+    """LP certificate for p in conv(points), to absolute tolerance tol."""
+    if points.shape[0] == 0:
+        return False
+    k = points.shape[0]
+    scale = max(1.0, float(np.abs(points).max()), float(np.abs(p).max()))
+    # variables: weights lambda (k,)
+    A_ub = np.vstack([-np.eye(k), points.T, -points.T])
+    b_ub = np.concatenate([np.zeros(k), p + tol * scale, -(p - tol * scale)])
+    return lp_solve(np.zeros(k), A_ub, b_ub, A_eq=np.ones((1, k)), b_eq=np.array([1.0])).optimal
+
+
+def reference_in_cone_rays(rays, p, tol):
+    """LP certificate for p in cone(rays) (conic combination), tolerance tol."""
+    scale = max(1.0, float(np.abs(p).max()))
+    if np.all(np.abs(p) <= tol * scale):
+        return True
+    if rays.shape[0] == 0:
+        return False
+    k = rays.shape[0]
+    A_ub = np.vstack([-np.eye(k), rays.T, -rays.T])
+    b_ub = np.concatenate([np.zeros(k), p + tol * scale, -(p - tol * scale)])
+    return lp_solve(np.zeros(k), A_ub, b_ub).optimal
+
+
+def reference_point_to_vertices_dist(p, verts, tol=1e-9):
+    """Exact distance from p to conv(verts) via projections onto vertex-subset
+    affine hulls (Caratheodory: the projection lives on some face)."""
+    if reference_in_conv_hull(verts, p, tol):
+        return 0.0
+    n = verts.shape[1]
+    best = float("inf")
+    for k in range(1, min(verts.shape[0], n + 1) + 1):
+        for idx in itertools.combinations(range(verts.shape[0]), k):
+            S = verts[list(idx)]
+            q0 = S[0]
+            if k == 1:
+                q = q0
+            else:
+                W = (S[1:] - q0).T  # (n, k-1)
+                t, *_ = np.linalg.lstsq(W, p - q0, rcond=None)
+                q = q0 + W @ t
+            if k > 1 and not reference_in_conv_hull(S, q, 1e-8):
+                continue
+            best = min(best, float(np.linalg.norm(p - q)))
+    return best
+
+
 def reference_prune_rays(rays, tol=1e-9):
     """Drop zero, duplicate and conically redundant rays (one LP each)."""
     cleaned = []
@@ -270,7 +318,7 @@ def reference_prune_rays(rays, tol=1e-9):
     i = 0
     while i < len(cleaned):
         others = cleaned[:i] + cleaned[i + 1 :]
-        if others and polyhedra._in_cone_rays(np.array(others), cleaned[i], 1e-9):
+        if others and reference_in_cone_rays(np.array(others), cleaned[i], 1e-9):
             cleaned.pop(i)
         else:
             i += 1
@@ -312,7 +360,7 @@ def cone_rows(draw):
 
 
 def in_cone(rays, p):
-    return polyhedra._in_cone_rays(rays, p, 1e-8)
+    return reference_in_cone_rays(rays, p, 1e-8)
 
 
 class TestConeGenerators:
@@ -397,6 +445,117 @@ class TestContains:
         assert not contains(Ball(np.zeros(2), 1.0), [0.8, 0.8], 1e-9)
 
 
+@st.composite
+def nearest_cases(draw):
+    """(V, R, p) in dims 1-4: points general, collinear or coplanar, some
+    duplicated; rays (possibly none) with zero, repeated and negated rows; p a
+    vertex, a midpoint of two points, a point of the set or anywhere."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-8, 8).map(lambda k: k / 4.0))
+    vec = st.lists(entry, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float))
+
+    def rows(lo, hi):
+        return st.lists(vec, min_size=lo, max_size=hi).map(np.array)
+
+    flat = draw(st.sampled_from([None, 1, 2]))  # general, collinear, coplanar
+    if flat is None:
+        V = draw(rows(1, 6))
+    else:  # half-integer combinations of one point and `flat` directions
+        gens = draw(rows(flat + 1, flat + 1))
+        coefs = draw(st.lists(st.lists(st.integers(-4, 4), min_size=flat, max_size=flat), min_size=1, max_size=6))
+        V = gens[0] + (np.array(coefs) / 2.0) @ (gens[1:] - gens[0])
+    V = np.vstack([V, V[draw(st.lists(st.integers(0, V.shape[0] - 1), max_size=3))]])
+    R = draw(rows(0, 3)).reshape(-1, n)
+    if R.shape[0]:
+        scaled = st.tuples(st.integers(0, R.shape[0] - 1), st.sampled_from([0.0, 1.0, 2.0, -1.0]))
+        R = np.vstack([R] + [c * R[i][None, :] for i, c in draw(st.lists(scaled, max_size=3))])
+    i, j = draw(st.integers(0, V.shape[0] - 1)), draw(st.integers(0, V.shape[0] - 1))
+    p = draw(st.sampled_from([V[i], (V[i] + V[j]) / 2, V.mean(axis=0)]) | vec)
+    return V, R, p
+
+
+def gradient_cloud(seed):
+    """1,500 gradients of a 2-D PA function near a kink: a few distinct
+    dyadic vectors, each repeated as often as samples land on its piece."""
+    rng = make_rng(seed)
+    G = rng.integers(-12, 13, size=(int(rng.integers(1, 7)), 2)) / 4.0
+    return G[rng.choice(G.shape[0], size=1500, p=rng.dirichlet(np.ones(G.shape[0])))]
+
+
+class TestNearestPoint:
+    TOL = 1e-9
+
+    def check(self, V, R, p, ref_V=None):
+        lam, mu, z = polyhedra._nearest_point(V, R, p)
+        # the weights certify z: a convex combination plus a conic one
+        assert np.all(lam >= 0) and np.all(mu >= 0)
+        assert abs(lam.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(lam @ V + mu @ R, z, rtol=0, atol=1e-12)
+        # z is the nearest point: no point or ray of the set is nearer to p
+        # along its line from z
+        scale = max(1.0, float(np.abs(V - p).max()))
+        assert np.all((V - z) @ (z - p) >= -1e-12 * scale * scale)
+        assert np.all(R @ (z - p) >= -1e-12 * scale * np.linalg.norm(R, axis=1))
+        ref_V = V if ref_V is None else ref_V
+        if R.shape[0] == 0:
+            got = polyhedra._in_conv_hull(V, p, self.TOL)
+            want = reference_in_conv_hull(ref_V, p, self.TOL)
+            want_dist = reference_point_to_vertices_dist(p, ref_V)
+            assert np.linalg.norm(z - p) == pytest.approx(want_dist, rel=0, abs=1e-12)
+        elif not V.any():
+            got = polyhedra._in_cone_rays(R, p, self.TOL)
+            want = reference_in_cone_rays(R, p, self.TOL)
+        else:
+            return
+        gap = float(np.abs(z - p).max())
+        t = self.TOL * max(1.0, float(np.abs(V).max()), float(np.abs(p).max()))
+        assert got == (gap <= t)
+        if not t < gap <= np.sqrt(p.size) * t:  # inside this band the LP may read either way
+            assert got == want
+
+    @given(nearest_cases())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_lp_and_the_subset_loop(self, case):
+        V, R, p = case
+        self.check(V, np.zeros((0, p.size)), p)
+        self.check(np.zeros((1, p.size)), R, p)
+        self.check(V, R, p)
+
+    @given(seed=st.integers(0, 2**32 - 1), where=st.sampled_from(["zero", "anywhere"]))
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_clouds(self, seed, where):
+        cloud = gradient_cloud(seed)
+        p = np.zeros(2) if where == "zero" else make_rng(seed, 1).integers(-8, 9, size=2) / 4.0
+        self.check(cloud, np.zeros((0, 2)), p, ref_V=np.unique(cloud, axis=0))
+        assert contains(VPolytope(cloud), p) == contains(conv_hull(cloud), p)
+
+    def test_membership_rule_at_its_bound(self):
+        # within tol * scale of the set in every coordinate, and no further;
+        # scale is the largest |entry| (2 here, 3 for the cone's point)
+        square = VPolytope([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [2.0, 2.0]])
+        assert contains(square, [2.0 + 1.8e-9, 1.0], 1e-9)
+        assert not contains(square, [2.0 + 2.2e-9, 1.0], 1e-9)
+        quadrant = Cone(rays=np.eye(2), validate=False)
+        assert contains(quadrant, [-2.7e-9, 3.0], 1e-9)
+        assert not contains(quadrant, [-3.3e-9, 3.0], 1e-9)
+
+    def test_nearly_flat_segment(self):
+        # the first vertex is nearest to 0, and the other one brings the
+        # nearest point only h^2 / 2 closer: the search must still take it
+        h = 1e-4
+        V = np.array([[0.0, 1.0], [1.0, 1.0 - h]])
+        d = V[1] - V[0]
+        exact = np.linalg.norm(V[0] - (V[0] @ d) / (d @ d) * d)
+        assert exact < 1.0 - h * h / 3
+        _, _, z = polyhedra._nearest_point(V, np.zeros((0, 2)), np.zeros(2))
+        assert np.linalg.norm(z) == pytest.approx(exact, rel=0, abs=1e-15)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "NEAREST_MAX_STEPS", 1)
+        with pytest.raises(PolyhedraError, match="did not settle"):
+            polyhedra._nearest_point(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((0, 2)), np.zeros(2))
+
+
 class TestSetDistance:
     def test_identical_intervals(self):
         A = SetUnion((conv_hull([[0.0], [2.0]]),))
@@ -420,6 +579,22 @@ class TestSetDistance:
         A = conv_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         B = conv_hull([[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]])
         assert set_distance(SetUnion((A,)), SetUnion((B,))) == pytest.approx(2.0, abs=1e-9)
+
+    def test_point_to_box(self):
+        # {(3, 0)} is 2 from the box [-1, 1]^2, whose corners (-1, +-1) are sqrt(17) from it
+        box = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+        assert set_distance(VPolytope([[3.0, 0.0]]), box) == pytest.approx(np.sqrt(17.0), abs=1e-12)
+        assert set_distance(box, VPolytope([[3.0, 0.0]])) == pytest.approx(np.sqrt(17.0), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_hpolyhedron_raises(self, n):
+        # x1 <= -1 and x1 >= 1, with a box around the other coordinates
+        A = np.vstack([np.eye(n)[:1], -np.eye(n)[:1], np.eye(n)[1:], -np.eye(n)[1:]])
+        empty = HPolyhedron(A, np.array([-1.0, -1.0] + [1.0] * (2 * n - 2)))
+        with pytest.raises(EmptySetError):
+            set_distance(VPolytope([[0.0] * n]), empty)
+        with pytest.raises(EmptySetError):
+            set_distance(empty, VPolytope([[0.0] * n]))
 
 
 def reference_vertex_enumeration(P, tol=1e-8):
@@ -580,3 +755,48 @@ class TestJson:
     def test_single_component_shape(self):
         d = set_to_json(SetUnion((VPolytope([[1.0]]),)))
         assert "vertices" in d and "components" not in d
+
+
+def _lp_callers(tree) -> list:
+    """(owner, line) of every call of ``lp_solve``; the owner is the
+    enclosing top-level function or ``Class.method``."""
+    import ast
+
+    owned = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            owned += [(f"{top.name}.{getattr(m, 'name', '')}", m) for m in top.body]
+        else:
+            owned.append((getattr(top, "name", "<module>"), top))
+    return [
+        (owner, n.lineno)
+        for owner, root in owned
+        for n in ast.walk(root)
+        if isinstance(n, ast.Call) and "lp_solve" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+
+
+def test_lp_solve_only_in_the_lspar_check_and_the_emptiness_test():
+    # set membership and distances go through the nearest-point search
+    import ast
+    import pathlib
+
+    import nonsmooth
+
+    callers = set()
+    for path in sorted(pathlib.Path(nonsmooth.__file__).parent.glob("*.py")):
+        callers |= {owner for owner, _ in _lp_callers(ast.parse(path.read_text()))}
+    assert callers == {"lspar_d_stationarity_check", "hpoly_is_empty"}
+
+
+def test_lp_guard_catches_a_caller():
+    import ast
+
+    tree = ast.parse(
+        "def member(V, p):\n"
+        "    return lp_solve(c, A, b).optimal\n"
+        "class Cone:\n"
+        "    def check(self):\n"
+        "        return [polyhedra.lp_solve(c) for c in cs]\n"
+    )
+    assert [owner for owner, _ in _lp_callers(tree)] == ["member", "Cone.check"]

@@ -25,6 +25,7 @@ from nonsmooth.polyhedra import (
 )
 from nonsmooth.rng import make_rng
 from nonsmooth.sampled import as_gradient_oracle
+from nonsmooth.stationarity import classify
 from nonsmooth.subdiff import (
     ESSENTIAL_MARGIN,
     _cell_is_essential,
@@ -220,8 +221,8 @@ def _nearby_frechet_in_limiting(e, x):
 
 class TestNoLP:
     def test_exact_sets_solve_no_lp(self, monkeypatch):
-        # the cells' generators answer every question these sets ask; only
-        # the 3-D Clarke hull still prunes its points with LPs
+        # the cells' generators answer every question these sets ask; the
+        # 3-D Clarke hull and classify's membership tests use nearest points
         import sys
 
         calls = []
@@ -240,7 +241,7 @@ class TestNoLP:
             e, x = random_pa_instance(rng, dim)
             if dim_required(e) != dim:
                 continue
-            for f in (bouligand, frechet, limiting) + ((clarke,) if dim <= 2 else ()):
+            for f in (bouligand, clarke, frechet, limiting, classify):
                 f(e, x)
             checked[dim] += 1
         assert calls == []
@@ -417,8 +418,6 @@ class TestSecondRoute:
             assert dir_deriv(e, x, d).value == quotient
 
     def test_classify_witness_descends(self):
-        from nonsmooth.stationarity import classify
-
         descents = 0
         for e, x, _ in corpus(120, seed=1006):
             rep = classify(e, x)

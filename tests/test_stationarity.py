@@ -5,7 +5,7 @@ import pytest
 
 from nonsmooth.expr import Abs, Affine, Const, Max, Min, Scale, Sq, Sum, Var, evaluate, vmax
 from nonsmooth.gallery import f1_expr, f2_expr, xsqsin_expr
-from nonsmooth.polyhedra import Box, HPolyhedron, lp_solve, vertex_enumeration
+from nonsmooth.polyhedra import Box, HPolyhedron, contains, lp_solve, vertex_enumeration
 from nonsmooth.rng import make_rng
 from nonsmooth.stationarity import (
     DStatCertificate,
@@ -14,7 +14,7 @@ from nonsmooth.stationarity import (
     convex_optimality_check,
     lspar_d_stationarity_check,
 )
-from nonsmooth.subdiff import SubdiffError, dir_deriv
+from nonsmooth.subdiff import SubdiffError, clarke, dir_deriv, normal_cone
 
 from conftest import checked_mm_iterates, criterion7_trial, random_convex_pa, random_pa_instance
 
@@ -238,7 +238,7 @@ class TestConvexOptimality:
     def test_fact2_equivalence_suite(self, rng):
         # optimality flag == non-negativity of the exact directional minimum,
         # validated against 200 sampled feasible directions per instance
-        done = 0
+        done = optimal = 0
         while done < 50:
             dim = int(rng.integers(1, 3))
             g, x_star = random_convex_pa(rng, dim)
@@ -260,6 +260,11 @@ class TestConvexOptimality:
             cert = convex_optimality_check(g, C, x_star, tol=1e-8)
             dmin = self._exact_directional_min(g, C, x_star)
             assert cert.optimal == (dmin >= -1e-8)
+            if cert.optimal:  # 0 = s + nu, s a subgradient, nu a normal
+                assert contains(clarke(g, x_star).set, cert.s)
+                assert contains(normal_cone(C, x_star), cert.nu)
+                assert np.abs(cert.s + cert.nu).max() <= 1e-8
+                optimal += 1
             verts = vertex_enumeration(C).vertices
             if verts.shape[0] == 0:
                 continue
@@ -270,6 +275,7 @@ class TestConvexOptimality:
                 if cert.optimal:
                     assert val >= -1e-7
             done += 1
+        assert optimal >= 10
 
 
 class TestLsparDStationarity:
