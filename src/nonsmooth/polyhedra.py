@@ -67,7 +67,6 @@ DEDUPE_GRID = 1e-12
 # takes a typical 3-D Frechet set (C(30, 3) = 4060 bases) in one call
 BASIS_STACK = 4096
 MAX_POLYTOPE_DIM = 4
-MAX_LP_DIM = 8  # advertised public cap; internal callers may go modestly above
 
 
 class PolyhedraError(Exception):
@@ -152,6 +151,8 @@ def lp_solve(
     Variables are free; dense two-phase simplex with Bland's rule and pivot
     tolerance ``tol``.  Designed for dimensions up to ~8 and a few hundred
     constraints.  The returned optimum satisfies the constraints to 1e-9.
+    The problem is infeasible when the least total violation that phase 1
+    finds exceeds ``tol`` times the largest |entry| of the data (at least 1).
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -188,6 +189,7 @@ def lp_solve(
 
     T = np.hstack([M, rhs[:, None]])
     basis = list(range(nuv + m_ub, ncols))
+    infeasible_above = tol * max(1.0, float(np.abs(T).max()))
 
     # phase 1: drive artificials to zero
     cost1 = np.zeros(ncols)
@@ -195,7 +197,7 @@ def lp_solve(
     allowed = np.ones(ncols, dtype=bool)
     status = _simplex_phase(T, basis, cost1, allowed, tol)
     phase1 = float(cost1[basis] @ T[:, -1])
-    if phase1 > 1e-7:
+    if phase1 > infeasible_above:
         return LPResult("infeasible")
     # pivot remaining artificials out of the basis where possible
     for i in range(m):

@@ -246,7 +246,15 @@ def subgradient_method(
     otherwise runs ``max_iter`` steps.  ``ref`` (point or callable) adds a
     per-iterate distance column.
     """
+    return _subgradient_loop(oracle, None, x0, schedule, max_iter, stop_tol, ref, record_iterates)
+
+
+def _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, record_iterates):
+    """The loop of both subgradient methods; with a ``projector`` the start
+    and every step are projected onto it."""
     x = np.array(x0, dtype=float)
+    if projector is not None:
+        x = project(projector, x)
     dist = _dist_fn(ref)
     fs, steps, dists, walls = [], [], [], []
     iterates = [] if record_iterates else None
@@ -273,6 +281,8 @@ def subgradient_method(
         alpha = schedule.step(k, f, gnorm)
         steps.append(alpha)
         x = x - alpha * s
+        if projector is not None:
+            x = project(projector, x)
     return SolverTrace(
         objectives=np.array(fs),
         steps=np.array(steps),
@@ -340,41 +350,7 @@ def projected_subgradient(
     ref=None,
 ) -> SolverTrace:
     """x_{k+1} = Pi_C(x_k - alpha_k s_k); every iterate feasible to 1e-9."""
-    x = project(projector, np.array(x0, dtype=float))
-    dist = _dist_fn(ref)
-    fs, steps, dists, walls = [], [], [], []
-    best_f, best_x = math.inf, x.copy()
-    termination = "MAX_ITER"
-    t0 = time.perf_counter()
-    for k in range(max_iter):
-        f, s = oracle.value_and_subgrad(x)
-        f = float(f)
-        fs.append(f)
-        walls.append(time.perf_counter() - t0)
-        if dist is not None:
-            dists.append(dist(x))
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-        s = np.asarray(s, dtype=float)
-        gnorm = float(np.linalg.norm(s))
-        if gnorm <= stop_tol:
-            steps.append(0.0)
-            termination = "SMALL_SUBGRADIENT"
-            break
-        alpha = schedule.step(k, f, gnorm)
-        steps.append(alpha)
-        x = project(projector, x - alpha * s)
-    return SolverTrace(
-        objectives=np.array(fs),
-        steps=np.array(steps),
-        best_f=best_f,
-        best_x=best_x,
-        final_x=x,
-        termination=termination,
-        wall_s=time.perf_counter() - t0,
-        walls=np.array(walls),
-        dists=np.array(dists) if dist is not None else None,
-    )
+    return _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, False)
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +518,14 @@ def lspar_oracle(dataset) -> SubgradOracle:
     X = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y, dtype=float).ravel()
 
+    def both(W) -> tuple:
+        f, G = _lspar_batch(*_one_trial(X, y, W))
+        return float(f[0]), G[0]
+
     return SubgradOracle(
         fn=lambda W: lspar_objective(X, y, W),
         subgrad=lambda W: lspar_pseudo_subgrad(X, y, W),
+        both=both,
     )
 
 

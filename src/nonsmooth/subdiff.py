@@ -1,13 +1,14 @@
 """Exact subdifferentials for piecewise-affine / linear-quadratic expressions.
 
 The exact engine rests on one construction: the conic cells of the
-positively homogeneous PA function d -> f'(x, d).  A *selection* fixes a
-branch at every Max/Min node and a sign at every Abs node of its tree, and
-linearizes it into one piece g.d, valid on the cone cut out by the
-branch-dominance inequalities.  A cell is *essential* when that cone has
-interior, which the sum of its generators shows; the gradients g of the
-essential cells are the gradients of the pieces of f essentially active at
-``x``.
+positively homogeneous PA function d -> f'(x, d).  They are read off the
+tape of f itself under the activity pattern at ``x``: a *selection* fixes
+one tied branch at every live Max/Min node and a sign at every live Abs
+node at a zero, and one gradient sweep linearizes it into one piece g.d,
+valid on the cone cut out by the branch-dominance inequalities.  A cell is
+*essential* when that cone has interior, which the sum of its generators
+shows; the gradients g of the essential cells are the gradients of the
+pieces of f essentially active at ``x``.
 
 From that one primitive we obtain, exactly:
 
@@ -43,7 +44,6 @@ from .expr import (
     _MAX,
     _MIN,
     Abs,
-    ActivePattern,
     Affine,
     BUILTINS,
     Const,
@@ -220,8 +220,9 @@ def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
     """Per-node lists (values at x, one-sided derivatives along d), root
     last; exact ties.
 
-    With ``pattern = (branch, signs)``, also writes the Max/Min and Abs
-    activity at x + t d for infinitesimal t > 0 into those dicts.
+    With a dict ``pattern``, also writes the activity at x + t d for
+    infinitesimal t > 0 into it: each Max/Min node's tape position maps to
+    its admissible child indices, each Abs node's to its admissible signs.
     """
     tape = _tape(e)
 
@@ -242,15 +243,15 @@ def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
         if op == _ABS:
             v, g = V[ks[0]], D[ks[0]]
             if v > 0.0:
-                out, s = (v, g), "+"
+                out, s = (v, g), (1.0,)
             elif v < 0.0:
-                out, s = (-v, -g), "-"
+                out, s = (-v, -g), (-1.0,)
             else:
                 out = (0.0, abs(g))
                 tol = _TANGENT_TIE_RTOL * max(1.0, abs(g))
-                s = "0" if abs(g) <= tol else ("+" if g > 0 else "-")
+                s = (1.0, -1.0) if abs(g) <= tol else (1.0,) if g > 0 else (-1.0,)
             if pattern is not None:
-                pattern[1][tape.paths[k]] = s
+                pattern[k] = s
             return out
         vals = [V[c] for c in ks]
         v = max(vals) if op == _MAX else min(vals)
@@ -259,7 +260,7 @@ def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
         g = max(ds) if op == _MAX else min(ds)
         if pattern is not None:
             tol = _TANGENT_TIE_RTOL * max(1.0, max(abs(t) for t in ds))
-            pattern[0][tape.paths[k]] = tuple(
+            pattern[k] = tuple(
                 i for i, t in zip(tied, ds) if (t >= g - tol if op == _MAX else t <= g + tol)
             )
         return v, g
@@ -296,86 +297,68 @@ def clarke_dir_deriv(e: Expr, x, d) -> DirDerivValue:
 # ---------------------------------------------------------------------------
 
 
-def _derivative_expr_from_pattern(e: Expr, pattern: ActivePattern, values=None) -> Expr:
-    """The PA function d -> f'(y, d) for any y realizing ``pattern``.
+def _pattern(e: Expr, x: np.ndarray, d: np.ndarray) -> tuple:
+    """(values at x, live activity pattern at x + t d for infinitesimal
+    t > 0), from one sweep.
 
-    A PLQ tree needs ``values``, each node's value at y by path: Sq(h) has
-    the derivative d -> 2 h(y) h'(y; d).
+    The pattern maps the tape position of every live Max/Min/Abs node, in
+    tape order, to its admissible choices (see :func:`_dir_value`).  A node
+    is live when the root reaches it through admissible children; the
+    others do not shape d -> f'(x + t d, d).  First-order only: along a
+    ray, values of a PA tree are exactly value + t * derivative for small t.
     """
-
-    def rec(node: Expr, path: tuple) -> Expr:
-        if isinstance(node, Const):
-            return Const(0.0)
-        if isinstance(node, Var):
-            return Var(node.i)
-        if isinstance(node, Affine):
-            return Affine(node.a, 0.0)
-        if isinstance(node, Sum):
-            return Sum(tuple(rec(t, path + (i,)) for i, t in enumerate(node.terms)))
-        if isinstance(node, Scale):
-            return Scale(node.c, rec(node.child, path + (0,)))
-        if isinstance(node, Sq) and values is not None:
-            return Scale(2.0 * values[path + (0,)], rec(node.child, path + (0,)))
-        if isinstance(node, (Max, Min)):
-            act = pattern.branch_active[path]
-            kids = tuple(rec(node.terms[i], path + (i,)) for i in act)
-            if len(kids) == 1:
-                return kids[0]
-            return Max(kids) if isinstance(node, Max) else Min(kids)
-        if isinstance(node, Abs):
-            s = pattern.abs_sign[path]
-            inner = rec(node.child, path + (0,))
-            if s == "+":
-                return inner
-            if s == "-":
-                return Scale(-1.0, inner)
-            return Abs(inner)
-        raise SubdiffError("pattern-based derivative needs a PA tree")
-
-    return rec(e, ())
+    tape = _tape(e)
+    pattern: dict = {}
+    V = _dir_value(e, x, d, pattern)[0]
+    live = [False] * len(tape.ops)
+    live[-1] = True
+    for k in reversed(range(len(tape.ops))):  # parents before children
+        if live[k]:
+            ks = tape.kids[k]
+            if tape.ops[k] in (_MAX, _MIN):
+                ks = [ks[i] for i in pattern[k]]
+            for c in ks:
+                live[c] = True
+    return V, {k: ch for k, ch in pattern.items() if live[k]}
 
 
-def _enumerate_selections(phi: Expr) -> list:
-    """Every selection of a positively homogeneous tree, as {tape position:
-    branch index or sign} over the Max/Min/Abs nodes.  Every node is 0 at
-    the origin, so every branch and both signs are admissible there."""
-    tape = _tape(phi)
-    slots = [k for k, op in enumerate(tape.ops) if op in (_MAX, _MIN, _ABS)]
-    choices = [(1.0, -1.0) if tape.ops[k] == _ABS else range(len(tape.kids[k])) for k in slots]
-    if math.prod(len(c) for c in choices) > SELECTION_CAP:
+def _selections(e: Expr, x: np.ndarray, V: list, pattern: dict):
+    """(branch-dominance rows, slope) of every selection of d -> f'(y, d),
+    for any y with node values ``V`` realizing the live ``pattern``.
+
+    A selection picks one admissible choice at every node of the pattern.
+    One gradient sweep over the tape of ``e`` gives every node's slope
+    under it; each Max/Min/Abs node takes its value from ``V``, so Sq
+    factors 2 h(y) keep their bits, signed zeros included.  The rows a,
+    meaning a.d >= 0, come in pre-order from the nodes with several
+    choices, against the admissible siblings.
+    """
+    tape = _tape(e)
+    kids = tape.kids
+    slots = [k for k, ch in pattern.items() if len(ch) > 1]
+    if math.prod(len(pattern[k]) for k in slots) > SELECTION_CAP:
         raise EnumerationLimitError(
             f"more than {SELECTION_CAP} local selections; perturb the point"
         )
-    return [dict(zip(slots, combo)) for combo in itertools.product(*choices)]
+    ranked = [k for k in tape.preorder if len(pattern.get(k, ())) > 1]
+    sel = {k: ch[0] for k, ch in pattern.items()}
 
+    def pick(k, op, _, D):
+        p = sel.get(k, 0)  # a dead node's slope is never read
+        return V[k], p * D[kids[k][0]] if op == _ABS else D[kids[k][p]]
 
-def _sel_constraints(phi: Expr, sel: dict, n: int) -> tuple:
-    """Branch-dominance rows a, meaning a.d >= 0, of the cone on which the
-    positively homogeneous ``phi`` follows ``sel``, in pre-order, and the
-    slope of that piece.
-
-    One sweep gives every node's slope under ``sel``.
-    """
-    tape = _tape(phi)
-
-    def pick(k, op, V, D):
-        p = sel[k]
-        if op == _ABS:
-            c = tape.kids[k][0]
-            return p * V[c], p * D[c]
-        c = tape.kids[k][p]
-        return V[c], D[c]
-
-    A = _sweep(tape, np.zeros(n), grad=True, hook=pick)[1]
-    rows = []
-    for k in tape.preorder:
-        op, ks = tape.ops[k], tape.kids[k]
-        if op == _MAX or op == _MIN:
-            i = ks[sel[k]]
-            rows += [A[i] - A[j] if op == _MAX else A[j] - A[i] for j in ks if j != i]
-        elif op == _ABS:
-            rows.append(sel[k] * A[ks[0]])
-    return rows, A[-1]
+    for combo in itertools.product(*(pattern[k] for k in slots)):
+        sel.update(zip(slots, combo))
+        A = _sweep(tape, x, grad=True, hook=pick)[1]
+        rows = []
+        for k in ranked:
+            op, p, ks = tape.ops[k], sel[k], kids[k]
+            if op == _ABS:
+                rows.append(p * A[ks[0]])
+                continue
+            i = ks[p]
+            rows += [A[i] - A[ks[j]] if op == _MAX else A[ks[j]] - A[i] for j in pattern[k] if j != p]
+        yield rows, A[-1]
 
 
 def _clean_rows(rows, n: int) -> np.ndarray:
@@ -409,13 +392,14 @@ class _Cell(NamedTuple):
     rays: np.ndarray
 
 
-def _phi_cells(phi: Expr, n: int) -> list:
-    """Essential conic cells of a positively homogeneous PA function, each
-    with its generators (+-I when it has no rows)."""
+def _cells(e: Expr, x: np.ndarray, V: list, pattern: dict) -> list:
+    """Essential conic cells of d -> f'(y, d) for any y with node values
+    ``V`` realizing the live ``pattern``, each with its generators (+-I when
+    it has no rows)."""
+    n = x.size
     cells = []
     seen = set()
-    for sel in _enumerate_selections(phi):
-        rows, g = _sel_constraints(phi, sel, n)
+    for rows, g in _selections(e, x, V, pattern):
         R = _clean_rows(rows, n)
         key = (tuple(np.round(g, 12)), tuple(sorted(tuple(np.round(a, 12)) for a in R)))
         if key in seen:
@@ -427,17 +411,10 @@ def _phi_cells(phi: Expr, n: int) -> list:
     return cells
 
 
-def _derivative_tree(e: Expr, x: np.ndarray) -> Expr:
-    """The tree of d -> f'(x, d) for a PA/PLQ tree, from one sweep at x that
-    gives both the activity pattern and each node's value."""
-    pattern = ({}, {})
-    V = _dir_value(e, _check_point(e, x), np.zeros(x.size), pattern)[0]
-    return _derivative_expr_from_pattern(e, ActivePattern(*pattern), dict(zip(_tape(e).paths, V)))
-
-
 def _cells_at(e: Expr, x: np.ndarray) -> list:
     """The cells of d -> f'(x, d) for a PA/PLQ tree."""
-    return _phi_cells(_derivative_tree(e, x), x.size)
+    x = _check_point(e, x)
+    return _cells(e, x, *_pattern(e, x, np.zeros(x.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,18 +536,6 @@ def frechet(e: Expr, x) -> SubdiffSet:
 # ---------------------------------------------------------------------------
 
 
-def _pattern_along(e: Expr, x: np.ndarray, d: np.ndarray) -> ActivePattern:
-    """Exact activity pattern of ``e`` at ``x + t d`` for infinitesimal t > 0.
-
-    First-order only: valid for PA trees, where values along a ray are
-    exactly value + t * derivative for small t.
-    """
-    branch: dict = {}
-    signs: dict = {}
-    _dir_value(e, x, d, (branch, signs))
-    return ActivePattern(branch_active=branch, abs_sign=signs, tol=0.0)
-
-
 def _face_directions(cells: list, n: int) -> list:
     """Relative-interior representatives of the faces of the given cells.
 
@@ -627,9 +592,10 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
             "exact limiting needs PA (dim <= 3) or a 1-D PA/PLQ tree"
         )
     n = x.size
-    phi = _derivative_tree(e, x)
+    x = _check_point(e, x)
+    V, at_x = _pattern(e, x, np.zeros(n))
     if cells is None:
-        cells = _phi_cells(phi, n)
+        cells = _cells(e, x, V, at_x)
     pieces: list = []  # (component, the halfspaces it was enumerated from)
     sigs = set()
     # components are compared at unit scale, as _frechet_from_cells
@@ -645,13 +611,13 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
 
     fs = _frechet_from_cells(cells, n, x)
     add(fs)
-    # faces whose derivative tree is one already handled add nothing new
-    trees = {phi}
+    # faces whose live pattern is one already handled add nothing new
+    patterns = {tuple(at_x.items())}
     for dvec in _face_directions(cells, n):
-        tree = _derivative_expr_from_pattern(e, _pattern_along(e, x, dvec))
-        if tree not in trees:
-            trees.add(tree)
-            add(_frechet_from_cells(_phi_cells(tree, n), n, x))
+        pattern = _pattern(e, x, dvec)[1]
+        if tuple(pattern.items()) not in patterns:
+            patterns.add(tuple(pattern.items()))
+            add(_frechet_from_cells(_cells(e, x, V, pattern), n, x))
     # drop components swallowed by strictly larger components, testing the
     # vertices of one against the halfspaces of the other as contains()
     # tests an HPolyhedron

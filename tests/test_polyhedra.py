@@ -90,6 +90,18 @@ class TestLP:
         )
         assert r.optimal and r.value == pytest.approx(3.0, abs=1e-9)
 
+    def test_phase_one_threshold_follows_tol_and_scale(self):
+        # x <= 0 and x >= 5e-8 is empty: the gap is small, but far above
+        # the pivot tolerance at unit scale; at scale 1e6 so is a gap of 1e-2
+        assert hpoly_is_empty(HPolyhedron([[1.0], [-1.0]], [0.0, -5e-8]))
+        assert not hpoly_is_empty(HPolyhedron([[1.0], [-1.0]], [0.0, 0.0]))
+        assert hpoly_is_empty(HPolyhedron([[1.0], [-1.0]], [1e6, -1e6 - 1e-2]))
+        # the LP membership reference: (2 + 9e-8, 1) lies 9e-8 outside
+        # [0, 2]^2, beyond tol * scale = 2e-9
+        square = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+        assert not reference_in_conv_hull(square, np.array([2.0 + 9e-8, 1.0]), 1e-9)
+        assert reference_in_conv_hull(square, np.array([2.0 + 1e-9, 1.0]), 1e-9)
+
     def test_duality_against_vertex_enumeration(self, rng):
         # random bounded feasible instances, dim <= 4, <= 12 constraints
         done = 0

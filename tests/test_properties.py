@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonsmooth.expr import Sum, active_pattern, dim_required, evaluate, parse_expr
+from nonsmooth.expr import Sum, dim_required, evaluate, parse_expr
 from nonsmooth.polyhedra import (
     SetUnion,
     cone_rays_from_halfspaces,
@@ -30,9 +30,8 @@ from nonsmooth.subdiff import (
     ESSENTIAL_MARGIN,
     _cell_is_essential,
     _clean_rows,
-    _derivative_expr_from_pattern,
-    _enumerate_selections,
-    _sel_constraints,
+    _pattern,
+    _selections,
     bouligand,
     clarke,
     clarke_dir_deriv,
@@ -188,9 +187,8 @@ def _check_cells(e, x):
     # every row, and the essential test (the generators' sum alone) decides
     # as the strict-feasibility LP
     n = x.size
-    phi = _derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0))
-    for sel in _enumerate_selections(phi):
-        R = _clean_rows(_sel_constraints(phi, sel, n)[0], n)
+    for rows, _ in _selections(e, x, *_pattern(e, x, np.zeros(n))):
+        R = _clean_rows(rows, n)
         if not R.shape[0]:
             continue
         rays = cone_rays_from_halfspaces(R, n)

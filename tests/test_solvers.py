@@ -140,6 +140,23 @@ class TestOneSweepOracle:
             ]
             assert_same_run(*runs)
 
+    def test_lspar_oracle_runs_one_batch_per_step(self, monkeypatch):
+        import nonsmooth.solvers as solvers
+
+        ds = make_dataset(N=20, seed=3, sigma=0.1)
+        W0 = make_rng(3, 22).standard_normal(W_TRUE.shape)
+        oracle = lspar_oracle(ds)
+        two = SubgradOracle(fn=oracle.fn, subgrad=oracle.subgrad)
+        calls = []
+        real = solvers._lspar_batch
+        monkeypatch.setattr(solvers, "_lspar_batch", lambda *a: calls.append(1) or real(*a))
+        runs = [
+            subgradient_method(o, W0, Diminishing(1.0), max_iter=50, record_iterates=True)
+            for o in (oracle, two)
+        ]
+        assert len(calls) == 50 + 2 * 50
+        assert_same_run(*runs)
+
     def test_points_are_checked(self):
         from nonsmooth.expr import DimensionMismatchError
 

@@ -1,7 +1,28 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from nonsmooth.expr import Abs, Scale, Sq, Var, evaluate, parse_expr, vsum
+from nonsmooth.expr import (
+    _ABS,
+    _MAX,
+    _MIN,
+    Abs,
+    Affine,
+    Const,
+    Max,
+    Min,
+    Scale,
+    Sq,
+    Sum,
+    Var,
+    _sweep,
+    _tape,
+    evaluate,
+    parse_expr,
+    vsum,
+)
 from nonsmooth.gallery import (
     abs_x,
     f1_expr,
@@ -18,13 +39,17 @@ from nonsmooth.polyhedra import (
     HPolyhedron,
     SetUnion,
     VPolytope,
+    cone_rays_from_halfspaces,
     contains,
     conv_hull,
     hpoly_is_empty,
     set_distance,
 )
+from nonsmooth.rng import make_rng
 from nonsmooth.subdiff import (
+    SELECTION_CAP,
     AffineCompose,
+    EnumerationLimitError,
     L1Norm,
     L2Norm,
     MaxOfSmooth,
@@ -43,7 +68,17 @@ from nonsmooth.subdiff import (
     limiting,
     normal_cone,
     weakly_convex_subdiff,
+    _Cell,
+    _cell_is_essential,
+    _cells,
+    _cells_at,
+    _clean_rows,
+    _face_directions,
+    _frechet_from_cells,
+    _pattern,
 )
+
+from conftest import random_pa_instance
 
 
 def interval(lo, hi):
@@ -59,6 +94,95 @@ def assert_sets_equal(A, B, tol=1e-9):
         assert A.is_empty and B.is_empty
     else:
         assert set_distance(A, B) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Reference: the cells of d -> f'(x, d) read off a derivative tree
+# ---------------------------------------------------------------------------
+
+
+def _reference_derivative_tree(e, pattern, values):
+    """The tree of d -> f'(y, d) for any y realizing ``pattern`` (admissible
+    choices by tape position) with node values ``values``, rebuilt node by
+    node: Sq(h) becomes 2 h(y) h'(y; d), each Max/Min keeps its admissible
+    children, each Abs its admissible signs."""
+    tape = _tape(e)
+    choices = {tape.paths[k]: ch for k, ch in pattern.items()}
+    at = dict(zip(tape.paths, values))
+
+    def rec(node, path):
+        if isinstance(node, Const):
+            return Const(0.0)
+        if isinstance(node, Var):
+            return Var(node.i)
+        if isinstance(node, Affine):
+            return Affine(node.a, 0.0)
+        if isinstance(node, Sum):
+            return Sum(tuple(rec(t, path + (i,)) for i, t in enumerate(node.terms)))
+        if isinstance(node, Scale):
+            return Scale(node.c, rec(node.child, path + (0,)))
+        if isinstance(node, Sq):
+            return Scale(2.0 * at[path + (0,)], rec(node.child, path + (0,)))
+        if isinstance(node, (Max, Min)):
+            kids = tuple(rec(node.terms[i], path + (i,)) for i in choices[path])
+            if len(kids) == 1:
+                return kids[0]
+            return Max(kids) if isinstance(node, Max) else Min(kids)
+        inner = rec(node.child, path + (0,))  # Abs
+        signs = choices[path]
+        if len(signs) == 2:
+            return Abs(inner)
+        return inner if signs == (1.0,) else Scale(-1.0, inner)
+
+    return rec(e, ())
+
+
+def _reference_selections(phi, n):
+    """(rows, slope) of every selection of the positively homogeneous tree
+    ``phi``: every branch and both signs are admissible at the origin."""
+    tape = _tape(phi)
+    slots = [k for k, op in enumerate(tape.ops) if op in (_MAX, _MIN, _ABS)]
+    choices = [(1.0, -1.0) if tape.ops[k] == _ABS else range(len(tape.kids[k])) for k in slots]
+    if math.prod(len(c) for c in choices) > SELECTION_CAP:
+        raise EnumerationLimitError("selection cap")
+    for combo in itertools.product(*choices):
+        sel = dict(zip(slots, combo))
+
+        def pick(k, op, V, D):
+            p = sel[k]
+            if op == _ABS:
+                c = tape.kids[k][0]
+                return p * V[c], p * D[c]
+            c = tape.kids[k][p]
+            return V[c], D[c]
+
+        A = _sweep(tape, np.zeros(n), grad=True, hook=pick)[1]
+        rows = []
+        for k in tape.preorder:
+            op, ks = tape.ops[k], tape.kids[k]
+            if op == _MAX or op == _MIN:
+                i = ks[sel[k]]
+                rows += [A[i] - A[j] if op == _MAX else A[j] - A[i] for j in ks if j != i]
+            elif op == _ABS:
+                rows.append(sel[k] * A[ks[0]])
+        yield rows, A[-1]
+
+
+def reference_cells_at(e, x, pattern):
+    """The essential cells of d -> f'(y, d) for y at ``x`` realizing
+    ``pattern``, enumerated on a second tree built for the derivative."""
+    n = x.size
+    phi = _reference_derivative_tree(e, pattern, _sweep(_tape(e), x)[0])
+    cells, seen = [], set()
+    for rows, g in _reference_selections(phi, n):
+        R = _clean_rows(rows, n)
+        key = (tuple(np.round(g, 12)), tuple(sorted(tuple(np.round(a, 12)) for a in R)))
+        if key not in seen:
+            seen.add(key)
+            rays = cone_rays_from_halfspaces(R, n)
+            if _cell_is_essential(R, rays):
+                cells.append(_Cell(g, R, rays))
+    return cells
 
 
 class TestDirDeriv:
@@ -241,53 +365,42 @@ class TestLimiting:
     def test_1d_slope_path_matches_face_path(self):
         # dimension-1 PA trees can run both the slope specialization and the
         # generic face enumeration; they must agree
-        from nonsmooth.subdiff import (
-            _cells_at,
-            _derivative_expr_from_pattern,
-            _face_directions,
-            _frechet_from_cells,
-            _pattern_along,
-            _phi_cells,
-        )
-
         for e, x in ((neg_abs(), 0.0), (f1_expr(), 0.0), (f2_expr(), 0.0), (abs_x(), 0.0)):
             xa = np.array([x])
             slope = limiting(e, xa)
-            cells = _cells_at(e, xa)
+            V, at_x = _pattern(e, xa, np.zeros(1))
             comps = []
             fr = frechet(e, xa)
             if not fr.is_empty:
                 comps.extend(fr.set.components)
-            for d in _face_directions(cells, 1):
-                pat = _pattern_along(e, xa, d)
-                phi = _derivative_expr_from_pattern(e, pat)
-                ss = _frechet_from_cells(_phi_cells(phi, 1), 1, xa)
+            for d in _face_directions(_cells(e, xa, V, at_x), 1):
+                ss = _frechet_from_cells(_cells(e, xa, V, _pattern(e, xa, d)[1]), 1, xa)
                 if not ss.is_empty:
                     comps.extend(ss.set.components)
             got = SetUnion(tuple(comps))
             assert set_distance(got, slope.set) <= 1e-9
 
-    def test_cells_enumerated_once_per_tree(self, monkeypatch):
+    def test_cells_enumerated_once_per_pattern(self, monkeypatch):
         # classify shares the cells at x between the Frechet set, limiting
-        # and the sweep; limiting visits each distinct face tree once
+        # and the sweep; limiting visits each distinct face pattern once
         import nonsmooth.subdiff as sd
-        from nonsmooth.expr import active_pattern, vmax
+        from nonsmooth.expr import vmax
         from nonsmooth.stationarity import classify
 
         seen = []
-        real = sd._phi_cells
+        real = sd._cells
 
-        def counting(phi, n):
-            seen.append(phi)
-            return real(phi, n)
+        def counting(e, x, V, pattern):
+            seen.append(tuple(pattern.items()))
+            return real(e, x, V, pattern)
 
-        monkeypatch.setattr(sd, "_phi_cells", counting)
+        monkeypatch.setattr(sd, "_cells", counting)
         cases = (
             (vsum(Abs(Var(0)), Scale(-1.0, Abs(Var(1)))), np.zeros(2)),
             (vsum(vmax(Var(0), Var(1), Var(2)), Scale(-1.0, Abs(Var(0)))), np.zeros(3)),
         )
         for e, x in cases:
-            at_x = sd._derivative_expr_from_pattern(e, active_pattern(e, x, tol=0.0))
+            at_x = tuple(sd._pattern(e, x, np.zeros(x.size))[1].items())
             for run in (classify, limiting):
                 seen.clear()
                 run(e, x)
@@ -315,6 +428,134 @@ class TestLimiting:
             )
         )
         assert_sets_equal(s, expect)
+
+
+def _cells_or_cap(fn, *args):
+    try:
+        return fn(*args)
+    except EnumerationLimitError:
+        return "cap"
+
+
+def _bits(cells):
+    if cells == "cap":
+        return cells
+    return [tuple((a.dtype.str, a.shape, a.tobytes()) for a in c) for c in cells]
+
+
+def assert_cells_match_reference(e, x) -> int:
+    """The cells enumerated on the tape of ``e`` equal the reference bit
+    for bit (or both hit the cap), at x and at every face pattern; returns
+    the number of patterns compared."""
+    n = x.size
+    V, at_x = _pattern(e, x, np.zeros(n))
+    at_cells = _cells_or_cap(_cells, e, x, V, at_x)
+    patterns = [at_x]
+    if at_cells != "cap":
+        patterns += [_pattern(e, x, d)[1] for d in _face_directions(at_cells, n)]
+    for pattern in patterns:
+        got = _bits(_cells_or_cap(_cells, e, x, V, pattern))
+        assert got == _bits(_cells_or_cap(reference_cells_at, e, x, pattern)), (e, x, pattern)
+    return len(patterns)
+
+
+def _perfbench_module(name):
+    import importlib
+    import pathlib
+    import sys
+
+    root = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    return importlib.import_module(name)
+
+
+def _zero_pieces(rng, x, k):
+    """k affine pieces valued in {-1/2, 0, 1/2} at x, half of them as
+    Scale(-1, .) so that a zero among them reads -0.0."""
+    out = []
+    for _ in range(k):
+        a = rng.integers(-3, 4, size=x.size).astype(float)
+        v = float(rng.choice((-0.5, 0.0, 0.0, 0.5)))
+        if rng.integers(2):
+            out.append(Scale(-1.0, Affine(tuple(-a), float(a @ x) - v)))
+        else:
+            out.append(Affine(tuple(a), v - float(a @ x)))
+    return out
+
+
+def _multidim_plq_trees():
+    """2-D to 4-D PLQ trees: random PA trees plus c (max or min of tied
+    pieces)^2, and by hand, in every dimension, a square over a Max tied at
+    -0.0 and 0.0 and a tied Min under an inactive Max branch."""
+    out = []
+    for i in range(90):
+        rng = make_rng(1313, i)
+        dim = 2 + i % 3
+        pa, x = random_pa_instance(rng, dim, max_pieces=4)
+        op = Max if rng.integers(2) else Min
+        sq = Sq(op(tuple(_zero_pieces(rng, x, int(rng.integers(2, 4))))))
+        out.append((Sum((pa, Scale(float(rng.choice((0.5, 1.0, 2.0))), sq))), x))
+    for dim in (2, 3, 4):
+        x = np.arange(1, dim + 1) / 4.0
+        a = [np.roll(np.arange(1.0, dim + 1), j) for j in range(4)]
+
+        def piece(j, v):
+            return Affine(tuple(a[j]), v - float(a[j] @ x))
+
+        signed_zeros = Max((Scale(-1.0, piece(0, 0.0)), piece(1, 0.0)))
+        assert [signed_zeros.terms[0](x), signed_zeros.terms[1](x)] == [0.0, 0.0]
+        assert np.signbit(signed_zeros(x))
+        dead_tie = Max((piece(2, 1.0), Min((piece(0, 0.0), piece(3, 0.0)))))
+        out.append((Sq(signed_zeros), x))
+        out.append((Sum((Abs(piece(2, 0.0)), Sq(signed_zeros))), x))
+        out.append((Sum((dead_tie, Scale(0.5, Sq(signed_zeros)))), x))
+        out.append((Sum((Abs(dead_tie), Sq(Max((piece(3, 0.0), Scale(-1.0, piece(1, 0.0))))))), x))
+    return out
+
+
+class TestCellsOnTheTape:
+    """The cells of d -> f'(x, d) enumerated on the expression's own tape
+    against the derivative-tree reference."""
+
+    def test_exact_corpus(self):
+        corpus = _perfbench_module("workloads").Exact(0).corpus
+        assert len(corpus) == 200
+        assert sum(assert_cells_match_reference(e, x) for e, x in corpus) > len(corpus)
+
+    def test_seeded_instances(self):
+        gen = _perfbench_module("gen")
+        count = 0
+        for i in range(600):
+            e, x = gen.random_pa_instance(gen.stream(77, 5, i), 2 + i % 2)
+            count += assert_cells_match_reference(e, x)
+        assert count > 1200  # face patterns as well as the points
+
+    def test_multidim_plq_trees(self):
+        for e, x in _multidim_plq_trees():
+            assert_cells_match_reference(e, x)
+
+    def test_signed_zero_factor_keeps_its_bits(self):
+        # (max(-p0, p1))^2 with p0 = p1 = 0 at x: the factor 2 h(x) is
+        # -0.0 on both cells, so the p1 cell's slope -0.0 * p1' is -0.0,
+        # where the value of the p1 branch alone would give +0.0
+        e, x = _multidim_plq_trees()[90]
+        slopes = np.array([c.g for c in _cells_at(e, x)])
+        assert slopes.shape == (2, 2) and not slopes.any()
+        assert np.signbit(slopes).tolist() == [[False, False], [True, True]]
+
+    def test_cap_only_on_live_ties(self):
+        # 13 kinks give 8192 selections: over the cap when they are live,
+        # no selection at all under an inactive branch
+        kinks = vsum(*(Abs(Var(i % 2)) for i in range(13)))
+        x = np.zeros(2)
+        for e, capped in ((kinks, True), (Max((Const(0.0), kinks)), True), (Max((Const(1.0), kinks)), False)):
+            assert_cells_match_reference(e, x)
+            if capped:
+                with pytest.raises(EnumerationLimitError):
+                    _cells_at(e, x)
+            else:
+                assert [c.g.tolist() for c in _cells_at(e, x)] == [[0.0, 0.0]]
 
 
 class TestCatalog:
