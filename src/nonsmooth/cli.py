@@ -10,8 +10,8 @@ Subcommands::
     gallery     run the worked-example gallery and print a pass/fail table
 
 Exit codes: 0 on success, 1 when a gallery expectation fails, 2 on usage
-errors, 3 when a cap refuses the input (one stderr line names the cap and
-the way around it).
+errors and malformed input (one stderr line says which), 3 when a cap
+refuses the input (one stderr line names the cap and the way around it).
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from typing import Optional
 import numpy as np
 
 from . import experiments
-from .expr import evaluate, parse_expr
+from .expr import DimensionMismatchError, ExprSyntaxError, evaluate, parse_expr
 from .gallery import run_gallery
 from .polyhedra import Ball, Box, DimensionCapError
+from .rng import make_rng
 from .sampled import as_gradient_oracle, gradient_sampling
 from .solvers import (
     Constant,
@@ -35,6 +36,7 @@ from .solvers import (
     Geometric,
     MMParams,
     Polyak,
+    lspar_oracle,
     mm_lspar,
     oracle_from_expr,
     projected_subgradient,
@@ -53,6 +55,10 @@ _CAPS = (
 )
 
 
+class InputError(Exception):
+    """A malformed command-line value that argparse cannot see."""
+
+
 def _load_expr(spec: str):
     text = spec
     if not spec.lstrip().startswith("("):
@@ -62,23 +68,23 @@ def _load_expr(spec: str):
 
 
 def _parse_point(text: str) -> np.ndarray:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return np.array([float(p) for p in parts])
+    try:
+        return np.array([float(p) for p in text.replace(",", " ").split()])
+    except ValueError:
+        raise InputError(f"expected comma- or space-separated numbers, got {text!r}") from None
+
+
+_SCHEDULES = {"constant": Constant, "diminishing": Diminishing, "geometric": Geometric, "polyak": Polyak}
 
 
 def _parse_schedule(text: str):
     kind, _, rest = text.partition(":")
-    args = [float(v) for v in rest.split(",") if v] if rest else []
-    kind = kind.lower()
-    if kind == "constant":
-        return Constant(*args)
-    if kind == "diminishing":
-        return Diminishing(*args)
-    if kind == "geometric":
-        return Geometric(*args)
-    if kind == "polyak":
-        return Polyak(*args)
-    raise argparse.ArgumentTypeError(f"unknown schedule kind {kind!r}")
+    if kind.lower() not in _SCHEDULES:
+        raise InputError(f"unknown --schedule kind {kind!r} (kinds: {', '.join(_SCHEDULES)})")
+    try:
+        return _SCHEDULES[kind.lower()](*(float(v) for v in rest.split(",") if v))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad --schedule {text!r}: {exc}") from None
 
 
 def _cmd_eval(args) -> int:
@@ -143,8 +149,6 @@ def _write_trace(path: str, trace) -> None:
 def _cmd_solve(args) -> int:
     if args.problem == "lspar":
         ds = experiments.gen_lspar_data(args.N, args.sigma, args.seed)
-        from .rng import make_rng
-
         W0 = make_rng(args.seed, 22).standard_normal(experiments.LSPAR_TRUE_W.shape)
         if args.method == "mm":
             trace, cert = mm_lspar(ds, W0, MMParams())
@@ -153,8 +157,6 @@ def _cmd_solve(args) -> int:
                 f"f={trace.objectives[-1]!r}, d-stationary={cert.is_d_stationary}"
             )
         else:
-            from .solvers import lspar_oracle
-
             trace = subgradient_method(
                 lspar_oracle(ds), W0, _parse_schedule(args.schedule), max_iter=args.iters
             )
@@ -163,8 +165,9 @@ def _cmd_solve(args) -> int:
                 f"best={trace.best_f!r}"
             )
     else:
-        if args.expr is None or args.x0 is None:
-            print("solve with --method subgrad/proj-subgrad needs --expr and --x0", file=sys.stderr)
+        if args.method == "mm" or args.expr is None or args.x0 is None:
+            need = "--problem lspar" if args.method == "mm" else "--expr and --x0"
+            print(f"solve with --method {args.method} needs {need}", file=sys.stderr)
             return 2
         e = _load_expr(args.expr)
         x0 = _parse_point(args.x0)
@@ -194,29 +197,25 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+# the lspar experiment's config keys with their types; recovery keys pass as parsed
+_LSPAR_KEYS = {"trials": int, "root_seed": int, "noise_sigma": float, "subgrad_iters": int, "jobs": int}
+_LSPAR_KEYS["N_list"] = lambda v: tuple(v) if isinstance(v, list) else (v,)
+_RECOVERY_KEYS = ("kind", "n", "m", "outlier_frac", "alpha0", "q", "iters", "seed", "warm_start", "r")
+
+
 def _cmd_experiment(args) -> int:
     overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides.update(experiments.parse_config(fh.read()))
-    for kv in args.set or []:
-        overrides.update(experiments.parse_config(kv))
+    try:
+        if args.config:
+            with open(args.config) as fh:
+                overrides.update(experiments.parse_config(fh.read()))
+        for kv in args.set or []:
+            overrides.update(experiments.parse_config(kv))
+        keys = _LSPAR_KEYS if args.family == "lspar" else dict.fromkeys(_RECOVERY_KEYS, lambda v: v)
+        kwargs = {key: cast(overrides[key]) for key, cast in keys.items() if key in overrides}
+    except ValueError as exc:
+        raise InputError(f"bad config value: {exc}") from None
     if args.family == "lspar":
-        known = {
-            "N_list": tuple,
-            "trials": int,
-            "root_seed": int,
-            "noise_sigma": float,
-            "subgrad_iters": int,
-            "jobs": int,
-        }
-        kwargs = {}
-        for key, cast in known.items():
-            if key in overrides:
-                v = overrides[key]
-                kwargs[key] = tuple(v) if cast is tuple and isinstance(v, list) else (
-                    (v,) if cast is tuple else cast(v)
-                )
         cfg = experiments.LsparExperimentConfig(out_dir=args.out, **kwargs)
         summary = experiments.run_lspar_experiment(cfg)
         for N in cfg.N_list:
@@ -228,8 +227,6 @@ def _cmd_experiment(args) -> int:
                 f"frac(mm <= subgrad)={s['frac_mm_not_worse']:.3f}"
             )
     else:
-        fields = ("kind", "n", "m", "outlier_frac", "alpha0", "q", "iters", "seed", "warm_start", "r")
-        kwargs = {k: overrides[k] for k in fields if k in overrides}
         cfg = experiments.RecoveryConfig(out_dir=args.out, **kwargs)
         out = experiments.run_recovery_experiment(cfg)
         print(
@@ -323,6 +320,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (InputError, ExprSyntaxError, DimensionMismatchError) as exc:
+        print(f"nonsmooth: {args.command}: {exc}", file=sys.stderr)
+        return 2
     except tuple(err for err, _, _ in _CAPS) as exc:
         cap, fix = next((c, f) for err, c, f in _CAPS if isinstance(exc, err))
         msg = str(exc) if fix in str(exc) else f"{exc}; {fix}"

@@ -16,7 +16,6 @@ d-stationarity certificate.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -529,33 +528,6 @@ def lspar_oracle(dataset) -> SubgradOracle:
     )
 
 
-def _kbest_selections(costs: list, cap: int):
-    """Index tuples over the choice lists, in increasing total cost.
-
-    ``costs`` is a list of (cost, choice) lists, each sorted ascending.
-    Standard best-first enumeration over the product lattice.
-    """
-    if not costs:
-        yield ()
-        return
-    start = tuple(0 for _ in costs)
-    total0 = sum(c[0][0] for c in costs)
-    heap = [(total0, start)]
-    seen = {start}
-    emitted = 0
-    while heap and emitted < cap:
-        total, idx = heapq.heappop(heap)
-        yield tuple(costs[j][i][1] for j, i in enumerate(idx))
-        emitted += 1
-        for j in range(len(costs)):
-            if idx[j] + 1 < len(costs[j]):
-                nxt = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    delta = costs[j][idx[j] + 1][0] - costs[j][idx[j]][0]
-                    heapq.heappush(heap, (total + delta, nxt))
-
-
 # MM solves and scores its candidates in stacks of at most this many.  On the
 # lspar benchmark (2 vCPUs), one stack of all 256 candidates (selection_cap)
 # raised peak RSS by 7.5% over the per-candidate loop, stacks of 64 by 3.4%;
@@ -564,20 +536,34 @@ CANDIDATE_STACK = 64
 
 
 def _candidate_assignments(base, margins, active, cap: int) -> np.ndarray:
-    """Branch assignments (C, N) of the MM candidates, in enumeration order.
+    """Branch assignments (C, N) of the MM candidates, cheapest first.
 
     Samples with one eps-active branch keep their ``base`` branch; the
-    ambiguous ones take each selection of ``_kbest_selections`` over their
-    active branches, cheapest activity margins first.
+    ambiguous ones take the ``cap`` cheapest selections of their active
+    branches by total margin (summed in sample order), ties broken
+    lexicographically by choice rank (a sample ranks its branches by margin,
+    then index), so with no ambiguous sample the one candidate is ``base``.
+    The fold over the ambiguous samples keeps the ``cap`` best partial
+    selections, which is exact: a top-``cap`` selection has a top-``cap``
+    prefix.  Rows carry the rank of their choice tuple, so each step sorts
+    on two keys.
     """
-    ambiguous = np.flatnonzero(active.sum(axis=1) > 1)
-    cost_lists = [
-        sorted((float(margins[s, i]), int(i)) for i in np.flatnonzero(active[s]))
-        for s in ambiguous
-    ]
-    combos = list(_kbest_selections(cost_lists, cap))
-    assign = np.tile(base, (len(combos), 1))
-    assign[:, ambiguous] = np.array(combos, dtype=np.intp).reshape(len(combos), len(ambiguous))
+    counts = active.sum(axis=1)
+    amb = np.flatnonzero(counts > 1)
+    M = np.where(active[amb], margins[amb], np.inf)
+    order = np.argsort(M, axis=1, kind="stable")  # by (margin, branch)
+    costs = np.take_along_axis(M, order, axis=1)
+    totals, lex = np.zeros(1), np.zeros(1, dtype=np.intp)
+    picks = np.empty((1, 0), dtype=np.intp)
+    for j, m in enumerate(counts[amb]):
+        tot = (totals[:, None] + costs[j, :m]).ravel()
+        key = (lex[:, None] * m + np.arange(m)).ravel()
+        keep = np.lexsort((key, tot))[:cap]
+        rows, ranks = np.divmod(keep, m)
+        totals, picks = tot[keep], np.column_stack([picks[rows], order[j, ranks]])
+        lex = np.argsort(np.argsort(key[keep]))
+    assign = np.tile(base, (totals.size, 1))
+    assign[:, amb] = picks
     return assign
 
 
@@ -594,14 +580,30 @@ class MMParams:
     selection_cap: int = 256
     dstat_tol: float = 1e-6
 
+    def __post_init__(self):
+        rules = {
+            "eps0 is None or > 0": self.eps0 is None or self.eps0 > 0,
+            "c0 > 0": self.c0 > 0,
+            "c_min > 0": self.c_min > 0,
+            "eta >= 0": self.eta >= 0,
+            "0 < shrink < 1": 0.0 < self.shrink < 1.0,
+            "max_outer >= 0": self.max_outer >= 0,
+            "selection_cap >= 1": self.selection_cap >= 1,
+            "dstat_tol >= 0": self.dstat_tol >= 0,
+        }
+        broken = [rule for rule, ok in rules.items() if not ok]
+        if broken:
+            raise ValueError("MMParams needs " + ", ".join(broken))
+
 
 def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
     """Majorization-minimization for LSPAR with a d-stationarity certificate.
 
-    Outer loop: build eps-active branch sets, enumerate candidate branch
-    selections for ambiguous samples (cheapest activity margins first, up to
-    ``selection_cap``), solve and score the ridge-regularized least-squares
-    surrogates of all candidates in stacked solves of up to
+    Outer loop: build eps-active branch sets; the candidates are the
+    ``selection_cap`` cheapest branch selections of the ambiguous samples by
+    total margin, ties broken lexicographically by choice rank (exactly one
+    when no sample is ambiguous); solve and score the ridge-regularized
+    least-squares surrogates of all candidates in stacked solves of up to
     ``CANDIDATE_STACK`` candidates each (one stacked solve per outer
     iteration when there are no more), and accept the best candidate (the
     first one on ties) when the true objective decreases by at least

@@ -96,7 +96,8 @@ class StationarityReport:
 
 
 def _lex_smallest(rows: list) -> np.ndarray:
-    return min(rows, key=lambda r: tuple(np.round(np.asarray(r, float), 12)))
+    """The row whose raveled entries, rounded to 12 decimals, are lexicographically least."""
+    return min(rows, key=lambda r: tuple(np.round(np.asarray(r, float).ravel(), 12)))
 
 
 def _min_dirderiv_over_box(e: Expr, x: np.ndarray, cells: Optional[list]):
@@ -285,12 +286,6 @@ class DStatCertificate:
         return self.is_d_stationary
 
 
-def _lspar_arrays(dataset) -> tuple:
-    X = np.asarray(dataset.X, dtype=float)
-    y = np.asarray(dataset.y, dtype=float).ravel()
-    return X, y
-
-
 def lspar_d_stationarity_check(
     dataset,
     W,
@@ -312,7 +307,8 @@ def lspar_d_stationarity_check(
     ``tol``, must be >= 0) of the max.  Raises :class:`TooManyTiesError`
     above ``selection_cap`` selections; callers perturb W instead.
     """
-    X, y = _lspar_arrays(dataset)
+    X = np.asarray(dataset.X, dtype=float)
+    y = np.asarray(dataset.y, dtype=float).ravel()
     W = np.asarray(W, dtype=float)
     n, k = W.shape
     if n * k > 16:
@@ -386,7 +382,7 @@ def lspar_d_stationarity_check(
     is_d = best_val >= -tol
     witness = None
     if not is_d:
-        witness = min(best_witnesses, key=lambda D: tuple(np.round(D.ravel(), 12)))
+        witness = _lex_smallest(best_witnesses)
     return DStatCertificate(
         is_d_stationary=bool(is_d),
         min_value=float(best_val),

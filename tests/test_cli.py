@@ -201,6 +201,39 @@ class TestUsageErrors:
         )
         assert proc.returncode == 2
 
+    E2 = "(max (var 0) (var 1))"
+
+    @pytest.mark.parametrize(
+        "args, says",
+        [
+            (["eval", "--expr", "(max (var 0)", "--point", "1,2"], "line 1, column"),
+            (["eval", "--expr", E2, "--point", ""], "empty point"),
+            (["eval", "--expr", E2, "--point", "1"], "out of range"),
+            (["eval", "--expr", E2, "--point", "1,abc"], "'1,abc'"),
+            (["subdiff", "--expr", E2, "--point", "1", "--which", "clarke"], "out of range"),
+            (["classify", "--expr", "(abs (var 0)", "--point", "0"], "line 1, column"),
+            (["classify", "--expr", E2, "--point", ""], "empty point"),
+            (["solve", "--method", "subgrad", "--expr", E2, "--x0", ""], "empty point"),
+            (["solve", "--method", "subgrad", "--expr", E2, "--x0", "1,1", "--schedule", "bogus:1"],
+             "unknown --schedule kind 'bogus'"),
+            (["solve", "--method", "subgrad", "--expr", E2, "--x0", "1,1", "--schedule", "geometric:1"],
+             "bad --schedule 'geometric:1'"),
+            (["solve", "--method", "subgrad", "--expr", E2, "--x0", "1,1", "--schedule", "constant:-1"],
+             "must be positive"),
+            (["solve", "--method", "subgrad", "--problem", "lspar", "--schedule", "constant:x"],
+             "bad --schedule 'constant:x'"),
+            (["experiment", "lspar", "--set", "trials=abc"], "'abc'"),
+            (["experiment", "recovery", "--set", "n"], "expected key=value"),
+            (["solve", "--method", "mm"], "--method mm needs --problem lspar"),
+            (["solve", "--method", "subgrad"], "needs --expr and --x0"),
+        ],
+    )
+    def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and says in err, err
+
     def test_entry_point_installed(self, tmp_path):
         module, _, attr = declared_script("nonsmooth").partition(":")
         bin_dir = tmp_path / "bin"

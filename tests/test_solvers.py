@@ -1,14 +1,18 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nonsmooth import solvers
 from nonsmooth.expr import Abs, Affine, Sq, Var, evaluate, vmax, vsum
 from nonsmooth.gallery import fig2_expr
 from nonsmooth.polyhedra import Ball, Box, HPolyhedron
 from nonsmooth.rng import make_rng
 from nonsmooth.solvers import (
-    _kbest_selections,
+    _candidate_assignments,
     _ridge_blocks,
     _sample_products,
     Constant,
@@ -419,6 +423,162 @@ class TestMM:
         assert tr_mm.objectives[-1] <= tr_sg.objectives[-1] + 1e-12
 
 
+def reference_kbest_selections(costs: list, cap: int):
+    """Index tuples over the choice lists, in increasing total cost.
+
+    ``costs`` is a list of (cost, choice) lists, each sorted ascending.
+    Best-first enumeration over the product lattice; ties pop in
+    lexicographic order of the rank tuples.
+    """
+    if not costs:
+        yield ()
+        return
+    start = tuple(0 for _ in costs)
+    total0 = sum(c[0][0] for c in costs)
+    heap = [(total0, start)]
+    seen = {start}
+    emitted = 0
+    while heap and emitted < cap:
+        total, idx = heapq.heappop(heap)
+        yield tuple(costs[j][i][1] for j, i in enumerate(idx))
+        emitted += 1
+        for j in range(len(costs)):
+            if idx[j] + 1 < len(costs[j]):
+                nxt = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    delta = costs[j][idx[j] + 1][0] - costs[j][idx[j]][0]
+                    heapq.heappush(heap, (total + delta, nxt))
+
+
+def reference_candidate_assignments(base, margins, active, cap):
+    """The MM candidates from the best-first heap: (C, N) branch assignments."""
+    ambiguous = np.flatnonzero(active.sum(axis=1) > 1)
+    cost_lists = [
+        sorted((float(margins[s, i]), int(i)) for i in np.flatnonzero(active[s]))
+        for s in ambiguous
+    ]
+    combos = list(reference_kbest_selections(cost_lists, cap))
+    assign = np.tile(base, (len(combos), 1))
+    assign[:, ambiguous] = np.array(combos, dtype=np.intp).reshape(len(combos), len(ambiguous))
+    return assign
+
+
+K_BRANCHES = 4
+EPS = 0.5
+# dyadic margins, so every total is exact and the heap's order is the defined
+# one; few distinct values, so totals tie often
+ACTIVE_MARGINS = (0.0, 0.125, 0.25, 0.5)
+INACTIVE_MARGINS = (0.625, 1.0, 2.0)
+
+
+@st.composite
+def margin_tables(draw):
+    """(base, margins, active): 0-12 ambiguous samples with 2-4 eps-active
+    branches each, among samples with one."""
+    n_amb = draw(st.integers(0, 12))
+    kinds = draw(st.permutations([2] * n_amb + [1] * draw(st.integers(0, 4))))
+    base = np.zeros(len(kinds), dtype=np.intp)
+    margins = np.zeros((len(kinds), K_BRANCHES))
+    for s, kind in enumerate(kinds):
+        perm = draw(st.permutations(range(K_BRANCHES)))
+        m = draw(st.integers(2, K_BRANCHES)) if kind == 2 else 1
+        base[s] = perm[0]
+        for rank, i in enumerate(perm[1:], 1):
+            pool = ACTIVE_MARGINS if rank < m else INACTIVE_MARGINS
+            margins[s, i] = draw(st.sampled_from(pool))
+    return base, margins, margins <= EPS
+
+
+class TestCandidateFold:
+    """The fold against the best-first heap it replaced."""
+
+    @given(margin_tables(), st.sampled_from([1, 2, 4, 256]))
+    @settings(max_examples=400, deadline=None)
+    # equal totals whose choice ranks and branch indices order differently
+    @example(
+        (
+            np.array([1, 0]),
+            np.array([[0.25, 0.0, 1.0, 1.0], [0.0, 1.0, 0.25, 1.0]]),
+            np.array([[True, True, False, False], [True, False, True, False]]),
+        ),
+        2,
+    )
+    def test_matches_the_heap(self, table, cap):
+        base, margins, active = table
+        got = _candidate_assignments(base, margins, active, cap)
+        want = reference_candidate_assignments(base, margins, active, cap)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, want)
+        single = active.sum(axis=1) == 1
+        assert np.all(got[:, single] == base[single])
+        assert np.all(np.take_along_axis(active, got.T, axis=1))
+        n_sel = math.prod(int(m) for m in active.sum(axis=1))
+        assert got.shape == (min(cap, n_sel), base.size)
+
+    def test_truncation_keeps_the_cheapest_totals(self):
+        # the cheapest prefix is not the prefix of the cheapest selection
+        margins = np.array([[0.0, 0.125], [0.0, 0.5], [0.0, 0.25]])
+        active = margins <= EPS
+        got = _candidate_assignments(np.zeros(3, dtype=np.intp), margins, active, 2)
+        assert got.tolist() == [[0, 0, 0], [1, 0, 0]]
+        got = _candidate_assignments(np.zeros(3, dtype=np.intp), margins, active, 3)
+        assert got.tolist() == [[0, 0, 0], [1, 0, 0], [0, 0, 1]]
+
+    def test_no_ambiguous_sample_gives_the_base(self):
+        base = np.array([2, 0, 1])
+        margins = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        for cap in (1, 256):
+            got = _candidate_assignments(base, margins, margins <= EPS, cap)
+            assert got.tolist() == [base.tolist()]
+
+    @pytest.mark.parametrize("N, trial", [(50, 0), (10, 7), (100, 2)])
+    def test_every_mm_call_matches_the_heap(self, monkeypatch, N, trial):
+        # N = 50 trial 0 stalls at MAX_ITER; the others hit the cap of 256
+        fold = solvers._candidate_assignments
+        sizes = []
+
+        def compared(base, margins, active, cap):
+            got = fold(base, margins, active, cap)
+            assert np.array_equal(got, reference_candidate_assignments(base, margins, active, cap))
+            sizes.append(got.shape[0])
+            return got
+
+        monkeypatch.setattr(solvers, "_candidate_assignments", compared)
+        ds, W0 = criterion7_trial(N, trial)
+        tr, _ = solvers.mm_lspar(ds, W0, MMParams())
+        assert sum(sizes) == tr.extras["candidates"]
+        assert max(sizes) == MMParams().selection_cap
+        if (N, trial) == (50, 0):
+            assert tr.termination == "MAX_ITER"
+
+
+class TestMMParams:
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("selection_cap", 0),
+            ("max_outer", -1),
+            ("c0", 0.0),
+            ("c0", -1.0),
+            ("c_min", 0.0),
+            ("eta", -1e-4),
+            ("shrink", 0.0),
+            ("shrink", 1.0),
+            ("dstat_tol", -1e-6),
+            ("eps0", 0.0),
+            ("eps0", float("nan")),
+        ],
+    )
+    def test_rejects(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            MMParams(**{field: bad})
+
+    def test_edges_stay_valid(self):
+        MMParams(max_outer=0, eta=0.0, dstat_tol=0.0, eps0=None, selection_cap=1)
+        MMParams(eps0=1e-12, shrink=0.999)
+
+
 def reference_mm_lspar(dataset, W0, params):
     """The per-candidate MM loop: one ridge solve per branch per candidate."""
     X = np.asarray(dataset.X, dtype=float)
@@ -435,15 +595,9 @@ def reference_mm_lspar(dataset, W0, params):
         Z = X @ W
         margins = Z.max(axis=1)[:, None] - Z
         active = margins <= eps
-        ambiguous = [s for s in range(N) if active[s].sum() > 1]
-        cost_lists = [
-            sorted((float(margins[s, i]), int(i)) for i in np.flatnonzero(active[s]))
-            for s in ambiguous
-        ]
         best_candidate, best_f = None, math.inf
-        for combo in _kbest_selections(cost_lists, params.selection_cap):
-            assign = Z.argmax(axis=1)
-            assign[ambiguous] = combo
+        base = Z.argmax(axis=1)
+        for assign in reference_candidate_assignments(base, margins, active, params.selection_cap):
             Wtry = np.empty_like(W)
             for i in range(k):
                 rows = assign == i
