@@ -27,7 +27,7 @@ import numpy as np
 from . import experiments
 from .expr import DimensionMismatchError, ExprSyntaxError, evaluate, parse_expr
 from .gallery import run_gallery
-from .polyhedra import Ball, Box, DimensionCapError
+from .polyhedra import Ball, Box, DimensionCapError, PolyhedraError
 from .rng import make_rng
 from .sampled import as_gradient_oracle, gradient_sampling
 from .solvers import (
@@ -44,6 +44,7 @@ from .solvers import (
 )
 from .stationarity import TooManyTiesError, classify
 from .subdiff import EnumerationLimitError, bouligand, clarke, frechet, limiting
+from .tolerances import STATIONARITY_TOL
 
 __all__ = ["main"]
 
@@ -85,6 +86,27 @@ def _parse_schedule(text: str):
         return _SCHEDULES[kind.lower()](*(float(v) for v in rest.split(",") if v))
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad --schedule {text!r}: {exc}") from None
+
+
+def _parse_projector(args, dim: int):
+    """The ``--box`` or ``--ball`` set of ``solve --method proj-subgrad``,
+    checked to have dimension ``dim``."""
+    try:
+        if args.box is not None:
+            bounds = _parse_point(args.box)
+            if bounds.size % 2:
+                raise InputError(f"--box needs as many hi as lo values, got {bounds.size} numbers")
+            C = Box(bounds[: bounds.size // 2], bounds[bounds.size // 2 :])
+        else:
+            vals = _parse_point(args.ball)
+            if vals.size < 2:
+                raise InputError(f"--ball needs a center and a radius, got {vals.size} numbers")
+            C = Ball(vals[:-1], float(vals[-1]))
+    except PolyhedraError as exc:
+        raise InputError(f"bad {'--box' if args.box is not None else '--ball'}: {exc}") from None
+    if C.dim != dim:
+        raise InputError(f"the projector set has dimension {C.dim} but --x0 has {dim}")
+    return C
 
 
 def _cmd_eval(args) -> int:
@@ -154,15 +176,15 @@ def _cmd_solve(args) -> int:
             trace, cert = mm_lspar(ds, W0, MMParams())
             print(
                 f"mm: {trace.termination} after {trace.iterations} outer iterations, "
-                f"f={trace.objectives[-1]!r}, d-stationary={cert.is_d_stationary}"
+                f"f={float(trace.objectives[-1])!r}, d-stationary={cert.is_d_stationary}"
             )
         else:
             trace = subgradient_method(
                 lspar_oracle(ds), W0, _parse_schedule(args.schedule), max_iter=args.iters
             )
             print(
-                f"subgrad: {trace.termination}, f={trace.objectives[-1]!r}, "
-                f"best={trace.best_f!r}"
+                f"subgrad: {trace.termination}, f={float(trace.objectives[-1])!r}, "
+                f"best={float(trace.best_f)!r}"
             )
     else:
         if args.method == "mm" or args.expr is None or args.x0 is None:
@@ -174,22 +196,16 @@ def _cmd_solve(args) -> int:
         oracle = oracle_from_expr(e)
         schedule = _parse_schedule(args.schedule)
         if args.method == "proj-subgrad":
-            if args.box is not None:
-                bounds = _parse_point(args.box)
-                half = bounds.size // 2
-                projector = Box(bounds[:half], bounds[half:])
-            elif args.ball is not None:
-                vals = _parse_point(args.ball)
-                projector = Ball(vals[:-1], float(vals[-1]))
-            else:
+            if args.box is None and args.ball is None:
                 print("proj-subgrad needs --box 'lo.. hi..' or --ball 'center.. r'", file=sys.stderr)
                 return 2
+            projector = _parse_projector(args, x0.size)
             trace = projected_subgradient(oracle, projector, x0, schedule, max_iter=args.iters)
         else:
             trace = subgradient_method(oracle, x0, schedule, max_iter=args.iters)
         print(
-            f"{args.method}: {trace.termination}, f={trace.objectives[-1]!r}, "
-            f"best={trace.best_f!r}, x={trace.final_x.tolist()}"
+            f"{args.method}: {trace.termination}, f={float(trace.objectives[-1])!r}, "
+            f"best={float(trace.best_f)!r}, x={trace.final_x.tolist()}"
         )
     if args.trace:
         _write_trace(args.trace, trace)
@@ -197,10 +213,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# the lspar experiment's config keys with their types; recovery keys pass as parsed
+# each experiment family's config keys with their types
 _LSPAR_KEYS = {"trials": int, "root_seed": int, "noise_sigma": float, "subgrad_iters": int, "jobs": int}
-_LSPAR_KEYS["N_list"] = lambda v: tuple(v) if isinstance(v, list) else (v,)
-_RECOVERY_KEYS = ("kind", "n", "m", "outlier_frac", "alpha0", "q", "iters", "seed", "warm_start", "r")
+_LSPAR_KEYS["N_list"] = lambda v: tuple(int(N) for N in (v if isinstance(v, list) else [v]))
+_RECOVERY_KEYS = {
+    "kind": str, "n": int, "m": int, "outlier_frac": float, "alpha0": float,
+    "q": float, "iters": int, "seed": int, "warm_start": float, "r": int,
+}
 
 
 def _cmd_experiment(args) -> int:
@@ -211,12 +230,18 @@ def _cmd_experiment(args) -> int:
                 overrides.update(experiments.parse_config(fh.read()))
         for kv in args.set or []:
             overrides.update(experiments.parse_config(kv))
-        keys = _LSPAR_KEYS if args.family == "lspar" else dict.fromkeys(_RECOVERY_KEYS, lambda v: v)
+        keys = _LSPAR_KEYS if args.family == "lspar" else _RECOVERY_KEYS
         kwargs = {key: cast(overrides[key]) for key, cast in keys.items() if key in overrides}
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad config value: {exc}") from None
+    family = (
+        experiments.LsparExperimentConfig if args.family == "lspar" else experiments.RecoveryConfig
+    )
+    try:
+        cfg = family(out_dir=args.out, **kwargs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if args.family == "lspar":
-        cfg = experiments.LsparExperimentConfig(out_dir=args.out, **kwargs)
         summary = experiments.run_lspar_experiment(cfg)
         for N in cfg.N_list:
             s = summary["per_N"][N]
@@ -227,7 +252,6 @@ def _cmd_experiment(args) -> int:
                 f"frac(mm <= subgrad)={s['frac_mm_not_worse']:.3f}"
             )
     else:
-        cfg = experiments.RecoveryConfig(out_dir=args.out, **kwargs)
         out = experiments.run_recovery_experiment(cfg)
         print(
             f"{out['kind']}: final distance {out['final_distance']:.3e}, "
@@ -280,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("classify", help="stationarity report")
     pc.add_argument("--expr", required=True)
     pc.add_argument("--point", required=True)
-    pc.add_argument("--tol", type=float, default=1e-8)
+    pc.add_argument("--tol", type=float, default=STATIONARITY_TOL)
     pc.set_defaults(func=_cmd_classify)
 
     pv = sub.add_parser("solve", help="run a solver")

@@ -46,6 +46,7 @@ __all__ = [
     "BlindDeconv",
     "MatrixRecovery",
     "LogSumLS",
+    "ROBUST_KINDS",
     "gen_robust_instance",
     "robust_objective",
     "robust_subgrad_oracle",
@@ -152,6 +153,9 @@ class LogSumLS:
     seed: int
 
 
+ROBUST_KINDS = ("sign", "amplitude", "blinddeconv", "matrix", "logsum")
+
+
 def _outlier_mask(rng: np.random.Generator, m: int, frac: float) -> np.ndarray:
     mask = np.zeros(m, dtype=bool)
     count = int(round(frac * m))
@@ -176,7 +180,7 @@ def gen_robust_instance(
     Measurement vectors are iid standard Gaussian, the planted signal is
     unit norm, and non-outlier measurements satisfy the model exactly.
     Outlier entries receive additive Gaussian corruption of scale
-    ``outlier_scale``.
+    ``outlier_scale``.  ``kind`` is one of :data:`ROBUST_KINDS`.
     """
     rng = make_rng(seed, 7)
     if kind == "sign":
@@ -225,7 +229,7 @@ def gen_robust_instance(
         mask = _outlier_mask(rng, m, outlier_frac)
         b = b + mask * (outlier_scale * rng.standard_normal(m))
         return LogSumLS(A=A, b=b, x_star=x, lam=lam, theta=theta, outlier_mask=mask, seed=seed)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    raise ValueError(f"unknown instance kind {kind!r} (kinds: {', '.join(ROBUST_KINDS)})")
 
 
 def _sign0(v: np.ndarray) -> np.ndarray:
@@ -374,6 +378,20 @@ class LsparExperimentConfig:
     mm: MMParams = field(default_factory=MMParams)
     out_dir: Optional[str] = None
     jobs: int = 1
+
+    def __post_init__(self):
+        rules = {
+            "trials >= 1": self.trials >= 1,
+            "a non-empty N_list with every N >= 1": len(self.N_list) > 0
+            and all(N >= 1 for N in self.N_list),
+            "subgrad_iters >= 1": self.subgrad_iters >= 1,
+            "a non-empty subgrad_grid of positive values": len(self.subgrad_grid) > 0
+            and all(c > 0 for c in self.subgrad_grid),
+            "jobs >= 1": self.jobs >= 1,
+        }
+        broken = [rule for rule, ok in rules.items() if not ok]
+        if broken:
+            raise ValueError("LsparExperimentConfig needs " + ", ".join(broken))
 
 
 def tune_subgrad_coefficient(
@@ -602,6 +620,23 @@ class RecoveryConfig:
     r: int = 2
     out_dir: Optional[str] = None
 
+    def __post_init__(self):
+        rules = {
+            f"kind in {ROBUST_KINDS}": self.kind in ROBUST_KINDS,
+            "n >= 1": self.n >= 1,
+            "m >= 1": self.m >= 1,
+            "m >= 4 n for the retrieval kinds": self.kind not in ("sign", "amplitude")
+            or self.m >= 4 * self.n,
+            "0 <= outlier_frac <= 1": 0.0 <= self.outlier_frac <= 1.0,
+            "alpha0 > 0": self.alpha0 > 0,
+            "0 < q < 1": 0.0 < self.q < 1.0,
+            "iters >= 1": self.iters >= 1,
+            "r >= 1": self.r >= 1,
+        }
+        broken = [rule for rule, ok in rules.items() if not ok]
+        if broken:
+            raise ValueError("RecoveryConfig needs " + ", ".join(broken))
+
 
 def fit_log_linear(values: np.ndarray) -> tuple:
     """(slope, r_squared) of a least-squares line through log10(values)."""
@@ -625,8 +660,6 @@ def run_recovery_experiment(config: RecoveryConfig) -> dict:
     iterate and fits a log-linear trend to the best-so-far distances.
     Writes ``recovery.csv`` when ``out_dir`` is set.
     """
-    if config.kind in ("sign", "amplitude") and config.m < 4 * config.n:
-        raise ValueError("retrieval kinds need m >= 4 n for well-posedness")
     inst = gen_robust_instance(
         config.kind, config.n, config.m, config.outlier_frac, config.seed, r=config.r
     )

@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "parse_expr",
     "print_expr",
     "dim_required",
-    "iter_nodes",
     "vsum",
     "vmax",
     "vmin",
@@ -311,13 +310,6 @@ register_builtin(
 # ---------------------------------------------------------------------------
 
 Path = tuple  # tuple of child indices from the root
-
-
-def iter_nodes(e: Expr, path: Path = ()) -> Iterator[tuple]:
-    """Yield (path, node) pairs in pre-order."""
-    yield path, e
-    for i, c in enumerate(e.children()):
-        yield from iter_nodes(c, path + (i,))
 
 
 class FragmentClass(Enum):

@@ -8,7 +8,10 @@ subsets of one less than the rank, stacked with that basis.  Membership in
 a V-polytope or a ray cone, and every distance to one, comes from one
 nearest-point search (Wolfe's method on conv(V) + cone(R)), which returns
 the weights that certify its point; no set question here solves an LP.
-All values are plain numpy arrays; all functions are pure.
+All values are plain numpy arrays; all functions are pure.  Every tolerance
+is a constant of :mod:`nonsmooth.tolerances`, mostly relative to
+max(1, largest |entry|) of the data compared; none is a parameter, except
+the ``tol`` of :func:`contains`.
 
 Set components:
 
@@ -28,6 +31,23 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+
+from .tolerances import (
+    CONE_CROSSCHECK_TOL,
+    CONE_EQUAL_TOL,
+    CONE_SIGN_TOL,
+    DEDUPE_GRID,
+    HULL_TURN_TOL,
+    INTERVAL_MERGE_GAP,
+    MEMBERSHIP_TOL,
+    NEAREST_STOP,
+    NULL_VECTOR_TOL,
+    PIVOT_TOL,
+    SINGULAR_BASIS_TOL,
+    VERTEX_FEAS_TOL,
+    ZERO_NORMAL_TOL,
+    rel_scale,
+)
 
 __all__ = [
     "PolyhedraError",
@@ -55,13 +75,6 @@ __all__ = [
     "set_from_json",
 ]
 
-PIVOT_TOL = 1e-9
-# an n-subset of halfspaces with |det| at or below this is singular: it fixes
-# no unique point, and a solve of it would return rounding noise
-SINGULAR_BASIS_TOL = 1e-12
-# points on one cell of this grid (relative to the largest |coordinate|) are
-# one point: far below every feasibility tolerance, far above solve rounding
-DEDUPE_GRID = 1e-12
 # n-subsets per stacked det/solve: one stack of a cap-sized enumeration
 # (C(48, 4) = 194580 bases) raised peak RSS by ~170 MB, while 4096 still
 # takes a typical 3-D Frechet set (C(30, 3) = 4060 bases) in one call
@@ -97,7 +110,7 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _simplex_phase(T, basis, cost, allowed, tol):
+def _simplex_phase(T, basis, cost, allowed):
     """Run simplex iterations on canonical tableau ``T`` (rows m, cols N+1).
 
     ``cost`` is the length-N cost vector, ``allowed`` a boolean mask of
@@ -113,7 +126,7 @@ def _simplex_phase(T, basis, cost, allowed, tol):
         red = cost[:ncols] - cb @ T[:, :ncols]
         entering = -1
         for j in range(ncols):
-            if allowed[j] and red[j] < -tol:
+            if allowed[j] and red[j] < -PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -121,10 +134,10 @@ def _simplex_phase(T, basis, cost, allowed, tol):
         col = T[:, entering]
         best = None
         for i in range(m):
-            if col[i] > tol:
+            if col[i] > PIVOT_TOL:
                 ratio = T[i, -1] / col[i]
-                if best is None or ratio < best[0] - tol or (
-                    abs(ratio - best[0]) <= tol and basis[i] < basis[best[1]]
+                if best is None or ratio < best[0] - PIVOT_TOL or (
+                    abs(ratio - best[0]) <= PIVOT_TOL and basis[i] < basis[best[1]]
                 ):
                     best = (ratio, i)
         if best is None:
@@ -144,15 +157,15 @@ def lp_solve(
     b_ub=None,
     A_eq=None,
     b_eq=None,
-    tol: float = PIVOT_TOL,
 ) -> LPResult:
     """Minimize ``c^T x`` over ``A_ub x <= b_ub`` and ``A_eq x = b_eq``.
 
     Variables are free; dense two-phase simplex with Bland's rule and pivot
-    tolerance ``tol``.  Designed for dimensions up to ~8 and a few hundred
-    constraints.  The returned optimum satisfies the constraints to 1e-9.
-    The problem is infeasible when the least total violation that phase 1
-    finds exceeds ``tol`` times the largest |entry| of the data (at least 1).
+    tolerance :data:`~nonsmooth.tolerances.PIVOT_TOL`.  Designed for
+    dimensions up to ~8 and a few hundred constraints.  The returned optimum
+    satisfies the constraints to that tolerance.  The problem is infeasible
+    when the least total violation that phase 1 finds exceeds it times the
+    largest |entry| of the data (at least 1).
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -168,7 +181,7 @@ def lp_solve(
     m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
     m = m_ub + m_eq
     if m == 0:
-        if np.all(np.abs(c) <= tol):
+        if np.all(np.abs(c) <= PIVOT_TOL):
             return LPResult("optimal", np.zeros(n), 0.0)
         return LPResult("unbounded")
 
@@ -189,13 +202,13 @@ def lp_solve(
 
     T = np.hstack([M, rhs[:, None]])
     basis = list(range(nuv + m_ub, ncols))
-    infeasible_above = tol * max(1.0, float(np.abs(T).max()))
+    infeasible_above = PIVOT_TOL * rel_scale(T)
 
     # phase 1: drive artificials to zero
     cost1 = np.zeros(ncols)
     cost1[nuv + m_ub :] = 1.0
     allowed = np.ones(ncols, dtype=bool)
-    status = _simplex_phase(T, basis, cost1, allowed, tol)
+    status = _simplex_phase(T, basis, cost1, allowed)
     phase1 = float(cost1[basis] @ T[:, -1])
     if phase1 > infeasible_above:
         return LPResult("infeasible")
@@ -203,7 +216,7 @@ def lp_solve(
     for i in range(m):
         if basis[i] >= nuv + m_ub:
             for j in range(nuv + m_ub):
-                if abs(T[i, j]) > tol:
+                if abs(T[i, j]) > PIVOT_TOL:
                     piv = T[i, j]
                     T[i] /= piv
                     for r in range(m):
@@ -217,7 +230,7 @@ def lp_solve(
     cost2[:n] = c
     cost2[n:nuv] = -c
     allowed[nuv + m_ub :] = False
-    status = _simplex_phase(T, basis, cost2, allowed, tol)
+    status = _simplex_phase(T, basis, cost2, allowed)
     if status == "unbounded":
         return LPResult("unbounded")
     z = np.zeros(ncols)
@@ -365,11 +378,11 @@ class Cone:
 
     def _cross_validate(self):
         for r in self.rays:
-            if np.any(self.normals @ r < -1e-7 * max(1.0, float(np.abs(r).max()))):
+            if np.any(self.normals @ r < -CONE_CROSSCHECK_TOL * rel_scale(r)):
                 raise PolyhedraError("cone ray violates its own halfspace system")
         regen = cone_rays_from_halfspaces(self.normals, self.dim)
         for r in regen:
-            if not _in_cone_rays(self.rays, r, 1e-7):
+            if not _in_cone_rays(self.rays, r, CONE_CROSSCHECK_TOL):
                 raise PolyhedraError("cone halfspaces admit a ray outside the ray hull")
 
 
@@ -402,11 +415,6 @@ class SetUnion:
 # ---------------------------------------------------------------------------
 
 
-# Wolfe's search stops when no point or ray would bring the nearest point
-# closer to p by more than NEAREST_STOP * scale (the gap bounds the distance
-# from below): far below every membership tolerance (1e-9 relative), far
-# above the rounding of a product of two rows
-NEAREST_STOP = 1e-12
 # every step drops a corral member or strictly shortens the distance, so
 # the search ends in a few times (dim + 1) steps; this many means a fault
 NEAREST_MAX_STEPS = 1000
@@ -430,7 +438,7 @@ def _nearest_point(V: np.ndarray, R: np.ndarray, p: np.ndarray) -> tuple:
     norms = np.sqrt((R * R).sum(axis=1))
     norms[norms == 0] = 1.0
     P = np.concatenate([V - p, R / norms[:, None]])
-    scale = max(1.0, float(np.abs(P).max()))
+    scale = rel_scale(P)
     S = np.array([np.argmin((P[:k] * P[:k]).sum(axis=1))])  # the corral, points first
     w = np.zeros(P.shape[0])
     w[S] = 1.0
@@ -474,7 +482,7 @@ def _within(V: np.ndarray, R: np.ndarray, p: np.ndarray, tol: float) -> bool:
     within ``tol * scale`` of p in every coordinate, scale the largest |entry|
     of V and p (at least 1).  Such a point is a combination within that
     bound, so an LP would accept p too."""
-    scale = max(1.0, float(np.abs(V).max()), float(np.abs(p).max()))
+    scale = rel_scale(V, p)
     return bool(np.all(np.abs(_nearest_point(V, R, p)[2] - p) <= tol * scale))
 
 
@@ -489,8 +497,8 @@ def _in_cone_rays(rays: np.ndarray, p: np.ndarray, tol: float) -> bool:
 def _monotone_chain_2d(pts: np.ndarray) -> np.ndarray:
     """Extreme points of a 2-D point cloud (Andrew's monotone chain)."""
     pts = pts[np.lexsort(pts.T[::-1])]
-    scale = max(1.0, float(np.abs(pts).max()))
-    eps = 1e-12 * scale * scale
+    scale = rel_scale(pts)
+    eps = HULL_TURN_TOL * scale * scale
 
     def half(points):
         out: list = []
@@ -514,9 +522,9 @@ def _monotone_chain_2d(pts: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_points(pts: np.ndarray) -> np.ndarray:
-    """Rows of ``pts`` minus later ones on the same :data:`DEDUPE_GRID` cell,
-    in their original order."""
-    grid = DEDUPE_GRID * max(1.0, float(np.abs(pts).max()))
+    """Rows of ``pts`` minus later ones on the same
+    :data:`~nonsmooth.tolerances.DEDUPE_GRID` cell, in their original order."""
+    grid = DEDUPE_GRID * rel_scale(pts)
     cells = np.round(pts / grid) * grid
     order = np.lexsort(cells.T[::-1])  # stable: equal cells keep input order
     run = cells[order]
@@ -525,22 +533,22 @@ def _dedupe_points(pts: np.ndarray) -> np.ndarray:
     return pts[np.sort(order[first])]
 
 
-def conv_hull(points, tol: float = 1e-9) -> VPolytope:
+def conv_hull(points) -> VPolytope:
     """Irredundant vertex set of the convex hull of ``points`` (dim <= 4).
 
     Degenerate inputs (duplicates, collinear points) are fine; the result is
     canonicalized by lexicographic vertex ordering.  Empty input gives the
     empty polytope.  Dimensions 1 and 2 use direct geometric hulls; higher
     dimensions drop, one at a time, each point that lies in the hull of the
-    others by the membership rule of :func:`contains`, so keep those point
-    sets at desk scale.
+    others by the membership rule of :func:`contains` at its default
+    tolerance, so keep those point sets at desk scale.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return VPolytope(np.zeros((0, 1)))
     if pts.shape[1] > MAX_POLYTOPE_DIM:
         raise DimensionCapError(f"conv_hull supports dim <= {MAX_POLYTOPE_DIM}")
-    scale = max(1.0, float(np.abs(pts).max()))
+    scale = rel_scale(pts)
     n = pts.shape[1]
     if n == 1:
         lo, hi = float(pts.min()), float(pts.max())
@@ -554,7 +562,7 @@ def conv_hull(points, tol: float = 1e-9) -> VPolytope:
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1 :]
-        if others and _in_conv_hull(np.array(others), kept[i], tol):
+        if others and _in_conv_hull(np.array(others), kept[i], MEMBERSHIP_TOL):
             kept.pop(i)
         else:
             i += 1
@@ -581,7 +589,7 @@ def support_value(S: Union[VPolytope, SetUnion], d) -> float:
     return float(np.max(S.vertices @ d))
 
 
-def contains(S, z, tol: float = 1e-9) -> bool:
+def contains(S, z, tol: float = MEMBERSHIP_TOL) -> bool:
     """Membership test for any set component or union, to tolerance ``tol``.
 
     A V-polytope, or a cone known by its rays only, holds z when its point
@@ -597,16 +605,14 @@ def contains(S, z, tol: float = 1e-9) -> bool:
             return False
         return _in_conv_hull(S.vertices, z, tol)
     if isinstance(S, HPolyhedron):
-        scale = max(1.0, float(np.abs(z).max()))
-        return bool(np.all(S.A @ z - S.b <= tol * scale))
+        return bool(np.all(S.A @ z - S.b <= tol * rel_scale(z)))
     if isinstance(S, Ball):
         return float(np.linalg.norm(z - S.center)) <= S.radius + tol
     if isinstance(S, Box):
         return bool(np.all(z >= S.lo - tol) and np.all(z <= S.hi + tol))
     if isinstance(S, Cone):
         if S.normals is not None:
-            scale = max(1.0, float(np.abs(z).max()))
-            return bool(np.all(S.normals @ z >= -tol * scale))
+            return bool(np.all(S.normals @ z >= -tol * rel_scale(z)))
         return _in_cone_rays(S.rays, z, tol)
     raise PolyhedraError(f"cannot test membership in {type(S).__name__}")
 
@@ -614,14 +620,6 @@ def contains(S, z, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 # Cones: closed-form generators and duality
 # ---------------------------------------------------------------------------
-
-# Rows are scaled to unit length first.  A cross product, triple product or
-# singular value at or below NULL_VECTOR_TOL counts as zero: it comes from
-# rows of lower rank.  A candidate generator is kept when every row is
-# >= -CONE_SIGN_TOL on it, and two within NULL_VECTOR_TOL are one.
-NULL_VECTOR_TOL = 1e-9
-CONE_SIGN_TOL = 1e-10
-
 
 def _distinct(V: np.ndarray) -> np.ndarray:
     """Rows of ``V`` minus later ones within NULL_VECTOR_TOL of them."""
@@ -667,7 +665,7 @@ def cone_rays_from_halfspaces(normals, dim: int) -> np.ndarray:
     if dim > MAX_POLYTOPE_DIM:
         raise DimensionCapError("cone ray enumeration supports dim <= 4")
     R = np.asarray(normals, dtype=float).reshape(-1, dim)
-    R = _unit(R[np.abs(R).max(axis=1) > 1e-14])
+    R = _unit(R[np.abs(R).max(axis=1) > ZERO_NORMAL_TOL])
     m = R.shape[0]
     if m == 0:
         return _pm(np.eye(dim))
@@ -750,10 +748,11 @@ def polar_cone(C: Cone) -> Cone:
     return Cone(rays=-d.rays, normals=normals, validate=False)
 
 
-def cones_equal(C: Cone, D: Cone, tol: float = 1e-8) -> bool:
-    """Mutual inclusion of ray hulls, by the membership rule of :func:`contains`."""
-    return all(_in_cone_rays(D.rays, r, tol) for r in C.rays) and all(
-        _in_cone_rays(C.rays, r, tol) for r in D.rays
+def cones_equal(C: Cone, D: Cone) -> bool:
+    """Mutual inclusion of ray hulls, by the membership rule of :func:`contains`
+    at :data:`~nonsmooth.tolerances.CONE_EQUAL_TOL`."""
+    return all(_in_cone_rays(D.rays, r, CONE_EQUAL_TOL) for r in C.rays) and all(
+        _in_cone_rays(C.rays, r, CONE_EQUAL_TOL) for r in D.rays
     )
 
 
@@ -762,15 +761,17 @@ def cones_equal(C: Cone, D: Cone, tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def vertex_enumeration(P: HPolyhedron, tol: float = 1e-8) -> VPolytope:
+def vertex_enumeration(P: HPolyhedron) -> VPolytope:
     """Vertices of a bounded H-polyhedron by basis enumeration (dim <= 4).
 
     Every n-subset of the halfspaces with a nonsingular matrix is solved, in
     stacks of :data:`BASIS_STACK`, and the solutions feasible to
-    ``tol * scale`` are kept.  A basic feasible solution is a vertex, so no
-    hull pruning follows: a vertex where more than n facets meet comes out
-    of several bases, and those copies are merged on the dedupe grid.  The
-    result is in lexicographic order; an empty polyhedron gives ``(0, n)``.
+    :data:`~nonsmooth.tolerances.VERTEX_FEAS_TOL` times the largest |entry|
+    of the data (at least 1) are kept.  A basic feasible solution is a
+    vertex, so no hull pruning follows: a vertex where more than n facets
+    meet comes out of several bases, and those copies are merged on the
+    dedupe grid.  The result is in lexicographic order; an empty polyhedron
+    gives ``(0, n)``.
     """
     n = P.dim
     if n > MAX_POLYTOPE_DIM:
@@ -781,7 +782,7 @@ def vertex_enumeration(P: HPolyhedron, tol: float = 1e-8) -> VPolytope:
         raise PolyhedraError("polyhedron cannot be bounded: too few halfspaces")
     if math.comb(m, n) > 200000:
         raise PolyhedraError("too many halfspace combinations")
-    scale = max(1.0, float(np.abs(b).max()), float(np.abs(A).max()))
+    scale = rel_scale(b, A)
     subsets = itertools.combinations(range(m), n)
     verts = []
     while True:
@@ -792,7 +793,7 @@ def vertex_enumeration(P: HPolyhedron, tol: float = 1e-8) -> VPolytope:
         sub = A[rows]
         nonsingular = np.abs(np.linalg.det(sub)) > SINGULAR_BASIS_TOL
         v = np.linalg.solve(sub[nonsingular], b[rows[nonsingular]][..., None])[..., 0]
-        verts.append(v[np.all(v @ A.T - b <= tol * scale, axis=1)])
+        verts.append(v[np.all(v @ A.T - b <= VERTEX_FEAS_TOL * scale, axis=1)])
     verts = np.concatenate(verts)
     if verts.shape[0] == 0:
         return VPolytope(np.zeros((0, n)))
@@ -877,7 +878,7 @@ def _intervals_1d(U: SetUnion) -> list:
     spans.sort()
     merged = [list(spans[0])]
     for lo, hi in spans[1:]:
-        if lo <= merged[-1][1] + 1e-15:
+        if lo <= merged[-1][1] + INTERVAL_MERGE_GAP:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])

@@ -26,6 +26,7 @@ from .expr import Expr, _check_rows, _sweep_rows, _tape, evaluate
 from .polyhedra import SetUnion, conv_hull, contains, set_distance
 from .rng import make_rng
 from .subdiff import DirDerivValue, SubdiffKind, SubdiffSet
+from .tolerances import FD_OSC_TOL
 
 __all__ = [
     "fd_dir_deriv",
@@ -111,14 +112,14 @@ def fd_dir_deriv(
     x,
     d,
     schedule: Optional[Sequence[float]] = None,
-    osc_tol: float = 1e-7,
 ) -> DirDerivValue:
     """Finite-difference estimate of f'(x, d) from a decreasing t-schedule.
 
     Evaluates the one-sided difference quotient (f(x + t d) - f(x)) / t
     along the schedule and reports the last quotient (no extrapolation).
     The estimate is flagged NON_CONVERGENT when the last five quotients
-    oscillate by more than ``osc_tol``; ``amplitude`` records the quotient
+    oscillate by more than :data:`~nonsmooth.tolerances.FD_OSC_TOL`, which
+    ``params["osc_tol"]`` reports; ``amplitude`` records the quotient
     oscillation across the whole schedule.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -137,11 +138,11 @@ def fd_dir_deriv(
         value=float(quotients[-1]),
         kind="ordinary",
         exactness="sampled",
-        converged=osc <= osc_tol,
+        converged=osc <= FD_OSC_TOL,
         oscillation=osc,
         amplitude=amp,
         quotients=tuple(quotients.tolist()),
-        params={"schedule": ts.tolist(), "osc_tol": osc_tol},
+        params={"schedule": ts.tolist(), "osc_tol": FD_OSC_TOL},
     )
 
 

@@ -26,6 +26,14 @@ import numpy as np
 from .expr import _ABS, _BUILTIN, _MAX, BUILTINS, Expr, _check_point, _sweep, _tape, evaluate
 from .polyhedra import Ball, Box, HPolyhedron
 from .stationarity import DStatCertificate, lspar_d_stationarity_check
+from .tolerances import (
+    DYKSTRA_FEAS_TOL,
+    DYKSTRA_MOVE_TOL,
+    LSPAR_DSTAT_TOL,
+    MM_EPS_FLOOR,
+    NORMAL_EQ_RTOL,
+    PROJECTION_TOL,
+)
 
 __all__ = [
     "Constant",
@@ -296,13 +304,25 @@ def _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, 
     )
 
 
-def project(C: Union[Box, Ball, HPolyhedron], x, max_sweeps: int = 20000) -> np.ndarray:
+# Dykstra's sweep cap; at the cap a point feasible to PROJECTION_TOL is still
+# accepted, and any other raises ProjectionError
+DYKSTRA_MAX_SWEEPS = 20000
+
+
+def project(C: Union[Box, Ball, HPolyhedron], x) -> np.ndarray:
     """Euclidean projection onto a box, ball, or halfspace intersection.
 
     Boxes and balls are closed form; halfspace intersections use Dykstra's
-    alternating projections with an iteration cap.
+    alternating projections, at most :data:`DYKSTRA_MAX_SWEEPS` sweeps, and
+    the result is feasible to :data:`~nonsmooth.tolerances.PROJECTION_TOL`.
+    Raises :class:`ProjectionError` when the set's dimension is not the
+    point's.
     """
     x = np.asarray(x, dtype=float).copy()
+    if not isinstance(C, (Box, Ball, HPolyhedron)):
+        raise ProjectionError(f"no projector for {type(C).__name__}")
+    if C.dim != x.size:
+        raise ProjectionError(f"cannot project a point of dimension {x.size} onto a {C.dim}-D set")
     if isinstance(C, Box):
         return np.clip(x, C.lo, C.hi)
     if isinstance(C, Ball):
@@ -316,7 +336,7 @@ def project(C: Union[Box, Ball, HPolyhedron], x, max_sweeps: int = 20000) -> np.
         norms2 = np.sum(A * A, axis=1)
         y = x.copy()
         incr = np.zeros((A.shape[0], x.size))
-        for sweep in range(max_sweeps):
+        for sweep in range(DYKSTRA_MAX_SWEEPS):
             max_move = 0.0
             for i in range(A.shape[0]):
                 z = y + incr[i]
@@ -328,15 +348,14 @@ def project(C: Union[Box, Ball, HPolyhedron], x, max_sweeps: int = 20000) -> np.
                 incr[i] = z - ynew
                 max_move = max(max_move, float(np.abs(ynew - y).max()))
                 y = ynew
-            if np.all(A @ y - b <= 1e-12) and max_move <= 1e-13:
+            if np.all(A @ y - b <= DYKSTRA_FEAS_TOL) and max_move <= DYKSTRA_MOVE_TOL:
                 return y
         resid = float(np.max(A @ y - b))
-        if resid <= 1e-9:
+        if resid <= PROJECTION_TOL:
             return y
         raise ProjectionError(
-            f"projection did not converge in {max_sweeps} sweeps; residual {resid:.3e}"
+            f"projection did not converge in {DYKSTRA_MAX_SWEEPS} sweeps; residual {resid:.3e}"
         )
-    raise ProjectionError(f"no projector for {type(C).__name__}")
 
 
 def projected_subgradient(
@@ -348,19 +367,14 @@ def projected_subgradient(
     stop_tol: float = 0.0,
     ref=None,
 ) -> SolverTrace:
-    """x_{k+1} = Pi_C(x_k - alpha_k s_k); every iterate feasible to 1e-9."""
+    """x_{k+1} = Pi_C(x_k - alpha_k s_k); every iterate is feasible to
+    :data:`~nonsmooth.tolerances.PROJECTION_TOL`."""
     return _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, False)
 
 
 # ---------------------------------------------------------------------------
 # Ridge-regularized least squares (MM subproblem)
 # ---------------------------------------------------------------------------
-
-
-# Normal-equations residual bound relative to max(1, ||rhs||): an LU solve
-# is backward stable, so a larger residual means a numerically singular block
-# (a rank-deficient Gram matrix with a vanishing ridge c), not rounding.
-NORMAL_EQ_RTOL = 1e-10
 
 
 def _sample_products(X, y) -> tuple:
@@ -375,7 +389,8 @@ def _ridge_blocks(XX, Xy, masks, c: float, anchors, scale: float) -> np.ndarray:
     ``masks`` (..., N) holds 0/1 sample indicators, one row per block, and
     ``anchors`` broadcasts to (..., n).  Block b solves
     (scale Σ_s m_bs x_s x_sᵀ + c I) w = scale Σ_s m_bs x_s y_s + c anchor_b;
-    every block's residual is verified to ``NORMAL_EQ_RTOL``.  A block with
+    every block's residual is verified to
+    :data:`~nonsmooth.tolerances.NORMAL_EQ_RTOL`.  A block with
     no sample returns its anchor unchanged.
     """
     n = Xy.shape[1]
@@ -578,7 +593,7 @@ class MMParams:
     shrink: float = 0.5
     max_outer: int = 200
     selection_cap: int = 256
-    dstat_tol: float = 1e-6
+    dstat_tol: float = LSPAR_DSTAT_TOL
 
     def __post_init__(self):
         rules = {
@@ -624,7 +639,7 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
     if n * k > 16:
         raise ValueError("mm_lspar supports k*n <= 16")
     eps = params.eps0 if params.eps0 is not None else 0.1 * float(np.mean(np.abs(y)))
-    eps = max(eps, 1e-12)
+    eps = max(eps, MM_EPS_FLOOR)
     c = params.c0
     XX, Xy = _sample_products(X, y)
     branches = np.arange(k)[:, None]

@@ -44,6 +44,15 @@ from .subdiff import (
     frechet,
     normal_cone,
 )
+from .tolerances import (
+    FACE_TOL,
+    LSPAR_DSTAT_TOL,
+    MIN_TIE_TOL,
+    SLOPE_TIE_TOL,
+    STATIONARITY_TOL,
+    WITNESS_KEY_DECIMALS,
+    rel_scale,
+)
 
 __all__ = [
     "StationarityReport",
@@ -96,8 +105,12 @@ class StationarityReport:
 
 
 def _lex_smallest(rows: list) -> np.ndarray:
-    """The row whose raveled entries, rounded to 12 decimals, are lexicographically least."""
-    return min(rows, key=lambda r: tuple(np.round(np.asarray(r, float).ravel(), 12)))
+    """The row whose raveled entries, rounded to
+    :data:`~nonsmooth.tolerances.WITNESS_KEY_DECIMALS` decimals, are
+    lexicographically least."""
+    return min(
+        rows, key=lambda r: tuple(np.round(np.asarray(r, float).ravel(), WITNESS_KEY_DECIMALS))
+    )
 
 
 def _min_dirderiv_over_box(e: Expr, x: np.ndarray, cells: Optional[list]):
@@ -112,7 +125,7 @@ def _min_dirderiv_over_box(e: Expr, x: np.ndarray, cells: Optional[list]):
         sl, sr = _one_sided_slopes(e, x)
         cand = [(-sl, (-1.0,)), (sr, (1.0,))]
         best = min(v for v, _ in cand)
-        dirs = [d for v, d in cand if v <= best + 1e-15]
+        dirs = [d for v, d in cand if v <= best + SLOPE_TIE_TOL]
         return best, np.array(_lex_smallest(dirs))
     best_val = np.inf
     best_dirs = []
@@ -126,15 +139,15 @@ def _min_dirderiv_over_box(e: Expr, x: np.ndarray, cells: Optional[list]):
             continue
         vals = verts @ g
         vmin = float(vals.min())
-        if vmin < best_val - 1e-12:
+        if vmin < best_val - MIN_TIE_TOL:
             best_val = vmin
-            best_dirs = [v for v, w in zip(verts, vals) if w <= vmin + 1e-10]
-        elif vmin <= best_val + 1e-12:
-            best_dirs.extend(v for v, w in zip(verts, vals) if w <= vmin + 1e-10)
+            best_dirs = [v for v, w in zip(verts, vals) if w <= vmin + FACE_TOL]
+        elif vmin <= best_val + MIN_TIE_TOL:
+            best_dirs.extend(v for v, w in zip(verts, vals) if w <= vmin + FACE_TOL)
     return best_val, np.array(_lex_smallest(best_dirs))
 
 
-def classify(e: Expr, x, tol: float = 1e-8) -> StationarityReport:
+def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
     """Classify x along the d-/l-/C-stationarity hierarchy, with certificates.
 
     Fully exact for PA trees of dim <= 3 and 1-D PA/PLQ trees.  For 1-D
@@ -182,7 +195,7 @@ def classify(e: Expr, x, tol: float = 1e-8) -> StationarityReport:
         # tol * scale of 0 (scale: the set's largest entry, at least 1) bounds
         # f'(x, .) below by -n tol scale on the unit box, and f'(x, .) >= 0
         # puts 0 in the Frechet set
-        scale = max(1.0, float(np.abs(fs.set.components[0].vertices).max())) if is_d else 1.0
+        scale = rel_scale(fs.set.components[0].vertices) if is_d else 1.0
         if (is_d and mval < -n * tol * scale) or (is_d is False and mval >= 0.0):
             raise SubdiffError(
                 "internal: Frechet membership disagrees with directional sweep"
@@ -231,7 +244,7 @@ def convex_optimality_check(
     g: Union[Expr, object],
     C: Optional[Union[HPolyhedron, Box, Ball]],
     x,
-    tol: float = 1e-8,
+    tol: float = STATIONARITY_TOL,
 ) -> OptimalityCertificate:
     """Test 0 in (subdifferential of g at x) + N_C(x) for convex g, x in C.
 
@@ -255,7 +268,7 @@ def convex_optimality_check(
     if C is None:
         rays = np.zeros((0, n))
     else:
-        rays = normal_cone(C, x, tol=1e-9).rays
+        rays = normal_cone(C, x).rays
     lam, mu, z = _nearest_point(V, rays, np.zeros(n))
     if np.abs(z).max() > tol:
         return OptimalityCertificate(False)
@@ -289,7 +302,7 @@ class DStatCertificate:
 def lspar_d_stationarity_check(
     dataset,
     W,
-    tol: float = 1e-6,
+    tol: float = LSPAR_DSTAT_TOL,
     act_tol: Optional[float] = None,
     selection_cap: int = 4096,
 ) -> DStatCertificate:
@@ -373,10 +386,10 @@ def lspar_d_stationarity_check(
                 raise SubdiffError("internal: lspar direction LP failed")
             val = float(res.value)
             Dw = res.x[: n * k].reshape(n, k)
-        if val < best_val - 1e-12:
+        if val < best_val - MIN_TIE_TOL:
             best_val = val
             best_witnesses = [Dw]
-        elif val <= best_val + 1e-12:
+        elif val <= best_val + MIN_TIE_TOL:
             best_witnesses.append(Dw)
 
     is_d = best_val >= -tol

@@ -26,6 +26,10 @@ From that one primitive we obtain, exactly:
 The convex-analysis catalog (norms, max of smooth functions, eigenvalue,
 scaled sums, affine precomposition, normal cones, weak convexity shifts)
 lives at the bottom of the module.
+
+Ties, faces and memberships are decided against the constants of
+:mod:`nonsmooth.tolerances`; the only tolerance a caller sets here is the
+``tol`` of :meth:`SubdiffSet.contains`.
 """
 
 from __future__ import annotations
@@ -79,6 +83,21 @@ from .polyhedra import (
     support_value,
     vertex_enumeration,
 )
+from .tolerances import (
+    ACTIVE_TOL,
+    CELL_KEY_DECIMALS,
+    COMPONENT_KEY_DECIMALS,
+    EIG_MEMBER_TOL,
+    EIG_TIE_RTOL,
+    ESSENTIAL_MARGIN,
+    MEMBERSHIP_TOL,
+    SLOPE_ORDER_TOL,
+    SMOOTH_TIE_RTOL,
+    SYMMETRY_RTOL,
+    TANGENT_TIE_RTOL,
+    VACUOUS_ROW_TOL,
+    rel_scale,
+)
 
 __all__ = [
     "SubdiffError",
@@ -108,7 +127,6 @@ __all__ = [
     "compose_affine",
 ]
 
-ESSENTIAL_MARGIN = 1e-7
 SELECTION_CAP = 4096
 
 
@@ -165,7 +183,7 @@ class SubdiffSet:
     def is_empty(self) -> bool:
         return self.set.is_empty
 
-    def contains(self, z, tol: float = 1e-9) -> bool:
+    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
         return contains(self.set, z, tol)
 
     def to_json(self) -> dict:
@@ -208,14 +226,6 @@ class DirDerivValue:
 # Directional derivatives along one sweep
 # ---------------------------------------------------------------------------
 
-# Relative tolerance under which tangents along d count as tied when the
-# pattern at x + t d is read off, and under which a unit cell generator lies
-# on a face (a unit row vanishes on it).  The directions are sums of computed
-# generators, so two tangents equal on the face in exact arithmetic differ
-# by rounding.
-_TANGENT_TIE_RTOL = 1e-9
-
-
 def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
     """Per-node lists (values at x, one-sided derivatives along d), root
     last; exact ties.
@@ -248,7 +258,7 @@ def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
                 out, s = (-v, -g), (-1.0,)
             else:
                 out = (0.0, abs(g))
-                tol = _TANGENT_TIE_RTOL * max(1.0, abs(g))
+                tol = TANGENT_TIE_RTOL * max(1.0, abs(g))
                 s = (1.0, -1.0) if abs(g) <= tol else (1.0,) if g > 0 else (-1.0,)
             if pattern is not None:
                 pattern[k] = s
@@ -259,7 +269,7 @@ def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
         ds = [D[ks[i]] for i in tied]
         g = max(ds) if op == _MAX else min(ds)
         if pattern is not None:
-            tol = _TANGENT_TIE_RTOL * max(1.0, max(abs(t) for t in ds))
+            tol = TANGENT_TIE_RTOL * max(1.0, max(abs(t) for t in ds))
             pattern[k] = tuple(
                 i for i, t in zip(tied, ds) if (t >= g - tol if op == _MAX else t <= g + tol)
             )
@@ -364,7 +374,7 @@ def _selections(e: Expr, x: np.ndarray, V: list, pattern: dict):
 def _clean_rows(rows, n: int) -> np.ndarray:
     """The rows at unit length, vacuous ones dropped, as an (m, n) array."""
     norms = [float(np.linalg.norm(a)) for a in rows]
-    out = [a / nrm for a, nrm in zip(rows, norms) if nrm > 1e-13]
+    out = [a / nrm for a, nrm in zip(rows, norms) if nrm > VACUOUS_ROW_TOL]
     return np.array(out).reshape(len(out), n)
 
 
@@ -401,7 +411,10 @@ def _cells(e: Expr, x: np.ndarray, V: list, pattern: dict) -> list:
     seen = set()
     for rows, g in _selections(e, x, V, pattern):
         R = _clean_rows(rows, n)
-        key = (tuple(np.round(g, 12)), tuple(sorted(tuple(np.round(a, 12)) for a in R)))
+        key = (
+            tuple(np.round(g, CELL_KEY_DECIMALS)),
+            tuple(sorted(tuple(np.round(a, CELL_KEY_DECIMALS)) for a in R)),
+        )
         if key in seen:
             continue
         seen.add(key)
@@ -511,13 +524,13 @@ def frechet(e: Expr, x) -> SubdiffSet:
     Supported inputs: PA trees in dimension <= 3, and any 1-D expression
     whose one-sided derivatives exist at x (PA, PLQ, registry builtins).
     In 1-D the set is [-f'(x,-1), f'(x,1)], empty when that interval is
-    inverted.
+    inverted by more than :data:`~nonsmooth.tolerances.SLOPE_ORDER_TOL`.
     """
     x = np.asarray(x, dtype=float).ravel()
     frag = classify_fragment(e)
     if x.size == 1:
         sl, sr = _one_sided_slopes(e, x)
-        if sl > sr + 1e-12:
+        if sl > sr + SLOPE_ORDER_TOL:
             return SubdiffSet(kind=SubdiffKind.FRECHET, set=SetUnion(()), at=x)
         return SubdiffSet(
             kind=SubdiffKind.FRECHET,
@@ -546,7 +559,7 @@ def _face_directions(cells: list, n: int) -> list:
     """
     reps = []
     for _, R, rays in cells:
-        on = np.abs(R @ rays.T) <= _TANGENT_TIE_RTOL
+        on = np.abs(R @ rays.T) <= TANGENT_TIE_RTOL
         faces = set()
         for k in range(n):
             for J in itertools.combinations(range(R.shape[0]), k):
@@ -554,7 +567,7 @@ def _face_directions(cells: list, n: int) -> list:
                 if mask.tobytes() not in faces:
                     faces.add(mask.tobytes())
                     d = rays[mask].sum(axis=0)
-                    if np.abs(d).max() > _TANGENT_TIE_RTOL:
+                    if np.abs(d).max() > TANGENT_TIE_RTOL:
                         reps.append(d)
     return reps
 
@@ -582,7 +595,7 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
             )
         sl, sr = _one_sided_slopes(e, x)
         comps: list = []
-        if sl <= sr + 1e-12:
+        if sl <= sr + SLOPE_ORDER_TOL:
             comps.append(conv_hull([[sl], [sr]]))
         else:
             comps.extend([VPolytope([[sl]]), VPolytope([[sr]])])
@@ -604,7 +617,8 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
 
     def add(ss: SubdiffSet):
         for comp in ss.set.components:
-            key = tuple(sorted(map(tuple, np.round(comp.vertices / s, 10).tolist())))
+            unit = np.round(comp.vertices / s, COMPONENT_KEY_DECIMALS)
+            key = tuple(sorted(map(tuple, unit.tolist())))
             if key not in sigs:
                 sigs.add(key)
                 pieces.append((comp, ss.halfspaces))
@@ -624,7 +638,7 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
     def _subset(pa, pb) -> bool:
         V, H = pa[0].vertices / s, pb[1]
         scale = np.maximum(1.0, np.abs(V).max(axis=1))
-        return bool(np.all(V @ H.A.T - H.b / s <= 1e-9 * scale[:, None]))
+        return bool(np.all(V @ H.A.T - H.b / s <= MEMBERSHIP_TOL * scale[:, None]))
 
     keep = []
     for i, ci in enumerate(pieces):
@@ -710,7 +724,7 @@ def _catalog_set(item: CatalogItem, x: np.ndarray) -> SetUnion:
     if isinstance(item, MaxOfSmooth):
         vals = [f(x) for f, _ in item.funcs]
         top = max(vals)
-        tol = 1e-12 * max(1.0, abs(top))
+        tol = SMOOTH_TIE_RTOL * max(1.0, abs(top))
         grads = [
             np.asarray(g(x), dtype=float).ravel()
             for (f, g), v in zip(item.funcs, vals)
@@ -788,8 +802,9 @@ class EigmaxSubdiff:
     """conv{u u^T : u a unit top eigenvector} = {U Z U^T : Z psd, tr Z = 1}.
 
     ``basis`` is an orthonormal basis of the top eigenspace.  Membership and
-    extreme-point tests work in any eigenspace dimension; explicit extreme
-    points are materialized for eigenspace dimension <= 2.
+    extreme-point tests work in any eigenspace dimension, to
+    :data:`~nonsmooth.tolerances.EIG_MEMBER_TOL`; explicit extreme points are
+    materialized for eigenspace dimension <= 2.
     """
 
     basis: np.ndarray
@@ -799,24 +814,24 @@ class EigmaxSubdiff:
     def multiplicity(self) -> int:
         return self.basis.shape[1]
 
-    def contains(self, S, tol: float = 1e-8) -> bool:
+    def contains(self, S) -> bool:
         S = np.asarray(S, dtype=float)
         U = self.basis
         Z = U.T @ S @ U
-        if np.linalg.norm(U @ Z @ U.T - S) > tol:
+        if np.linalg.norm(U @ Z @ U.T - S) > EIG_MEMBER_TOL:
             return False
-        if abs(np.trace(Z) - 1.0) > tol:
+        if abs(np.trace(Z) - 1.0) > EIG_MEMBER_TOL:
             return False
         w = np.linalg.eigvalsh((Z + Z.T) / 2.0)
-        return bool(w.min() >= -tol)
+        return bool(w.min() >= -EIG_MEMBER_TOL)
 
-    def is_extreme_point(self, S, tol: float = 1e-8) -> bool:
-        if not self.contains(S, tol):
+    def is_extreme_point(self, S) -> bool:
+        if not self.contains(S):
             return False
         U = self.basis
         Z = U.T @ np.asarray(S, dtype=float) @ U
         w = np.sort(np.linalg.eigvalsh((Z + Z.T) / 2.0))[::-1]
-        return bool(w[0] >= 1.0 - tol and (w.size == 1 or abs(w[1]) <= tol))
+        return bool(w[0] >= 1.0 - EIG_MEMBER_TOL and (w.size == 1 or abs(w[1]) <= EIG_MEMBER_TOL))
 
     def vertices(self, samples: int = 16) -> list:
         if self.multiplicity == 1:
@@ -832,16 +847,21 @@ class EigmaxSubdiff:
         raise SubdiffError("explicit vertices need eigenspace dimension <= 2")
 
 
-def eigmax_subdiff(M, tol: float = 1e-9) -> EigmaxSubdiff:
-    """Subdifferential of the largest-eigenvalue function at a symmetric M."""
+def eigmax_subdiff(M) -> EigmaxSubdiff:
+    """Subdifferential of the largest-eigenvalue function at a symmetric M.
+
+    The top eigenspace is spanned by the eigenvectors whose eigenvalues lie
+    within :data:`~nonsmooth.tolerances.EIG_TIE_RTOL` (relative) of the
+    largest.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1] or M.shape[0] > 4:
         raise SubdiffError("eigmax_subdiff needs a symmetric matrix, n <= 4")
-    if np.linalg.norm(M - M.T) > 1e-10 * max(1.0, float(np.abs(M).max())):
+    if np.linalg.norm(M - M.T) > SYMMETRY_RTOL * rel_scale(M):
         raise SubdiffError("matrix is not symmetric")
     w, V = np.linalg.eigh(M)
     lam = float(w[-1])
-    keep = w >= lam - tol * max(1.0, abs(lam))
+    keep = w >= lam - EIG_TIE_RTOL * max(1.0, abs(lam))
     return EigmaxSubdiff(basis=V[:, keep], eigenvalue=lam)
 
 
@@ -850,30 +870,32 @@ def eigmax_subdiff(M, tol: float = 1e-9) -> EigmaxSubdiff:
 # ---------------------------------------------------------------------------
 
 
-def normal_cone(C, x, tol: float = 1e-9) -> Cone:
+def normal_cone(C, x) -> Cone:
     """Normal cone of a convex set at x in C (polyhedra, boxes, l2 balls).
 
     Polyhedral sets: the cone generated by the normals of active constraints.
     Balls: the ray through x - center on the boundary, {0} inside.
-    Raises :class:`InfeasiblePointError` when x is outside C.
+    Raises :class:`InfeasiblePointError` when x is outside C.  Feasibility and
+    activity are decided to :data:`~nonsmooth.tolerances.ACTIVE_TOL`,
+    relative to the largest |coordinate| of x for halfspaces.
     """
     x = np.asarray(x, dtype=float).ravel()
     if isinstance(C, Box):
         C = C.to_hpolyhedron()
     if isinstance(C, HPolyhedron):
-        scale = max(1.0, float(np.abs(x).max()))
+        scale = rel_scale(x)
         slack = C.b - C.A @ x
-        if np.any(slack < -tol * scale):
+        if np.any(slack < -ACTIVE_TOL * scale):
             raise InfeasiblePointError("INFEASIBLE_POINT: x is not in C")
-        active = C.A[slack <= tol * scale]
+        active = C.A[slack <= ACTIVE_TOL * scale]
         if active.shape[0] == 0:
             return cone_from_rays(np.zeros((0, x.size)), dim=x.size)
         return cone_from_rays(active)
     if isinstance(C, Ball):
         r = float(np.linalg.norm(x - C.center))
-        if r > C.radius + tol:
+        if r > C.radius + ACTIVE_TOL:
             raise InfeasiblePointError("INFEASIBLE_POINT: x is not in C")
-        if r < C.radius - tol:
+        if r < C.radius - ACTIVE_TOL:
             return cone_from_rays(np.zeros((0, x.size)), dim=x.size)
         return cone_from_rays([(x - C.center) / r])
     raise SubdiffError(f"no normal cone rule for {type(C).__name__}")

@@ -170,6 +170,7 @@ class TestSolve:
         # Sign(0) = 0 rule stops the method there
         assert len(lines) == 3
         assert lines[-1].split(",")[1] == "0.0"
+        assert "np.float64" not in out
 
     def test_mm_on_lspar(self, capsys):
         code, out, _ = run_cli(
@@ -178,6 +179,19 @@ class TestSolve:
         )
         assert code == 0
         assert "d-stationary" in out
+        assert "np.float64" not in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "subgrad", "--problem", "lspar", "--N", "10", "--iters", "20"],
+            ["--method", "proj-subgrad", "--expr", "(abs (var 0))", "--x0", "0.5", "--box", "0 1"],
+        ],
+    )
+    def test_solve_prints_plain_floats(self, args, capsys):
+        code, out, _ = run_cli(["solve", *args], capsys)
+        assert code == 0
+        assert "f=" in out and "np.float64" not in out
 
 
 class TestGallery:
@@ -202,6 +216,7 @@ class TestUsageErrors:
         assert proc.returncode == 2
 
     E2 = "(max (var 0) (var 1))"
+    PROJ = ["solve", "--method", "proj-subgrad", "--expr", E2, "--x0", "0.5 0.5", "--iters", "5"]
 
     @pytest.mark.parametrize(
         "args, says",
@@ -226,6 +241,19 @@ class TestUsageErrors:
             (["experiment", "recovery", "--set", "n"], "expected key=value"),
             (["solve", "--method", "mm"], "--method mm needs --problem lspar"),
             (["solve", "--method", "subgrad"], "needs --expr and --x0"),
+            (PROJ + ["--box", "0 0 1"], "--box needs as many hi as lo values"),
+            (PROJ + ["--box", "0 1 0 0"], "invalid box bounds"),  # lo 1 > hi 0
+            (PROJ + ["--ball", "0 0 -1"], "ball radius must be >= 0"),
+            (PROJ + ["--ball", "1"], "--ball needs a center and a radius"),
+            (PROJ + ["--box", "0 1"], "dimension 1 but --x0 has 2"),
+            (PROJ + ["--ball", "0 0 0 1"], "dimension 3 but --x0 has 2"),
+            (["experiment", "lspar", "--set", "trials=0"], "trials >= 1"),
+            (["experiment", "lspar", "--set", "N_list=10,0"], "every N >= 1"),
+            (["experiment", "recovery", "--set", "n=abc"], "'abc'"),
+            (["experiment", "recovery", "--set", "n=1,2"], "bad config value"),
+            (["experiment", "recovery", "--set", "kind=bogus"], "kind in"),
+            (["experiment", "recovery", "--set", "outlier_frac=2"], "0 <= outlier_frac <= 1"),
+            (["experiment", "recovery", "--set", "alpha0=-1"], "alpha0 > 0"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):

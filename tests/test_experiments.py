@@ -5,6 +5,7 @@ import pytest
 
 from nonsmooth.experiments import (
     LSPAR_TRUE_W,
+    ROBUST_KINDS,
     LsparExperimentConfig,
     RecoveryConfig,
     fit_log_linear,
@@ -205,6 +206,58 @@ class TestRecovery:
             RecoveryConfig(kind="sign", n=4, m=16, outlier_frac=0.0, iters=20, out_dir=str(tmp_path))
         )
         assert (tmp_path / "recovery.csv").exists()
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 0),
+            ("N_list", ()),
+            ("N_list", (10, 0)),
+            ("subgrad_iters", 0),
+            ("jobs", 0),
+            ("subgrad_grid", ()),
+            ("subgrad_grid", (1.0, 0.0)),
+            ("subgrad_grid", (float("nan"),)),
+        ],
+    )
+    def test_lspar_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match="LsparExperimentConfig needs"):
+            LsparExperimentConfig(**{field: value})
+
+    def test_lspar_config_edges_are_valid(self):
+        LsparExperimentConfig(N_list=(1,), trials=1, subgrad_iters=1, subgrad_grid=(0.5,), jobs=1)
+        LsparExperimentConfig(trials=8, jobs=1)  # the benchmark's configuration
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "bogus"),
+            ("n", 0),
+            ("m", 0),
+            ("m", 39),  # sign retrieval needs m >= 4 n = 40
+            ("outlier_frac", -0.1),
+            ("outlier_frac", 1.5),
+            ("outlier_frac", float("nan")),
+            ("alpha0", 0.0),
+            ("q", 1.0),
+            ("iters", 0),
+            ("r", 0),
+        ],
+    )
+    def test_recovery_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match="RecoveryConfig needs"):
+            RecoveryConfig(**{"n": 10, field: value})
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_recovery_kinds_are_the_generators(self, kind):
+        cfg = RecoveryConfig(kind=kind, outlier_frac=1.0)
+        assert gen_robust_instance(kind, cfg.n, cfg.m, cfg.outlier_frac, cfg.seed) is not None
+
+    def test_generator_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown instance kind 'bogus'"):
+            gen_robust_instance("bogus", 2, 8, 0.0, seed=1)
 
 
 class TestConfigParser:

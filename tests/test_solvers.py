@@ -20,6 +20,7 @@ from nonsmooth.solvers import (
     Geometric,
     MMParams,
     Polyak,
+    ProjectionError,
     SubgradOracle,
     lspar_objective,
     lspar_oracle,
@@ -190,6 +191,19 @@ class TestProjectedSubgradient:
 
     def test_box_projection(self):
         assert np.allclose(project(Box([0, 0], [1, 1]), [2.0, -3.0]), [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "C, x",
+        [
+            (Box([0.0], [1.0]), [2.0, -3.0]),  # numpy would broadcast the box
+            (Ball([0.0], 1.0), [3.0, 4.0]),
+            (Box([0.0, 0.0], [1.0, 1.0]), [0.5]),
+            (HPolyhedron(np.eye(2), np.ones(2)), [0.5, 0.5, 0.5]),
+        ],
+    )
+    def test_projection_refuses_a_point_of_another_dimension(self, C, x):
+        with pytest.raises(ProjectionError, match="dimension"):
+            project(C, x)
 
     def test_halfspace_projection_feasible(self):
         H = HPolyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0]))
