@@ -150,7 +150,10 @@ def _cmd_subdiff(args) -> int:
 def _cmd_classify(args) -> int:
     e = _load_expr(args.expr)
     x = _parse_point(args.point)
-    rep = classify(e, x, tol=args.tol)
+    try:
+        rep = classify(e, x, tol=args.tol)
+    except ValueError as exc:  # a negative --tol
+        raise InputError(str(exc)) from None
     print(json.dumps(rep.to_json(), indent=2))
     return 0
 

@@ -383,6 +383,30 @@ def _sample_products(X, y) -> tuple:
     return (X[:, :, None] * X[:, None, :]).reshape(N, n * n), X * y[:, None]
 
 
+def _normal_products(XX, Xy, masks, scale: float) -> tuple:
+    """The c-free parts of :func:`_ridge_blocks`' normal equations.
+
+    Returns scale Σ_s m_bs x_s x_sᵀ (..., n, n), scale Σ_s m_bs x_s y_s
+    (..., n) and which blocks hold a sample (...,), for :func:`_ridge_solve`.
+    """
+    n = Xy.shape[1]
+    G = scale * (masks @ XX).reshape(masks.shape[:-1] + (n, n))
+    return G, scale * (masks @ Xy), masks.any(axis=-1)
+
+
+def _ridge_solve(products, c: float, anchors) -> np.ndarray:
+    """Solve the normal equations of :func:`_normal_products` with ridge ``c``."""
+    G, q, nonempty = products
+    H = G + c * np.eye(G.shape[-1])
+    rhs = q + c * anchors
+    w = np.linalg.solve(H, rhs[..., None])
+    resid = np.linalg.norm((H @ w)[..., 0] - rhs, axis=-1)
+    bound = NORMAL_EQ_RTOL * np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
+    if np.any(resid > bound):
+        raise ArithmeticError(f"normal equations residual too large: {resid.max():.3e}")
+    return np.where(nonempty[..., None], w[..., 0], anchors)
+
+
 def _ridge_blocks(XX, Xy, masks, c: float, anchors, scale: float) -> np.ndarray:
     """Ridge least-squares minimizers of many sample subsets, solved at once.
 
@@ -393,15 +417,7 @@ def _ridge_blocks(XX, Xy, masks, c: float, anchors, scale: float) -> np.ndarray:
     :data:`~nonsmooth.tolerances.NORMAL_EQ_RTOL`.  A block with
     no sample returns its anchor unchanged.
     """
-    n = Xy.shape[1]
-    H = scale * (masks @ XX).reshape(masks.shape[:-1] + (n, n)) + c * np.eye(n)
-    rhs = scale * (masks @ Xy) + c * anchors
-    w = np.linalg.solve(H, rhs[..., None])
-    resid = np.linalg.norm((H @ w)[..., 0] - rhs, axis=-1)
-    bound = NORMAL_EQ_RTOL * np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
-    if np.any(resid > bound):
-        raise ArithmeticError(f"normal equations residual too large: {resid.max():.3e}")
-    return np.where(masks.any(axis=-1)[..., None], w[..., 0], anchors)
+    return _ridge_solve(_normal_products(XX, Xy, masks, scale), c, anchors)
 
 
 def ridge_ls_solve(X, y, c: float, anchor, nsamples: Optional[int] = None) -> np.ndarray:
@@ -582,6 +598,25 @@ def _candidate_assignments(base, margins, active, cap: int) -> np.ndarray:
     return assign
 
 
+def _candidate_scores(Z, y) -> np.ndarray:
+    """LSPAR objectives (C,) of C candidates from their branch values Z
+    (C, N, k); a non-finite objective scores inf.
+
+    The max over the k branches is a running ``np.maximum`` over Z's
+    columns, bit for bit ``Z.max(axis=-1)`` (max is exact, and NaN
+    propagates in both): numpy reduces a short last axis row by row, so at
+    C = 64, N = 100, k = 4 the whole score took 390 µs with that reduction
+    and 43 µs with the fold (numpy 2.4, one core of a 2-vCPU VM).
+    """
+    r = Z[..., 0].copy()
+    for j in range(1, Z.shape[-1]):
+        np.maximum(r, Z[..., j], out=r)
+    r -= y
+    f = 0.5 * np.mean(r * r, axis=-1)
+    f[~np.isfinite(f)] = math.inf
+    return f
+
+
 @dataclass(frozen=True)
 class MMParams:
     """Knobs of the non-monotone MM loop (defaults are the frozen choices)."""
@@ -625,7 +660,9 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
     eta * ||delta W||^2.  When no candidate passes, the exact
     d-stationarity test either certifies termination or eps shrinks and
     the proximal weight grows.  The test runs once per distinct iterate:
-    rejected iterations keep W, so they reuse its certificate.
+    rejected iterations keep W, so they reuse its certificate, and while
+    the shrinking eps leaves the eps-active sets as they were, they reuse
+    W's candidates and the c-free products of their normal equations.
 
     Returns (trace, certificate); certificate is the d-stationarity record
     at the final iterate in every termination path.  ``trace.extras`` counts
@@ -650,24 +687,25 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
     termination = "MAX_ITER"
     cert: Optional[DStatCertificate] = None
     outer_iters = candidates = 0
+    active = None  # the eps-active sets the candidate stacks were built for
     for _ in range(params.max_outer):
         outer_iters += 1
         f_cur = fs[-1]
-        Z = X @ W
-        g = Z.max(axis=1)
-        margins = g[:, None] - Z  # >= 0
-        active = margins <= eps
-        assign = _candidate_assignments(Z.argmax(axis=1), margins, active, params.selection_cap)
+        if active is None:  # W moved
+            Z = X @ W
+            margins = Z.max(axis=1)[:, None] - Z  # >= 0
+        if active is None or not np.array_equal(margins <= eps, active):
+            active = margins <= eps
+            assign = _candidate_assignments(Z.argmax(axis=1), margins, active, params.selection_cap)
+            stacks = []
+            for lo in range(0, assign.shape[0], CANDIDATE_STACK):
+                masks = assign[lo : lo + CANDIDATE_STACK, None, :] == branches  # (C, k, N)
+                stacks.append(_normal_products(XX, Xy, masks.astype(float), 1.0 / N))
         candidates += assign.shape[0]
         best_candidate, best_f = None, math.inf
-        for lo in range(0, assign.shape[0], CANDIDATE_STACK):
-            masks = assign[lo : lo + CANDIDATE_STACK, None, :] == branches  # (C, k, N)
-            Wtry = _ridge_blocks(XX, Xy, masks.astype(float), c, W.T, 1.0 / N)
-            Wtry = Wtry.transpose(0, 2, 1)  # (C, n, k)
-            r = (X @ Wtry).max(axis=-1)
-            r -= y
-            ftry = 0.5 * np.mean(r * r, axis=-1)
-            ftry[~np.isfinite(ftry)] = math.inf
+        for products in stacks:
+            Wtry = _ridge_solve(products, c, W.T).transpose(0, 2, 1)  # (C, n, k)
+            ftry = _candidate_scores(X @ Wtry, y)
             best = int(np.argmin(ftry))
             if ftry[best] < best_f:  # strict: the first minimum wins across stacks
                 best_candidate, best_f = Wtry[best], float(ftry[best])
@@ -684,7 +722,7 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
             # successful steps relax the proximal damping so a stable branch
             # assignment converges at the rate of its least-squares subproblem
             c = max(params.c_min, 0.5 * c)
-            cert = None  # W moved
+            cert = active = None  # W moved
             continue
         if cert is None:  # the check is a function of (dataset, W) alone
             cert = lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol)

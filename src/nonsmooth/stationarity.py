@@ -155,8 +155,10 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
     derivatives); the other flags come back None.  Where the directional
     sweep (min over the unit box of f'(x, .)) is available, the d-flag is
     that minimum being >= -tol, and Frechet membership cross-checks it;
-    otherwise the d-flag is Frechet membership.
+    otherwise the d-flag is Frechet membership.  ``tol`` must be >= 0.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     x = np.asarray(x, dtype=float).ravel()
     frag = classify_fragment(e)
     n = x.size
@@ -252,10 +254,12 @@ def convex_optimality_check(
     that are a max of affine pieces are convex by construction) or a catalog
     item.  ``C`` may be None for the unconstrained problem.  The test finds
     the point s + nu of (subdifferential) + N_C(x) nearest to 0 and accepts
-    when it is within ``tol`` of 0 in every coordinate; the certificate then
-    carries s, a subgradient, and nu, a normal direction, read from the
-    weights of that point.
+    when it is within ``tol`` (>= 0) of 0 in every coordinate; the
+    certificate then carries s, a subgradient, and nu, a normal direction,
+    read from the weights of that point.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
     if isinstance(g, Expr):

@@ -254,6 +254,8 @@ class TestUsageErrors:
             (["experiment", "recovery", "--set", "kind=bogus"], "kind in"),
             (["experiment", "recovery", "--set", "outlier_frac=2"], "0 <= outlier_frac <= 1"),
             (["experiment", "recovery", "--set", "alpha0=-1"], "alpha0 > 0"),
+            (["classify", "--expr", "(abs (var 0))", "--point", "0", "--tol", "-1"], "tol must be >= 0"),
+            (["classify", "--expr", "(abs (var 0))", "--point", "0", "--tol", "nan"], "tol must be >= 0"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):

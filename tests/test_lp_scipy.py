@@ -9,7 +9,7 @@ the module is skipped where scipy is missing.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonsmooth.polyhedra import lp_solve
@@ -23,10 +23,15 @@ def compare(c, A_ub, b_ub, A_eq=None, b_eq=None):
     """Both solvers agree on the status and, when optimal, on the value."""
     ours = lp_solve(c, A_ub, b_ub, A_eq, b_eq)
     # HiGHS's presolve reports some feasible unbounded LPs as infeasible
-    # (see test_unbounded_along_a_tied_pair), so the reference runs without it
-    ref = linprog(
-        c, A_ub, b_ub, A_eq, b_eq, bounds=(None, None), method="highs", options={"presolve": False}
-    )
+    # (see test_unbounded_along_a_tied_pair), so the reference runs without
+    # it; without it, HiGHS leaves some LPs with an all-zero row at model
+    # status Unknown (scipy status 4), and there presolve decides them
+    for presolve in (False, True):
+        ref = linprog(
+            c, A_ub, b_ub, A_eq, b_eq, bounds=(None, None), method="highs", options={"presolve": presolve}
+        )
+        if ref.status in STATUS:
+            break
     assert ref.status in STATUS, ref.message
     assert ours.status == STATUS[ref.status]
     if ours.optimal:
@@ -64,6 +69,24 @@ def integer_lps(draw):
 class TestAgainstLinprog:
     @given(integer_lps())
     @settings(max_examples=300, deadline=None)
+    # unbounded, with zero rows: HiGHS without presolve stops at status Unknown
+    @example(
+        (
+            np.array([0.0, -2.0, 3.0]),
+            np.array(
+                [
+                    [0.0, 1.0, -2.0],
+                    [0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0],
+                    [0.0, 0.0, -3.0],
+                    [0.0, -1.0, -2.0],
+                    [0.0, -2.0, 2.0],
+                    [0.0, 0.0, 0.0],
+                ]
+            ),
+            np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        )
+    )
     def test_random_lps(self, lp):
         compare(*lp)
 

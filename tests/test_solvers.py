@@ -13,7 +13,10 @@ from nonsmooth.polyhedra import Ball, Box, HPolyhedron
 from nonsmooth.rng import make_rng
 from nonsmooth.solvers import (
     _candidate_assignments,
+    _candidate_scores,
+    _normal_products,
     _ridge_blocks,
+    _ridge_solve,
     _sample_products,
     Constant,
     Diminishing,
@@ -282,6 +285,21 @@ class TestRidge:
                     assert np.array_equal(out[b, i], anchors[i])
         assert n_empty >= 3
 
+    def test_blocks_are_products_then_solve(self):
+        rng = make_rng(32)
+        N, n, k, C = 30, 2, 4, 16
+        X = rng.uniform(-1, 1, (N, n))
+        XX, Xy = _sample_products(X, rng.standard_normal(N))
+        masks = (rng.integers(0, k, (C, 1, N)) == np.arange(k)[:, None]).astype(float)
+        masks[0, 3] = 0.0  # an empty block
+        anchors = rng.standard_normal((k, n))
+        products = _normal_products(XX, Xy, masks, 1.0 / N)
+        for c in (1e-9, 0.3, 2.0**40):
+            want = _ridge_blocks(XX, Xy, masks, c, anchors, 1.0 / N)
+            got = _ridge_solve(products, c, anchors)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got[0, 3], anchors[3])
+
     def test_stacked_solve_checks_every_block(self):
         # the second block's Gram matrix is nearly singular: its solve leaves
         # a normal-equations residual ~3e-9 relative, past the bound
@@ -546,7 +564,11 @@ class TestCandidateFold:
             got = _candidate_assignments(base, margins, margins <= EPS, cap)
             assert got.tolist() == [base.tolist()]
 
-    @pytest.mark.parametrize("N, trial", [(50, 0), (10, 7), (100, 2)])
+    # (candidates solved, outer iterations) of each run, as counted when
+    # every outer iteration rebuilt its candidates
+    MM_COUNTS = {(50, 0): (3344, 200), (10, 7): (273, 15), (100, 2): (4736, 19)}
+
+    @pytest.mark.parametrize("N, trial", list(MM_COUNTS))
     def test_every_mm_call_matches_the_heap(self, monkeypatch, N, trial):
         # N = 50 trial 0 stalls at MAX_ITER; the others hit the cap of 256
         fold = solvers._candidate_assignments
@@ -561,10 +583,13 @@ class TestCandidateFold:
         monkeypatch.setattr(solvers, "_candidate_assignments", compared)
         ds, W0 = criterion7_trial(N, trial)
         tr, _ = solvers.mm_lspar(ds, W0, MMParams())
-        assert sum(sizes) == tr.extras["candidates"]
+        assert (tr.extras["candidates"], tr.extras["outer_iters"]) == self.MM_COUNTS[N, trial]
+        # rejected iterations whose eps-active sets did not change reuse them
+        assert len(sizes) <= tr.extras["outer_iters"]
         assert max(sizes) == MMParams().selection_cap
         if (N, trial) == (50, 0):
             assert tr.termination == "MAX_ITER"
+            assert len(sizes) < tr.extras["outer_iters"]
 
 
 class TestMMParams:
@@ -653,6 +678,49 @@ class TestStackedMM:
         tr, _ = mm_lspar(ds, make_rng(7).standard_normal((2, 4)))
         assert tr.extras["outer_iters"] >= max(1, tr.steps.size)
         assert tr.extras["candidates"] >= tr.extras["outer_iters"]
+
+
+class TestCandidateScores:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_fold_matches_the_axis_max(self, seed):
+        rng = make_rng(seed, 33)
+        C, N, k = 24, 10, rng.integers(1, 6)
+        Z = rng.standard_normal((C, N, k))
+        y = rng.standard_normal(N)
+        # NaN and +-inf in some rows, alone or beside finite branch values
+        specials = np.array([np.nan, np.inf, -np.inf])
+        cells = rng.integers(0, Z.size, 20)
+        Z.reshape(-1)[cells] = rng.choice(specials, cells.size)
+        Z[0] = -np.inf
+        r = Z.max(axis=-1) - y
+        want = 0.5 * np.mean(r * r, axis=-1)
+        want[~np.isfinite(want)] = math.inf
+        got = _candidate_scores(Z, y)
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got).sum() >= 2 and np.isfinite(got).any()
+
+
+# Final objective, `iterations` (iterates recorded), eps and c of the
+# criterion-7 N = 50 trials that stop at max_outer without a certificate,
+# floats as float.hex
+STALLED_N50 = {
+    0: ("0x1.52d5cb6770423p-8", 37, "0x1.12b8dbb1e950bp-167", "0x1.0000000000000p+128"),
+    1: ("0x1.00fffe89dad12p-8", 50, "0x1.fa4dbe5c174d8p-155", "0x1.0000000000000p+102"),
+    2: ("0x1.f8c86766f1443p-9", 45, "0x1.f46d5b3191ecfp-160", "0x1.0000000000000p+112"),
+    4: ("0x1.0ecafb774d285p-5", 50, "0x1.ed352b8ebd23ap-155", "0x1.0000000000000p+102"),
+}
+
+
+class TestStalledTrials:
+    @pytest.mark.parametrize("trial", list(STALLED_N50))
+    def test_pinned_bit_for_bit(self, trial):
+        tr, cert = mm_lspar(*criterion7_trial(50, trial), MMParams())
+        f, iters, eps, c = STALLED_N50[trial]
+        assert tr.termination == "MAX_ITER" and not cert.is_d_stationary
+        assert float(tr.objectives[-1]).hex() == f
+        assert tr.iterations == iters
+        assert float(tr.extras["eps_final"]).hex() == eps
+        assert float(tr.extras["c_final"]).hex() == c
 
 
 class TestOneCheckPerIterate:

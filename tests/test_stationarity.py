@@ -44,6 +44,11 @@ class TestClassify:
         rep = classify(e, np.zeros(n))
         assert (rep.is_C, rep.is_l, rep.is_d) == (True, True, True)
 
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan")])
+    def test_rejects_negative_tol(self, bad):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            classify(Abs(Var(0)), [0.0], tol=bad)
+
     def test_f1_at_half_is_d(self):
         rep = classify(f1_expr(), [0.5])
         assert rep.is_d is True
@@ -194,6 +199,11 @@ class TestConvexOptimality:
         assert cert.optimal
         assert cert.s[0] == pytest.approx(1.0, abs=1e-7)
         assert cert.nu[0] == pytest.approx(-1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_rejects_negative_tol(self, bad):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            convex_optimality_check(Abs(Var(0)), None, [0.0], tol=bad)
 
     def test_abs_at_half_not_optimal(self):
         cert = convex_optimality_check(Abs(Var(0)), None, [0.5])
@@ -507,6 +517,26 @@ def assert_same_certificate(got, ref):
         assert got.witness.shape == ref.witness.shape
         assert got.witness.dtype == ref.witness.dtype
         assert got.witness.tobytes() == ref.witness.tobytes()
+
+
+class TestUncertifiedWitnessDescends:
+    """A second route to the failed certificates of MM's stalled runs: the
+    check's witness D lowers the objective itself, at the rate min_value."""
+
+    @pytest.mark.parametrize("trial", [0, 1, 2, 4])
+    def test_stalled_mm_runs(self, trial):
+        from nonsmooth.solvers import MMParams, lspar_objective, mm_lspar
+
+        ds, W0 = criterion7_trial(50, trial)
+        tr, cert = mm_lspar(ds, W0, MMParams())
+        assert tr.termination == "MAX_ITER" and not cert.is_d_stationary
+        W, D = tr.final_x, cert.witness
+        f0 = lspar_objective(ds.X, ds.y, W)
+        for t in (1e-8, 1e-6):
+            assert lspar_objective(ds.X, ds.y, W + t * D) < f0
+        t = 1e-8
+        slope = (lspar_objective(ds.X, ds.y, W + t * D) - f0) / t
+        assert slope == pytest.approx(cert.min_value, rel=5e-3)
 
 
 class TestLsparCheckMatchesRowByRow:
