@@ -33,15 +33,9 @@ from .polyhedra import (
 )
 from .subdiff import (
     SubdiffError,
-    UnsupportedFragmentError,
-    _bouligand_from_cells,
-    _cells_at,
-    _clarke_from_bouligand,
-    _limiting,
-    _one_sided_slopes,
+    _point,
     clarke,
     convex_catalog_subdiff,
-    frechet,
     normal_cone,
 )
 from .tolerances import (
@@ -122,7 +116,7 @@ def _min_dirderiv_over_box(e: Expr, x: np.ndarray, cells: Optional[list]):
     """
     n = x.size
     if n == 1:
-        sl, sr = _one_sided_slopes(e, x)
+        sl, sr = _point(e, x).slopes()
         cand = [(-sl, (-1.0,)), (sr, (1.0,))]
         best = min(v for v, _ in cand)
         dirs = [d for v, d in cand if v <= best + SLOPE_TIE_TOL]
@@ -159,31 +153,28 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    x = np.asarray(x, dtype=float).ravel()
+    p = _point(e, x)
+    x = p.x
     frag = classify_fragment(e)
     n = x.size
     certs: dict = {}
     pa_plq = frag in (FragmentClass.PA, FragmentClass.PLQ)
     exact = (pa_plq and n == 1) or (frag is FragmentClass.PA and n <= 3)
-    # the cells of d -> f'(x, d), shared by Clarke, Frechet, limiting and
-    # the sweep
-    cells = _cells_at(e, x) if pa_plq and n <= 4 else None
-
+    # the sets come from the record at x, which the exact calls at x share
     is_C = is_l = is_d = None
-    fs = cs = ls = None
-    if cells is not None:
-        cs = _clarke_from_bouligand(_bouligand_from_cells(cells, x))
-        is_C = cs.contains(np.zeros(n), tol)
+    fs = None
+    if pa_plq and n <= 4:
+        is_C = p.clarke().contains(np.zeros(n), tol)
         certs["clarke_contains_zero"] = is_C
     if exact:
-        ls, fs = _limiting(e, x, cells)
+        ls, fs = p.limiting()
         is_l = contains(ls.set, np.zeros(n), tol)
         certs["limiting_contains_zero"] = is_l
-    if fs is None:
+    if n == 1:
         try:
-            fs = frechet(e, x)
-        except (UnsupportedFragmentError, SubdiffError):
-            fs = None
+            fs = p.frechet()
+        except SubdiffError:  # a builtin with no one-sided derivative at x
+            pass
     if fs is not None:
         is_d = (not fs.is_empty) and fs.contains(np.zeros(n), tol)
         certs["frechet_contains_zero"] = is_d
@@ -191,7 +182,7 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
     witness = None
     wvalue = None
     if exact:
-        mval, mdir = _min_dirderiv_over_box(e, x, cells)
+        mval, mdir = _min_dirderiv_over_box(e, x, p.cells())
         certs["sweep_min"] = float(mval)
         # only what the math rules out is an error: a Frechet point within
         # tol * scale of 0 (scale: the set's largest entry, at least 1) bounds
@@ -208,7 +199,7 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
             wvalue = float(mval)
     elif is_d is False and fs is not None:
         # 1-D builtin case: certify with the negative one-sided direction
-        sl, sr = _one_sided_slopes(e, x)
+        sl, sr = p.slopes()
         cand = [(-sl, np.array([-1.0])), (sr, np.array([1.0]))]
         wvalue, witness = min(cand, key=lambda t: t[0])
 

@@ -23,6 +23,10 @@ From that one primitive we obtain, exactly:
 * ``limiting``   -- the union of Frechet sets over all activity patterns
   realizable arbitrarily close to ``x``.
 
+The exact calls at one point share what they derive there: one slot holds
+the record of the last (tree, point) analysed (:func:`_point`), and each
+part of it is computed once, for the first call that needs it.
+
 The convex-analysis catalog (norms, max of smooth functions, eigenvalue,
 scaled sums, affine precomposition, normal cones, weak convexity shifts)
 lives at the bottom of the module.
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -177,7 +181,8 @@ class SubdiffSet:
     notes: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "at", np.asarray(self.at, dtype=float).ravel())
+        # a copy: the caller may go on to change the array it passed
+        object.__setattr__(self, "at", np.array(self.at, dtype=float).ravel())
 
     @property
     def is_empty(self) -> bool:
@@ -424,15 +429,125 @@ def _cells(e: Expr, x: np.ndarray, V: list, pattern: dict) -> list:
     return cells
 
 
-def _cells_at(e: Expr, x: np.ndarray) -> list:
-    """The cells of d -> f'(x, d) for a PA/PLQ tree."""
+# ---------------------------------------------------------------------------
+# What the exact oracles derive at one point
+# ---------------------------------------------------------------------------
+
+
+class _Point:
+    """What the exact oracles derive at one point ``x`` of one tree, each
+    part computed on first use: the node values and live pattern at x, the
+    cells of each live pattern, the Frechet set of each pattern's cells, the
+    one-sided slopes (1-D), the Bouligand and Clarke sets, and
+    :func:`_limiting`'s result.
+
+    A pattern other than the one at x is keyed by the tuple of its items;
+    None stands for the pattern at x.  Each part is filled by one
+    assignment of a value that depends on (tape, x) alone, so threads that
+    race on a part write equal values; a part whose computation raises stays
+    unfilled.  The sets kept here are never handed out: callers get copies.
+    """
+
+    def __init__(self, e: Expr, tape, x: np.ndarray):
+        self.e, self.tape, self.x, self.key = e, tape, x, x.tobytes()
+        self._base = self._slopes = self._bouligand = self._clarke = self._limiting = None
+        self._cells: dict = {}
+        self._frechet: dict = {}
+
+    def base(self) -> tuple:
+        """(node values at x, the live pattern at x as a key)."""
+        if self._base is None:
+            V, at_x = _pattern(self.e, self.x, np.zeros(self.x.size))
+            self._base = V, tuple(at_x.items())
+        return self._base
+
+    def cells(self, pattern: Optional[tuple] = None) -> list:
+        cells = self._cells.get(pattern)
+        if cells is None:
+            V, at_x = self.base()
+            live = dict(at_x if pattern is None else pattern)
+            cells = self._cells[pattern] = _cells(self.e, self.x, V, live)
+        return cells
+
+    def slopes(self) -> tuple:
+        if self._slopes is None:
+            self._slopes = _one_sided_slopes(self.e, self.x)
+        return self._slopes
+
+    def bouligand(self) -> SubdiffSet:
+        if self._bouligand is None:
+            pts = _canon_vertices(_dedupe_points(np.array([c.g for c in self.cells()])))
+            comps = tuple(VPolytope(np.array([g])) for g in pts)
+            self._bouligand = SubdiffSet(kind=SubdiffKind.BOULIGAND, set=SetUnion(comps), at=self.x)
+        return self._bouligand
+
+    def clarke(self) -> SubdiffSet:
+        if self._clarke is None:
+            hull = conv_hull(np.vstack([c.vertices for c in self.bouligand().set.components]))
+            self._clarke = SubdiffSet(kind=SubdiffKind.CLARKE, set=SetUnion((hull,)), at=self.x)
+        return self._clarke
+
+    def frechet(self, pattern: Optional[tuple] = None) -> SubdiffSet:
+        """The Frechet set of the cells of ``pattern``; at x in 1-D, of the
+        one-sided slopes."""
+        fs = self._frechet.get(pattern)
+        if fs is None:
+            if self.x.size == 1:
+                sl, sr = self.slopes()
+                comps = () if sl > sr + SLOPE_ORDER_TOL else (conv_hull([[sl], [sr]]),)
+                fs = SubdiffSet(kind=SubdiffKind.FRECHET, set=SetUnion(comps), at=self.x)
+            else:
+                fs = _frechet_from_cells(self.cells(pattern), self.x.size, self.x)
+            self._frechet[pattern] = fs
+        return fs
+
+    def limiting(self) -> tuple:
+        if self._limiting is None:
+            self._limiting = _limiting(self)
+        return self._limiting
+
+
+_last: Optional[_Point] = None  # the last point analysed; see _point
+
+
+def _point(e: Expr, x) -> _Point:
+    """The record of the checked point ``x`` on ``e``.
+
+    One slot holds the record of the last (tape, point) analysed: the
+    consecutive exact calls at one point share it, and a call at any other
+    tape or point bits replaces it by one assignment.
+    """
+    global _last
     x = _check_point(e, x)
-    return _cells(e, x, *_pattern(e, x, np.zeros(x.size)))
+    tape = _tape(e)
+    p = _last
+    if p is None or p.tape is not tape or p.key != x.tobytes():
+        p = _last = _Point(e, tape, x.copy())
+    return p
+
+
+def _handed_out(ss: SubdiffSet) -> SubdiffSet:
+    """A copy of a set a record keeps, sharing no array with it."""
+    comps = tuple(VPolytope(c.vertices.copy()) for c in ss.set.components)
+    H = ss.halfspaces
+    if H is not None:
+        H = HPolyhedron(H.A.copy(), H.b.copy())
+    return replace(ss, set=SetUnion(comps), halfspaces=H)
 
 
 # ---------------------------------------------------------------------------
 # Bouligand and Clarke subdifferentials
 # ---------------------------------------------------------------------------
+
+
+def _bc_point(e: Expr, x) -> _Point:
+    """The record at x, for a PA/PLQ tree of dim <= 4."""
+    if classify_fragment(e) not in (FragmentClass.PA, FragmentClass.PLQ):
+        raise UnsupportedFragmentError("USE_SAMPLED: bouligand needs a PA/PLQ tree")
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size > 4:
+        raise DimensionCapError("dimension cap exceeded (bouligand supports dim <= 4)")
+    return _point(e, x)
 
 
 def bouligand(e: Expr, x) -> SubdiffSet:
@@ -442,28 +557,12 @@ def bouligand(e: Expr, x) -> SubdiffSet:
     are the gradients of the pieces essentially active at x, one singleton
     component per gradient.
     """
-    if classify_fragment(e) not in (FragmentClass.PA, FragmentClass.PLQ):
-        raise UnsupportedFragmentError("USE_SAMPLED: bouligand needs a PA/PLQ tree")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size > 4:
-        raise DimensionCapError("dimension cap exceeded (bouligand supports dim <= 4)")
-    return _bouligand_from_cells(_cells_at(e, x), x)
-
-
-def _bouligand_from_cells(cells: list, at: np.ndarray) -> SubdiffSet:
-    pts = _canon_vertices(_dedupe_points(np.array([c.g for c in cells])))
-    comps = tuple(VPolytope(np.array([p])) for p in pts)
-    return SubdiffSet(kind=SubdiffKind.BOULIGAND, set=SetUnion(comps), at=at)
+    return _handed_out(_bc_point(e, x).bouligand())
 
 
 def clarke(e: Expr, x) -> SubdiffSet:
     """Exact Clarke subdifferential: convex hull of the Bouligand set."""
-    return _clarke_from_bouligand(bouligand(e, x))
-
-
-def _clarke_from_bouligand(b: SubdiffSet) -> SubdiffSet:
-    hull = conv_hull(np.vstack([c.vertices for c in b.set.components]))
-    return SubdiffSet(kind=SubdiffKind.CLARKE, set=SetUnion((hull,)), at=b.at)
+    return _handed_out(_bc_point(e, x).clarke())
 
 
 # ---------------------------------------------------------------------------
@@ -527,21 +626,11 @@ def frechet(e: Expr, x) -> SubdiffSet:
     inverted by more than :data:`~nonsmooth.tolerances.SLOPE_ORDER_TOL`.
     """
     x = np.asarray(x, dtype=float).ravel()
-    frag = classify_fragment(e)
-    if x.size == 1:
-        sl, sr = _one_sided_slopes(e, x)
-        if sl > sr + SLOPE_ORDER_TOL:
-            return SubdiffSet(kind=SubdiffKind.FRECHET, set=SetUnion(()), at=x)
-        return SubdiffSet(
-            kind=SubdiffKind.FRECHET,
-            set=SetUnion((conv_hull([[sl], [sr]]),)),
-            at=x,
-        )
-    if frag is not FragmentClass.PA or x.size > 3:
+    if x.size != 1 and (classify_fragment(e) is not FragmentClass.PA or x.size > 3):
         raise UnsupportedFragmentError(
             "exact frechet needs a PA tree of dim <= 3 or a 1-D expression"
         )
-    return _frechet_from_cells(_cells_at(e, x), x.size, x)
+    return _handed_out(_point(e, x).frechet())
 
 
 # ---------------------------------------------------------------------------
@@ -581,34 +670,32 @@ def limiting(e: Expr, x) -> SubdiffSet:
     realizable arbitrarily close to x and union the pattern Frechet sets
     with the Frechet set at x itself.
     """
-    return _limiting(e, np.asarray(x, dtype=float).ravel())[0]
-
-
-def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
-    """(:func:`limiting`, Frechet set at x) at a raveled x, from the cells of
-    d -> f'(x, d) when given; the Frechet set is None in 1-D."""
+    x = np.asarray(x, dtype=float).ravel()
     frag = classify_fragment(e)
     if x.size == 1:
-        if frag not in (FragmentClass.PA, FragmentClass.PLQ):
-            raise UnsupportedFragmentError(
-                "exact limiting needs PA (dim <= 3) or a 1-D PA/PLQ tree"
-            )
-        sl, sr = _one_sided_slopes(e, x)
+        supported = frag in (FragmentClass.PA, FragmentClass.PLQ)
+    else:
+        supported = frag is FragmentClass.PA and x.size <= 3
+    if not supported:
+        raise UnsupportedFragmentError(
+            "exact limiting needs PA (dim <= 3) or a 1-D PA/PLQ tree"
+        )
+    return _handed_out(_point(e, x).limiting()[0])
+
+
+def _limiting(p: _Point) -> tuple:
+    """(:func:`limiting`, Frechet set at x) at the record's point; the
+    Frechet set is None in 1-D."""
+    x, n = p.x, p.x.size
+    if n == 1:
+        sl, sr = p.slopes()
         comps: list = []
         if sl <= sr + SLOPE_ORDER_TOL:
             comps.append(conv_hull([[sl], [sr]]))
         else:
             comps.extend([VPolytope([[sl]]), VPolytope([[sr]])])
         return SubdiffSet(kind=SubdiffKind.LIMITING, set=SetUnion(tuple(comps)), at=x), None
-    if frag is not FragmentClass.PA or x.size > 3:
-        raise UnsupportedFragmentError(
-            "exact limiting needs PA (dim <= 3) or a 1-D PA/PLQ tree"
-        )
-    n = x.size
-    x = _check_point(e, x)
-    V, at_x = _pattern(e, x, np.zeros(n))
-    if cells is None:
-        cells = _cells(e, x, V, at_x)
+    cells = p.cells()
     pieces: list = []  # (component, the halfspaces it was enumerated from)
     sigs = set()
     # components are compared at unit scale, as _frechet_from_cells
@@ -623,15 +710,15 @@ def _limiting(e: Expr, x: np.ndarray, cells: Optional[list] = None) -> tuple:
                 sigs.add(key)
                 pieces.append((comp, ss.halfspaces))
 
-    fs = _frechet_from_cells(cells, n, x)
+    fs = p.frechet()
     add(fs)
     # faces whose live pattern is one already handled add nothing new
-    patterns = {tuple(at_x.items())}
+    patterns = {p.base()[1]}
     for dvec in _face_directions(cells, n):
-        pattern = _pattern(e, x, dvec)[1]
-        if tuple(pattern.items()) not in patterns:
-            patterns.add(tuple(pattern.items()))
-            add(_frechet_from_cells(_cells(e, x, V, pattern), n, x))
+        pattern = tuple(_pattern(p.e, x, dvec)[1].items())
+        if pattern not in patterns:
+            patterns.add(pattern)
+            add(p.frechet(pattern))
     # drop components swallowed by strictly larger components, testing the
     # vertices of one against the halfspaces of the other as contains()
     # tests an HPolyhedron

@@ -1,10 +1,16 @@
+import gc
 import itertools
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+import nonsmooth.subdiff as sd
 from nonsmooth.expr import (
+    DimensionMismatchError,
     _ABS,
     _MAX,
     _MIN,
@@ -35,6 +41,7 @@ from nonsmooth.gallery import (
 )
 from nonsmooth.polyhedra import (
     Ball,
+    DimensionCapError,
     Box,
     HPolyhedron,
     SetUnion,
@@ -46,6 +53,7 @@ from nonsmooth.polyhedra import (
     set_distance,
 )
 from nonsmooth.rng import make_rng
+from nonsmooth.stationarity import classify
 from nonsmooth.subdiff import (
     SELECTION_CAP,
     AffineCompose,
@@ -56,6 +64,8 @@ from nonsmooth.subdiff import (
     ScaledSum,
     InfeasiblePointError,
     NotDirectionallyDifferentiableError,
+    SubdiffKind,
+    SubdiffSet,
     UnsupportedFragmentError,
     bouligand,
     clarke,
@@ -71,7 +81,6 @@ from nonsmooth.subdiff import (
     _Cell,
     _cell_is_essential,
     _cells,
-    _cells_at,
     _clean_rows,
     _face_directions,
     _frechet_from_cells,
@@ -381,11 +390,10 @@ class TestLimiting:
             assert set_distance(got, slope.set) <= 1e-9
 
     def test_cells_enumerated_once_per_pattern(self, monkeypatch):
-        # classify shares the cells at x between the Frechet set, limiting
-        # and the sweep; limiting visits each distinct face pattern once
-        import nonsmooth.subdiff as sd
+        # the five exact calls at one point share its record: across all of
+        # them, in either order, each distinct live pattern's cells (the one
+        # at x and every face pattern limiting visits) are enumerated once
         from nonsmooth.expr import vmax
-        from nonsmooth.stationarity import classify
 
         seen = []
         real = sd._cells
@@ -401,9 +409,11 @@ class TestLimiting:
         )
         for e, x in cases:
             at_x = tuple(sd._pattern(e, x, np.zeros(x.size))[1].items())
-            for run in (classify, limiting):
+            for calls in (FIVE, FIVE[::-1]):
+                monkeypatch.setattr(sd, "_last", None)
                 seen.clear()
-                run(e, x)
+                for run in calls:
+                    run(e, x)
                 assert seen.count(at_x) == 1
                 assert len(seen) == len(set(seen)) > 1
 
@@ -428,6 +438,134 @@ class TestLimiting:
             )
         )
         assert_sets_equal(s, expect)
+
+
+# the five exact calls at one (expr, point)
+FIVE = (bouligand, clarke, frechet, limiting, classify)
+
+
+def _five_json(e, x) -> list:
+    return [run(e, x).to_json() for run in FIVE]
+
+
+def _five_json_cleared(monkeypatch, e, x) -> list:
+    """:func:`_five_json` with the record slot emptied before every call."""
+    out = []
+    for run in FIVE:
+        monkeypatch.setattr(sd, "_last", None)
+        out.append(run(e, x).to_json())
+    return out
+
+
+class TestPointRecord:
+    """The exact calls at one point share one record, held in one slot."""
+
+    e = vsum(Abs(Var(0)), Scale(-1.0, Abs(Var(1))), Max((Var(0), Var(1))))
+
+    def test_answers_do_not_depend_on_the_slot(self, monkeypatch):
+        e2 = vsum(Scale(-1.0, Abs(Var(0))), Abs(Var(1)))
+        x, x2 = np.zeros(2), np.array([0.0, 0.5])
+        for e, at in ((self.e, x), (self.e, x2), (e2, x), (self.e, x)):
+            got = _five_json(e, at)
+            assert sd._last.tape is _tape(e) and sd._last.key == at.tobytes()
+            assert got == _five_json_cleared(monkeypatch, e, at)
+
+    def test_returned_sets_share_no_array_with_the_record(self, monkeypatch):
+        x = np.zeros(2)
+        want = _five_json_cleared(monkeypatch, self.e, x)
+        for run in FIVE[:4]:
+            ss = run(self.e, x)
+            ss.at[:] = 7.0
+            for comp in ss.set.components:
+                comp.vertices[:] = 99.0
+            if ss.halfspaces is not None:
+                ss.halfspaces.A[:] = 0.0
+                ss.halfspaces.b[:] = -1.0
+        assert _five_json(self.e, x) == want
+
+    def test_typed_errors_raise_on_every_call(self):
+        # 13 live kinks: 8192 selections, over the cap
+        kinks = vsum(*(Abs(Var(i % 2)) for i in range(13)))
+        for _ in range(2):
+            for run in FIVE:
+                with pytest.raises(EnumerationLimitError):
+                    run(kinks, np.zeros(2))
+                assert sd._last._cells == {}
+        # dim 5: past the Bouligand/Clarke cap; classify reads the record
+        e5 = vsum(*(Abs(Var(i)) for i in range(5)))
+        for _ in range(2):
+            assert classify(e5, np.zeros(5)).is_C is None
+            for run in (bouligand, clarke):
+                with pytest.raises(DimensionCapError):
+                    run(e5, np.zeros(5))
+
+    def test_the_slot_holds_one_record(self):
+        refs = []
+        for i in range(50):
+            e = vsum(Abs(Var(0)), Abs(vsum(Var(1), Const(i / 8.0))))
+            bouligand(e, [0.0, -i / 8.0])
+            refs.append(weakref.ref(sd._last))
+        gc.collect()
+        assert [r() for r in refs if r() is not None] == [sd._last]
+        assert sum(isinstance(o, sd._Point) for o in gc.get_objects()) == 1
+
+    def test_threads_sharing_the_slot_get_their_own_answers(self):
+        # threads interleave calls at different points through the one slot;
+        # each answer must still be the one for its own (expr, point)
+        cases = [
+            (self.e, np.zeros(2)),
+            (self.e, np.array([0.0, 0.5])),
+            (vsum(Scale(-1.0, Abs(Var(0))), Abs(Var(1))), np.zeros(2)),
+            (vsum(Abs(Var(0)), Scale(-1.0, Abs(Var(1))), Abs(Var(2))), np.zeros(3)),
+            (Abs(Var(0)), np.zeros(1)),
+        ]
+        want = [_five_json(e, x) for e, x in cases]
+        good, bad = [], []
+
+        def work(k):
+            for i in range(10):
+                j = (k + i) % len(cases)
+                try:
+                    (good if _five_json(*cases[j]) == want[j] else bad).append(j)
+                except Exception as exc:  # reported by the assertion below
+                    bad.append((j, exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(5)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == [] and len(good) == 50
+
+
+@pytest.mark.parametrize("run", FIVE, ids=lambda run: run.__name__)
+@pytest.mark.parametrize(
+    "e, x",
+    [
+        (Abs(Var(0)), [math.nan]),
+        (Abs(Var(0)), [math.inf]),
+        (vsum(Abs(Var(0)), Abs(Var(1))), [0.0]),
+        (Abs(Var(0)), []),
+    ],
+    ids=["nan", "inf", "wrong_length", "empty"],
+)
+def test_bad_points_raise(run, e, x):
+    with pytest.raises(DimensionMismatchError):
+        run(e, x)
+
+
+def test_subdiff_set_keeps_its_own_point():
+    x = np.zeros(2)
+    B = bouligand(vsum(Abs(Var(0)), Abs(Var(1))), x)
+    S = SubdiffSet(kind=SubdiffKind.CLARKE, set=SetUnion(()), at=x)
+    x[0] = 5.0
+    assert B.at.tolist() == [0.0, 0.0] and S.at.tolist() == [0.0, 0.0]
 
 
 def _cells_or_cap(fn, *args):
@@ -540,7 +678,7 @@ class TestCellsOnTheTape:
         # -0.0 on both cells, so the p1 cell's slope -0.0 * p1' is -0.0,
         # where the value of the p1 branch alone would give +0.0
         e, x = _multidim_plq_trees()[90]
-        slopes = np.array([c.g for c in _cells_at(e, x)])
+        slopes = np.array([c.g for c in sd._point(e, x).cells()])
         assert slopes.shape == (2, 2) and not slopes.any()
         assert np.signbit(slopes).tolist() == [[False, False], [True, True]]
 
@@ -553,9 +691,9 @@ class TestCellsOnTheTape:
             assert_cells_match_reference(e, x)
             if capped:
                 with pytest.raises(EnumerationLimitError):
-                    _cells_at(e, x)
+                    sd._point(e, x).cells()
             else:
-                assert [c.g.tolist() for c in _cells_at(e, x)] == [[0.0, 0.0]]
+                assert [c.g.tolist() for c in sd._point(e, x).cells()] == [[0.0, 0.0]]
 
 
 class TestCatalog:
