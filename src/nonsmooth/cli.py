@@ -19,13 +19,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Optional
 
 import numpy as np
 
 from . import experiments
-from .expr import DimensionMismatchError, ExprSyntaxError, evaluate, parse_expr
+from .expr import DimensionMismatchError, ExprSyntaxError, classify_fragment, evaluate, parse_expr
 from .gallery import run_gallery
 from .polyhedra import Ball, Box, DimensionCapError, PolyhedraError
 from .rng import make_rng
@@ -43,7 +44,15 @@ from .solvers import (
     subgradient_method,
 )
 from .stationarity import TooManyTiesError, classify
-from .subdiff import EnumerationLimitError, bouligand, clarke, frechet, limiting
+from .subdiff import (
+    EnumerationLimitError,
+    NotDirectionallyDifferentiableError,
+    UnsupportedFragmentError,
+    bouligand,
+    clarke,
+    frechet,
+    limiting,
+)
 from .tolerances import STATIONARITY_TOL
 
 __all__ = ["main"]
@@ -129,11 +138,20 @@ def _cmd_subdiff(args) -> int:
         if args.which != "clarke":
             print("sampled mode supports --which clarke only", file=sys.stderr)
             return 2
+        if not (math.isfinite(args.radius) and args.radius > 0):
+            raise InputError(f"--radius must be positive and finite, got {args.radius}")
         ss = gradient_sampling(
             as_gradient_oracle(e), x, radius=args.radius, seed=args.seed
         )
     else:
-        ss = ops[args.which](e, x)
+        try:
+            ss = ops[args.which](e, x)
+        except (UnsupportedFragmentError, NotDirectionallyDifferentiableError) as exc:
+            frag = classify_fragment(e).value
+            raise InputError(
+                f"{exc}; this is a {frag} tree in dimension {x.size}; "
+                "--sampled --which clarke estimates the Clarke set of any tree"
+            ) from None
     print(json.dumps(ss.to_json(), indent=2))
     if ss.is_empty:
         print(f"# {args.which} subdifferential at {x.tolist()}: empty set", file=sys.stderr)

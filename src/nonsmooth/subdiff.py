@@ -540,13 +540,14 @@ def _handed_out(ss: SubdiffSet) -> SubdiffSet:
 # ---------------------------------------------------------------------------
 
 
-def _bc_point(e: Expr, x) -> _Point:
-    """The record at x, for a PA/PLQ tree of dim <= 4."""
+def _bc_point(e: Expr, x, name: str) -> _Point:
+    """The record at x, for a PA/PLQ tree of dim <= 4; the errors name the
+    function ``name`` that was called."""
     if classify_fragment(e) not in (FragmentClass.PA, FragmentClass.PLQ):
-        raise UnsupportedFragmentError("USE_SAMPLED: bouligand needs a PA/PLQ tree")
+        raise UnsupportedFragmentError(f"USE_SAMPLED: {name} needs a PA/PLQ tree")
     x = np.asarray(x, dtype=float).ravel()
     if x.size > 4:
-        raise DimensionCapError("dimension cap exceeded (bouligand supports dim <= 4)")
+        raise DimensionCapError(f"dimension cap exceeded ({name} supports dim <= 4)")
     return _point(e, x)
 
 
@@ -557,12 +558,12 @@ def bouligand(e: Expr, x) -> SubdiffSet:
     are the gradients of the pieces essentially active at x, one singleton
     component per gradient.
     """
-    return _handed_out(_bc_point(e, x).bouligand())
+    return _handed_out(_bc_point(e, x, "bouligand").bouligand())
 
 
 def clarke(e: Expr, x) -> SubdiffSet:
     """Exact Clarke subdifferential: convex hull of the Bouligand set."""
-    return _handed_out(_bc_point(e, x).clarke())
+    return _handed_out(_bc_point(e, x, "clarke").clarke())
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,7 @@ class TestUsageErrors:
 
     E2 = "(max (var 0) (var 1))"
     PROJ = ["solve", "--method", "proj-subgrad", "--expr", E2, "--x0", "0.5 0.5", "--iters", "5"]
+    SAMPLED = ["subdiff", "--sampled", "--which", "clarke", "--expr", "(abs (var 0))", "--point", "0"]
 
     @pytest.mark.parametrize(
         "args, says",
@@ -256,6 +257,10 @@ class TestUsageErrors:
             (["experiment", "recovery", "--set", "alpha0=-1"], "alpha0 > 0"),
             (["classify", "--expr", "(abs (var 0))", "--point", "0", "--tol", "-1"], "tol must be >= 0"),
             (["classify", "--expr", "(abs (var 0))", "--point", "0", "--tol", "nan"], "tol must be >= 0"),
+            (SAMPLED + ["--radius", "-1"], "--radius must be positive and finite, got -1.0"),
+            (SAMPLED + ["--radius", "0"], "--radius must be positive and finite, got 0.0"),
+            (SAMPLED + ["--radius", "nan"], "--radius must be positive and finite, got nan"),
+            (SAMPLED + ["--radius", "inf"], "--radius must be positive and finite, got inf"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):
@@ -263,6 +268,21 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and says in err, err
+
+    @pytest.mark.parametrize("which", ["clarke", "bouligand", "frechet", "limiting"])
+    @pytest.mark.parametrize(
+        "expr, point, frag",
+        [
+            ("(builtin xsqsin (sum (var 0) (var 1)))", "0 0", "GENERAL tree in dimension 2"),
+            ("(builtin xsinlog (var 0))", "0", "SMOOTH1D tree in dimension 1"),
+        ],
+    )
+    def test_exact_subdiff_outside_its_fragment_exits_2(self, capsys, which, expr, point, frag):
+        # outside the exact fragment, or with no one-sided derivative at x
+        code, out, err = run_cli(["subdiff", "--which", which, "--expr", expr, "--point", point], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("nonsmooth: subdiff: "), err
+        assert frag in err and "--sampled --which clarke" in err, err
 
     def test_entry_point_installed(self, tmp_path):
         module, _, attr = declared_script("nonsmooth").partition(":")
@@ -342,14 +362,16 @@ class TestCapExits:
         )
 
     def test_exact_clarke_dimension_cap(self, capsys):
-        # the exact Bouligand and Clarke sets stop at dimension 4
+        # the exact Bouligand and Clarke sets stop at dimension 4, and the
+        # message names the set asked for
         expr = "(max (affine (1 1 1 1 1) 0) (affine (1 -1 1 -1 1) 0))"
-        self.check(
-            ["subdiff", "--expr", expr, "--point", "0,0,0,0,0", "--which", "clarke"],
-            capsys,
-            "dimension cap",
-            "lower the dimension",
-        )
+        for which in ("clarke", "bouligand"):
+            self.check(
+                ["subdiff", "--expr", expr, "--point", "0,0,0,0,0", "--which", which],
+                capsys,
+                "dimension cap",
+                f"({which} supports dim <= 4); lower the dimension",
+            )
 
     def test_tie_cap(self, monkeypatch, capsys):
         from nonsmooth import solvers

@@ -211,3 +211,250 @@ class TestBatchedRows:
             assert traced.rows is f.rows
             assert run(traced) == run(f)
         assert calls == []  # the batch went through rows, not the wrapper
+
+
+# ---------------------------------------------------------------------------
+# The per-process memo of each rung's seeded draws
+# ---------------------------------------------------------------------------
+
+
+def _pow10(exps):
+    return np.array([10.0 ** t for t in exps.tolist()])
+
+
+def _fresh_clarke_dd(f, x, d, radius, samples, seed, rungs):
+    """``sampled_clarke_dd``'s (value, quotients, params) with every rung
+    drawn afresh, as before the memo."""
+    from nonsmooth.rng import make_rng
+    from nonsmooth.sampled import _rows
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    n = x.size
+    rung_radii, rung_max = [], []
+    for k in range(rungs):
+        r = radius * 2.0 ** -k
+        rng = make_rng(seed, 101, k)
+        offs = rng.uniform(-r, r, size=(samples, n))
+        texp = rng.uniform(-8.0, 0.0, size=samples)
+        xp = x + offs
+        t = r * _pow10(texp)
+        q = (_rows(f, xp + t[:, None] * d) - _rows(f, xp)) / t
+        q = q[~np.isnan(q)]
+        best = q[np.flatnonzero(q == q.max())[0]] if q.size else -np.inf
+        rung_radii.append(r)
+        rung_max.append(best)
+    rr, mm = np.array(rung_radii), np.array(rung_max)
+    value = float(np.polyfit(rr, mm, 1)[1])
+    params = {"radius_ladder": rr.tolist(), "rung_max": mm.tolist(), "samples": samples, "seed": seed}
+    return value, tuple(mm.tolist()), params
+
+
+def _fresh_gradient_sampling(grad, x, radius, samples, seed, rungs):
+    """``gradient_sampling``'s (vertices, notes, tolerance) with every rung
+    drawn afresh, as before the memo."""
+    from nonsmooth.rng import make_rng
+    from nonsmooth.sampled import _rows
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
+    hulls = []
+    for k in range(rungs):
+        r = radius * 2.0 ** -k
+        rng = make_rng(seed, 202, k)
+        dirs = rng.standard_normal(size=(samples, n))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        rexp = rng.uniform(-8.0, 0.0, size=samples)
+        G, kink = _rows(grad, x + (r * _pow10(rexp))[:, None] * dirs, grad=True)
+        hulls.append(conv_hull(G[~kink]))
+    trace = [set_distance(SetUnion((a,)), SetUnion((b,))) for a, b in zip(hulls, hulls[1:])]
+    notes = ("rung_hausdorff=" + ",".join(f"{t:.3e}" for t in trace), f"samples={samples}", f"seed={seed}")
+    return hulls[-1].vertices, notes, float(trace[-1]) if trace else 0.0
+
+
+def _hexes(a):
+    return [float(v).hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+MEMO_CASES = {
+    1: ("(builtin xsqsin (var 0))", [0.0], [1.0]),
+    2: ("(max (affine (1 -1) 0) (abs (var 1)) (scale -1 (var 0)))", [0.0, 0.0], [1.0, -0.5]),
+    3: ("(max (var 0) (abs (var 1)) (affine (1 1 -1) 0) (sq (var 2)))", [0.0, 0.0, 0.0], [0.5, -1.0, 1.0]),
+}
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo for the test; the process's memo comes back after it."""
+    from nonsmooth import sampled
+
+    monkeypatch.setattr(sampled, "_DRAWS", {})
+    monkeypatch.setattr(sampled, "_draws_held", 0)
+    return sampled
+
+
+def _held(sampled):
+    return sum(size for _, size in sampled._DRAWS.values())
+
+
+class TestDrawMemo:
+    @pytest.mark.parametrize("rungs", [2, 5])
+    @pytest.mark.parametrize("radius", [0.1, 0.37])
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_bits_as_fresh_draws(self, memo, n, seed, radius, rungs):
+        from nonsmooth.expr import parse_expr
+
+        text, x, d = MEMO_CASES[n]
+        e = parse_expr(text)
+        kw = dict(radius=radius, samples=40, seed=seed, rungs=rungs)
+        want_dd = _fresh_clarke_dd(as_evaluator(e), x, d, **kw)
+        want_gs = _fresh_gradient_sampling(as_gradient_oracle(e), x, **kw)
+        for state in ("cold", "warm"):
+            assert (len(memo._DRAWS) == 0) == (state == "cold")
+            got = sampled_clarke_dd(as_evaluator(e), x, d, **kw)
+            assert _hexes([got.value]) == _hexes([want_dd[0]]), state
+            assert _hexes(got.quotients) == _hexes(want_dd[1]), state
+            assert got.params == want_dd[2], state
+            ss = gradient_sampling(as_gradient_oracle(e), x, **kw)
+            assert _hexes(ss.set.components[0].vertices) == _hexes(want_gs[0]), state
+            assert ss.notes == want_gs[1] and ss.tolerance == want_gs[2], state
+        assert len(memo._DRAWS) == 2 * rungs
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_draws_are_the_fresh_draws(self, memo, n):
+        # every draw, not only those that reach a hull vertex or a rung max
+        from nonsmooth.rng import make_rng
+
+        for k in range(3):
+            r = 0.1 * 2.0 ** -k
+            rng = make_rng(7, 101, k)
+            offs = rng.uniform(-r, r, size=(500, n))
+            t = r * _pow10(rng.uniform(-8.0, 0.0, size=500))
+            rng = make_rng(7, 202, k)
+            dirs = rng.standard_normal(size=(500, n))
+            dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+            disp = (r * _pow10(rng.uniform(-8.0, 0.0, size=500)))[:, None] * dirs
+            for _ in ("cold", "warm"):
+                got = memo._draws(memo._CLARKE, 7, k, 500, n, 0.1)
+                assert got[0] == r and _hexes(got[1]) == _hexes(offs) and _hexes(got[2]) == _hexes(t)
+                got = memo._draws(memo._GS, 7, k, 500, n, 0.1)
+                assert got[0] == r and _hexes(got[1]) == _hexes(disp)
+
+    def test_draws_are_read_only(self, memo):
+        for stream in (memo._CLARKE, memo._GS):
+            for cold in (True, False):
+                r, *arrays = memo._draws(stream, 42, 1, 10, 2, 0.1)
+                assert r == 0.05 and len(memo._DRAWS) == 1 + (stream == memo._GS)
+                for a in arrays:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = 1.0
+
+    def test_keys_never_share_an_entry(self, memo):
+        base = dict(stream=memo._CLARKE, seed=42, k=0, samples=30, n=2, radius=0.1)
+        variants = [base] + [
+            dict(base, **change)
+            for change in ({"seed": 43}, {"radius": 0.2}, {"samples": 31}, {"k": 1}, {"n": 3}, {"stream": memo._GS})
+        ]
+        got = [memo._draws(**v) for v in variants]
+        assert len(memo._DRAWS) == len(variants)
+        for i, a in enumerate(got):
+            for b in got[i + 1 :]:
+                assert a[1] is not b[1]
+                assert a[1].shape != b[1].shape or not np.array_equal(a[1], b[1])
+        # the same arguments find their entry again
+        assert memo._draws(**base)[1] is got[0][1]
+
+    def test_stays_within_budget(self, memo):
+        for seed in range(200):
+            for k in range(5):
+                memo._draws(memo._CLARKE, seed, k, 2000, 1, 0.1)
+            assert _held(memo) == memo._draws_held <= memo.DRAW_MEMO_BYTES
+        # full, and the latest seed's rungs are the ones kept
+        assert _held(memo) > memo.DRAW_MEMO_BYTES - 5 * 20000
+        assert all((memo._CLARKE, 199, k, 2000, 1, 0.1) in memo._DRAWS for k in range(5))
+        assert (memo._CLARKE, 0, 0, 2000, 1, 0.1) not in memo._DRAWS
+
+    def test_over_budget_rungs_are_drawn_every_call(self, memo, monkeypatch):
+        monkeypatch.setattr(memo, "DRAW_MEMO_BYTES", 1000)
+        e, x, d = Abs(Var(0)), [0.0], [1.0]
+        want_dd = _fresh_clarke_dd(as_evaluator(e), x, d, 0.1, 200, 42, 5)
+        want_gs = _fresh_gradient_sampling(as_gradient_oracle(e), x, 0.1, 200, 42, 5)
+        for _ in range(2):
+            got = sampled_clarke_dd(as_evaluator(e), x, d, samples=200)
+            assert _hexes(got.quotients) == _hexes(want_dd[1]) and got.value == want_dd[0]
+            ss = gradient_sampling(as_gradient_oracle(e), x, samples=200)
+            assert _hexes(ss.set.components[0].vertices) == _hexes(want_gs[0])
+            assert memo._DRAWS == {} and memo._draws_held == 0
+
+    def test_threads_get_the_same_answers(self, memo):
+        import sys
+        import threading
+
+        from nonsmooth.expr import parse_expr
+
+        text, x, d = MEMO_CASES[2]
+        e = parse_expr(text)
+
+        def answers():
+            out = []
+            for seed in range(6):
+                dd = sampled_clarke_dd(as_evaluator(e), x, d, samples=300, seed=seed)
+                ss = gradient_sampling(as_gradient_oracle(e), x, samples=300, seed=seed)
+                out.append((_hexes(dd.quotients), _hexes(ss.set.components[0].vertices), ss.notes))
+            return out
+
+        results = [None] * 4
+        start = threading.Barrier(4)
+
+        def run(i):
+            start.wait()
+            results[i] = answers()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often, so that misses on one key race
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results[0] is not None and all(r == results[0] for r in results)
+        assert _held(memo) == memo._draws_held and len(memo._DRAWS) == 6 * 2 * 5
+        assert answers() == results[0]  # warm, in this thread
+
+    def test_only_the_helper_makes_rngs(self):
+        import ast
+        import inspect
+
+        from nonsmooth import sampled
+
+        tree = ast.parse(inspect.getsource(sampled))
+        owners = [
+            top.name
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "make_rng"
+        ]
+        assert owners == ["_draws"]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_radius(self, memo, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            sampled_clarke_dd(as_evaluator(Abs(Var(0))), [0.0], [1.0], radius=radius)
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            gradient_sampling(as_gradient_oracle(Abs(Var(0))), [0.0], radius=radius)
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            sampled_c_stationarity(as_gradient_oracle(Abs(Var(0))), [0.0], radius=radius)
+        assert memo._DRAWS == {}
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan])
+    def test_bad_tol(self, memo, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            sampled_c_stationarity(as_gradient_oracle(Abs(Var(0))), [0.0], tol=tol)
+        assert memo._DRAWS == {}

@@ -303,6 +303,14 @@ class TestClarke:
             pts = np.vstack([c.vertices for c in b.set.components])
             assert_sets_equal(clarke(e, x).set, SetUnion((conv_hull(pts),)))
 
+    @pytest.mark.parametrize("run", [bouligand, clarke], ids=lambda run: run.__name__)
+    def test_errors_name_the_function_called(self, run):
+        name = run.__name__
+        with pytest.raises(DimensionCapError, match=rf"^dimension cap exceeded \({name} supports dim <= 4\)$"):
+            run(Abs(Var(0)), np.zeros(5))
+        with pytest.raises(UnsupportedFragmentError, match=f"^USE_SAMPLED: {name} needs a PA/PLQ tree$"):
+            run(xsqsin_expr(), [0.0])
+
 
 class TestFrechet:
     def test_neg_abs_empty(self):
