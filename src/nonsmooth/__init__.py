@@ -39,9 +39,7 @@ from .polyhedra import (
     VPolytope,
     conv_hull,
     contains,
-    dual_cone,
     lp_solve,
-    polar_cone,
     set_distance,
     support_value,
 )
@@ -56,7 +54,6 @@ from .solvers import (
     mm_lspar,
     oracle_from_expr,
     projected_subgradient,
-    ridge_ls_solve,
     subgradient_method,
 )
 from .stationarity import (

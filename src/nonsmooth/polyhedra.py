@@ -2,12 +2,13 @@
 
 Everything here is desk scale by design: polytopes live in dimension <= 4,
 the LP solver is a dense two-phase simplex with Bland's rule (no cycling),
-and a cone given by halfspaces gets its generators in closed form: a basis
-of its lineality space with both signs, and the signed null vectors of row
-subsets of one less than the rank, stacked with that basis.  Membership in
-a V-polytope or a ray cone, and every distance to one, comes from one
-nearest-point search (Wolfe's method on conv(V) + cone(R)), which returns
-the weights that certify its point; no set question here solves an LP.
+a cone is its generators, and a cone given by halfspaces gets them in
+closed form: a basis of its lineality space with both signs, and the signed
+null vectors of row subsets of one less than the rank, stacked with that
+basis.  Membership in a V-polytope or a cone, and every distance to one,
+comes from one nearest-point search (Wolfe's method on conv(V) + cone(R)),
+which returns the weights that certify its point; no set question here
+solves an LP.
 All values are plain numpy arrays; all functions are pure.  Every tolerance
 is a constant of :mod:`nonsmooth.tolerances`, mostly relative to
 max(1, largest |entry|) of the data compared; none is a parameter, except
@@ -19,7 +20,7 @@ Set components:
 * :class:`HPolyhedron` -- intersection of halfspaces ``a^T z <= b``,
 * :class:`Ball`        -- Euclidean ball (needed for l2-norm subdifferentials
   and ball constraint sets),
-* :class:`Cone`        -- polyhedral cone with ray and/or halfspace data,
+* :class:`Cone`        -- polyhedral cone, the conic hull of its rays,
 * :class:`SetUnion`    -- finite, possibly non-convex union of the above.
 """
 
@@ -33,8 +34,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .tolerances import (
-    CONE_CROSSCHECK_TOL,
-    CONE_EQUAL_TOL,
     CONE_SIGN_TOL,
     DEDUPE_GRID,
     HULL_TURN_TOL,
@@ -63,8 +62,6 @@ __all__ = [
     "SetUnion",
     "conv_hull",
     "support_value",
-    "dual_cone",
-    "polar_cone",
     "cone_from_rays",
     "cone_rays_from_halfspaces",
     "contains",
@@ -303,8 +300,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).ravel())
-        if self.radius < 0:
-            raise PolyhedraError("ball radius must be >= 0")
+        if not 0 <= self.radius < math.inf:
+            raise PolyhedraError(f"ball radius must be >= 0 and finite, got {self.radius}")
 
     @property
     def dim(self) -> int:
@@ -341,49 +338,26 @@ Component = Union[VPolytope, HPolyhedron, Ball]
 
 @dataclass(frozen=True)
 class Cone:
-    """Polyhedral cone with ray generators and/or halfspace normals.
-
-    ``rays`` is a (k, n) array whose conic hull is the cone; ``normals`` is a
-    (m, n) array meaning {z : normals @ z >= 0}.  An empty ray list with a
-    known dimension denotes the trivial cone {0}.  When both representations
-    are present they are cross-validated on construction.
+    """Polyhedral cone: the conic hull of the rows of ``rays``, a (k, n)
+    array.  No rows, with a known dimension, denote the trivial cone {0}.
+    The rays need not be irredundant; a line is a ray and its negative.
     """
 
     rays: np.ndarray
-    normals: Optional[np.ndarray] = None
-    validate: bool = True
 
     def __post_init__(self):
         rays = np.atleast_2d(np.asarray(self.rays, dtype=float))
         if rays.size == 0:
             rays = rays.reshape(0, rays.shape[1] if rays.ndim == 2 and rays.shape[1] else 1)
         object.__setattr__(self, "rays", rays)
-        if self.normals is not None:
-            object.__setattr__(
-                self, "normals", np.atleast_2d(np.asarray(self.normals, dtype=float))
-            )
-        if self.validate and self.normals is not None and self.dim <= MAX_POLYTOPE_DIM:
-            self._cross_validate()
 
     @property
     def dim(self) -> int:
-        if self.rays.shape[1] > 0:
-            return self.rays.shape[1]
-        assert self.normals is not None
-        return self.normals.shape[1]
+        return self.rays.shape[1]
 
     @property
     def is_trivial(self) -> bool:
         return self.rays.shape[0] == 0
-
-    def _cross_validate(self):
-        for r in self.rays:
-            if np.any(self.normals @ r < -CONE_CROSSCHECK_TOL * rel_scale(r)):
-                raise PolyhedraError("cone ray violates its own halfspace system")
-        regen = cone_rays_from_halfspaces(self.normals, self.dim)
-        for r in regen:
-            if not _in_cone_rays(self.rays, r, CONE_CROSSCHECK_TOL):
-                raise PolyhedraError("cone halfspaces admit a ray outside the ray hull")
 
 
 @dataclass(frozen=True)
@@ -592,10 +566,10 @@ def support_value(S: Union[VPolytope, SetUnion], d) -> float:
 def contains(S, z, tol: float = MEMBERSHIP_TOL) -> bool:
     """Membership test for any set component or union, to tolerance ``tol``.
 
-    A V-polytope, or a cone known by its rays only, holds z when its point
-    nearest to z lies within ``tol * scale`` of z in every coordinate; scale
-    is the largest |entry| of z and, for a polytope, of its vertices (at
-    least 1).  Halfspace forms check their rows to the same bound.
+    A V-polytope, or a cone, holds z when its point nearest to z lies within
+    ``tol * scale`` of z in every coordinate; scale is the largest |entry| of
+    z and, for a polytope, of its vertices (at least 1).  Halfspace forms
+    check their rows to the same bound.
     """
     z = np.asarray(z, dtype=float).ravel()
     if isinstance(S, SetUnion):
@@ -611,14 +585,12 @@ def contains(S, z, tol: float = MEMBERSHIP_TOL) -> bool:
     if isinstance(S, Box):
         return bool(np.all(z >= S.lo - tol) and np.all(z <= S.hi + tol))
     if isinstance(S, Cone):
-        if S.normals is not None:
-            return bool(np.all(S.normals @ z >= -tol * rel_scale(z)))
         return _in_cone_rays(S.rays, z, tol)
     raise PolyhedraError(f"cannot test membership in {type(S).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# Cones: closed-form generators and duality
+# Cones: closed-form generators
 # ---------------------------------------------------------------------------
 
 def _distinct(V: np.ndarray) -> np.ndarray:
@@ -706,54 +678,16 @@ def cone_rays_from_halfspaces(normals, dim: int) -> np.ndarray:
 
 
 def cone_from_rays(rays, dim: Optional[int] = None) -> Cone:
-    """Cone generated by ``rays``, with an H-rep at dim <= 4.
-
-    At dim <= 4 the normals are the generators of the dual cone and the
-    rays are recomputed from them, so redundant input rays drop out.  Above
-    that the input rays are kept at unit length, duplicates dropped.
-    """
+    """Cone generated by ``rays``: its rows of norm above
+    :data:`~nonsmooth.tolerances.NULL_VECTOR_TOL` at unit length, duplicates
+    dropped.  Redundant rays are kept: the nearest-point search that answers
+    membership does not need an irredundant list."""
     rays = np.atleast_2d(np.asarray(rays, dtype=float))
     if rays.size == 0:
         if dim is None:
             raise PolyhedraError("empty ray list needs an explicit dimension")
         rays = rays.reshape(0, dim)
-    n = rays.shape[1]
-    if n > MAX_POLYTOPE_DIM:
-        rays = _distinct(_unit(rays[np.linalg.norm(rays, axis=1) > NULL_VECTOR_TOL]))
-        return Cone(rays=rays, validate=False)
-    normals = cone_rays_from_halfspaces(rays, n)
-    return Cone(rays=cone_rays_from_halfspaces(normals, n), normals=normals, validate=False)
-
-
-def dual_cone(C: Cone) -> Cone:
-    """Dual cone {v : v^T r >= 0 for all generators r}; V-rep at dim <= 4.
-
-    The polar cone is the negative of the dual (see :func:`polar_cone`).
-    """
-    if C.rays.shape[0] == 0:
-        n = C.dim
-        eye = np.eye(n)
-        return Cone(rays=np.vstack([eye, -eye]), normals=np.zeros((0, n)), validate=False)
-    normals = C.rays.copy()
-    n = C.dim
-    rays = cone_rays_from_halfspaces(normals, n) if n <= MAX_POLYTOPE_DIM else None
-    if rays is None:
-        raise DimensionCapError("dual_cone V-rep needs dim <= 4")
-    return Cone(rays=rays, normals=normals, validate=False)
-
-
-def polar_cone(C: Cone) -> Cone:
-    d = dual_cone(C)
-    normals = None if d.normals is None else -d.normals
-    return Cone(rays=-d.rays, normals=normals, validate=False)
-
-
-def cones_equal(C: Cone, D: Cone) -> bool:
-    """Mutual inclusion of ray hulls, by the membership rule of :func:`contains`
-    at :data:`~nonsmooth.tolerances.CONE_EQUAL_TOL`."""
-    return all(_in_cone_rays(D.rays, r, CONE_EQUAL_TOL) for r in C.rays) and all(
-        _in_cone_rays(C.rays, r, CONE_EQUAL_TOL) for r in D.rays
-    )
+    return Cone(_distinct(_unit(rays[np.linalg.norm(rays, axis=1) > NULL_VECTOR_TOL])))
 
 
 # ---------------------------------------------------------------------------
@@ -800,10 +734,6 @@ def vertex_enumeration(P: HPolyhedron) -> VPolytope:
     if n <= 2:
         return conv_hull(verts)  # min/max and monotone chain: no LP
     return VPolytope(_canon_vertices(_dedupe_points(verts)))
-
-
-def hpoly_is_empty(P: HPolyhedron) -> bool:
-    return not lp_solve(np.zeros(P.dim), P.A, P.b).optimal
 
 
 def minkowski_sum(P: VPolytope, Q: VPolytope) -> VPolytope:

@@ -48,7 +48,6 @@ __all__ = [
     "projected_subgradient",
     "project",
     "ProjectionError",
-    "ridge_ls_solve",
     "lspar_objective",
     "lspar_pseudo_subgrad",
     "lspar_subgradient_lockstep",
@@ -384,10 +383,11 @@ def _sample_products(X, y) -> tuple:
 
 
 def _normal_products(XX, Xy, masks, scale: float) -> tuple:
-    """The c-free parts of :func:`_ridge_blocks`' normal equations.
+    """The c-free parts of the normal equations of :func:`_ridge_solve`.
 
+    ``masks`` (..., N) holds 0/1 sample indicators, one row per block.
     Returns scale Σ_s m_bs x_s x_sᵀ (..., n, n), scale Σ_s m_bs x_s y_s
-    (..., n) and which blocks hold a sample (...,), for :func:`_ridge_solve`.
+    (..., n) and which blocks hold a sample (...,).
     """
     n = Xy.shape[1]
     G = scale * (masks @ XX).reshape(masks.shape[:-1] + (n, n))
@@ -395,7 +395,15 @@ def _normal_products(XX, Xy, masks, scale: float) -> tuple:
 
 
 def _ridge_solve(products, c: float, anchors) -> np.ndarray:
-    """Solve the normal equations of :func:`_normal_products` with ridge ``c``."""
+    """Ridge least-squares minimizers of many sample subsets, solved at once.
+
+    ``products`` comes from :func:`_normal_products` and ``anchors``
+    broadcasts to (..., n).  Block b solves
+    (scale Σ_s m_bs x_s x_sᵀ + c I) w = scale Σ_s m_bs x_s y_s + c anchor_b;
+    every block's residual is verified to
+    :data:`~nonsmooth.tolerances.NORMAL_EQ_RTOL`.  A block with no sample
+    returns its anchor unchanged.
+    """
     G, q, nonempty = products
     H = G + c * np.eye(G.shape[-1])
     rhs = q + c * anchors
@@ -405,38 +413,6 @@ def _ridge_solve(products, c: float, anchors) -> np.ndarray:
     if np.any(resid > bound):
         raise ArithmeticError(f"normal equations residual too large: {resid.max():.3e}")
     return np.where(nonempty[..., None], w[..., 0], anchors)
-
-
-def _ridge_blocks(XX, Xy, masks, c: float, anchors, scale: float) -> np.ndarray:
-    """Ridge least-squares minimizers of many sample subsets, solved at once.
-
-    ``masks`` (..., N) holds 0/1 sample indicators, one row per block, and
-    ``anchors`` broadcasts to (..., n).  Block b solves
-    (scale Σ_s m_bs x_s x_sᵀ + c I) w = scale Σ_s m_bs x_s y_s + c anchor_b;
-    every block's residual is verified to
-    :data:`~nonsmooth.tolerances.NORMAL_EQ_RTOL`.  A block with
-    no sample returns its anchor unchanged.
-    """
-    return _ridge_solve(_normal_products(XX, Xy, masks, scale), c, anchors)
-
-
-def ridge_ls_solve(X, y, c: float, anchor, nsamples: Optional[int] = None) -> np.ndarray:
-    """Unique minimizer of (1/2N)||y - X w||^2 + (c/2)||w - anchor||^2.
-
-    ``N`` defaults to the number of rows of X (pass ``nsamples`` to share a
-    global scaling across blocks).  The one-block case of the stacked
-    normal-equations solve that ``mm_lspar`` uses.
-    """
-    if c <= 0:
-        raise ValueError("ridge coefficient must be positive")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    anchor = np.asarray(anchor, dtype=float).ravel()
-    N = X.shape[0] if nsamples is None else int(nsamples)
-    if X.size == 0:
-        return anchor.copy()
-    XX, Xy = _sample_products(X, y)
-    return _ridge_blocks(XX, Xy, np.ones(X.shape[0]), c, anchor, 1.0 / max(N, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,8 @@ class StationarityReport:
     A flag is None when the corresponding exact oracle is unsupported for
     the input fragment (it is then unknown at the exact level, not false).
     ``witness_direction`` is present exactly when d-stationarity fails and
-    satisfies f'(x, witness) = witness_value < -tol.
+    satisfies f'(x, witness) = witness_value, below the d-flag's threshold
+    of -tol times a scale (see :func:`classify`).
     """
 
     is_d: Optional[bool]
@@ -148,8 +149,10 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
     registry-builtin trees only the d-flag is exact (via one-sided
     derivatives); the other flags come back None.  Where the directional
     sweep (min over the unit box of f'(x, .)) is available, the d-flag is
-    that minimum being >= -tol, and Frechet membership cross-checks it;
-    otherwise the d-flag is Frechet membership.  ``tol`` must be >= 0.
+    that minimum being >= -tol * scale, scale the largest |entry| of the cell
+    gradients at x (at least 1), as membership scales its tol; Frechet
+    membership cross-checks it.  Otherwise the d-flag is Frechet membership.
+    ``tol`` must be >= 0.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
@@ -182,7 +185,8 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
     witness = None
     wvalue = None
     if exact:
-        mval, mdir = _min_dirderiv_over_box(e, x, p.cells())
+        cells = p.cells()
+        mval, mdir = _min_dirderiv_over_box(e, x, cells)
         certs["sweep_min"] = float(mval)
         # only what the math rules out is an error: a Frechet point within
         # tol * scale of 0 (scale: the set's largest entry, at least 1) bounds
@@ -193,7 +197,8 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
             raise SubdiffError(
                 "internal: Frechet membership disagrees with directional sweep"
             )
-        is_d = mval >= -tol
+        # the sweep's rounding grows with the gradients, as membership's does
+        is_d = mval >= -tol * rel_scale(*[c.g for c in cells])
         if not is_d:
             witness = mdir
             wvalue = float(mval)

@@ -55,6 +55,7 @@ from .expr import (
     Affine,
     BUILTINS,
     Const,
+    DimensionMismatchError,
     Expr,
     FragmentClass,
     Max,
@@ -959,34 +960,39 @@ def eigmax_subdiff(M) -> EigmaxSubdiff:
 
 
 def normal_cone(C, x) -> Cone:
-    """Normal cone of a convex set at x in C (polyhedra, boxes, l2 balls).
+    """Normal cone of a convex set at x in C (polyhedra, boxes, l2 balls),
+    as its generators (see :func:`~nonsmooth.polyhedra.cone_from_rays`).
 
-    Polyhedral sets: the cone generated by the normals of active constraints.
-    Balls: the ray through x - center on the boundary, {0} inside.
-    Raises :class:`InfeasiblePointError` when x is outside C.  Feasibility and
-    activity are decided to :data:`~nonsmooth.tolerances.ACTIVE_TOL`,
-    relative to the largest |coordinate| of x for halfspaces.
+    Polyhedral sets: the normals of the active constraints.  Balls: the ray
+    through x - center on the boundary, {0} inside, and +-e_i at the center
+    of a one-point ball.  Raises :class:`InfeasiblePointError` when x is
+    outside C, and :class:`~nonsmooth.expr.DimensionMismatchError` when x is
+    not ``C.dim`` finite numbers.  Feasibility and activity are decided to
+    :data:`~nonsmooth.tolerances.ACTIVE_TOL`, relative to the largest
+    |coordinate| of x for halfspaces.
     """
     x = np.asarray(x, dtype=float).ravel()
     if isinstance(C, Box):
         C = C.to_hpolyhedron()
+    if not isinstance(C, (HPolyhedron, Ball)):
+        raise SubdiffError(f"no normal cone rule for {type(C).__name__}")
+    if x.size != C.dim or not np.isfinite(x).all():
+        raise DimensionMismatchError(f"normal_cone needs {C.dim} finite coordinates, got {x.tolist()}")
+    n = x.size
     if isinstance(C, HPolyhedron):
         scale = rel_scale(x)
         slack = C.b - C.A @ x
         if np.any(slack < -ACTIVE_TOL * scale):
             raise InfeasiblePointError("INFEASIBLE_POINT: x is not in C")
-        active = C.A[slack <= ACTIVE_TOL * scale]
-        if active.shape[0] == 0:
-            return cone_from_rays(np.zeros((0, x.size)), dim=x.size)
-        return cone_from_rays(active)
-    if isinstance(C, Ball):
-        r = float(np.linalg.norm(x - C.center))
-        if r > C.radius + ACTIVE_TOL:
-            raise InfeasiblePointError("INFEASIBLE_POINT: x is not in C")
-        if r < C.radius - ACTIVE_TOL:
-            return cone_from_rays(np.zeros((0, x.size)), dim=x.size)
-        return cone_from_rays([(x - C.center) / r])
-    raise SubdiffError(f"no normal cone rule for {type(C).__name__}")
+        return cone_from_rays(C.A[slack <= ACTIVE_TOL * scale], dim=n)
+    r = float(np.linalg.norm(x - C.center))
+    if r > C.radius + ACTIVE_TOL:
+        raise InfeasiblePointError("INFEASIBLE_POINT: x is not in C")
+    if r < C.radius - ACTIVE_TOL:
+        return Cone(np.zeros((0, n)))
+    if r == 0.0:  # the center of a one-point ball: every direction is normal
+        return cone_from_rays(np.vstack([np.eye(n), -np.eye(n)]))
+    return cone_from_rays([(x - C.center) / r])
 
 
 def _shift_set(S: SetUnion, v: np.ndarray) -> SetUnion:

@@ -53,13 +53,6 @@ NEAREST_STOP = 1e-12
 # also apply; the bound of the LP membership test that the nearest-point rule
 # replaced, kept so that no answer moved
 MEMBERSHIP_TOL = 1e-9
-# cones_equal: mutual membership of ray hulls, relative as MEMBERSHIP_TOL;
-# no decision of the engine rests on it, only tests compare cones
-CONE_EQUAL_TOL = 1e-8
-# relative to the ray: a Cone given both as rays and as normals must agree
-# to this.  The package builds its cones unchecked, so the check sees only a
-# caller's two forms, and forgives their rounding
-CONE_CROSSCHECK_TOL = 1e-7
 
 # --- polyhedra: closed-form cone generators (rows at unit length) -----------
 # absolute: a normal whose largest |entry| is at most this is the zero row,

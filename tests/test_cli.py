@@ -261,6 +261,8 @@ class TestUsageErrors:
             (SAMPLED + ["--radius", "0"], "--radius must be positive and finite, got 0.0"),
             (SAMPLED + ["--radius", "nan"], "--radius must be positive and finite, got nan"),
             (SAMPLED + ["--radius", "inf"], "--radius must be positive and finite, got inf"),
+            (PROJ + ["--ball", "0 0 nan"], "ball radius must be >= 0 and finite, got nan"),
+            (PROJ + ["--ball", "0 0 inf"], "ball radius must be >= 0 and finite, got inf"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):

@@ -15,7 +15,6 @@ from nonsmooth.solvers import (
     _candidate_assignments,
     _candidate_scores,
     _normal_products,
-    _ridge_blocks,
     _ridge_solve,
     _sample_products,
     Constant,
@@ -33,7 +32,6 @@ from nonsmooth.solvers import (
     oracle_from_expr,
     project,
     projected_subgradient,
-    ridge_ls_solve,
     subgradient_method,
 )
 from nonsmooth.stationarity import lspar_d_stationarity_check
@@ -223,13 +221,23 @@ class TestProjectedSubgradient:
         assert np.all(H.A @ tr.final_x - H.b <= 1e-9)
 
 
+def ridge_one_block(X, y, c, anchor, N=None):
+    """Minimizer of (1/2N)||y - X w||^2 + (c/2)||w - anchor||^2 over the rows
+    given, N their number unless given, by the one-block normal equations."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    N = X.shape[0] if N is None else N
+    products = _normal_products(*_sample_products(X, y), np.ones(X.shape[0]), 1.0 / max(N, 1))
+    return _ridge_solve(products, c, np.asarray(anchor, dtype=float))
+
+
 class TestRidge:
     def test_identity_design_tiny_ridge(self):
-        w = ridge_ls_solve(np.eye(2), [1.0, 1.0], 1e-9, np.zeros(2))
+        w = ridge_one_block(np.eye(2), [1.0, 1.0], 1e-9, np.zeros(2))
         assert np.allclose(w, [1.0, 1.0], atol=1e-6)
 
     def test_zero_design_returns_anchor(self):
-        w = ridge_ls_solve(np.zeros((3, 2)), [1.0, 2.0, 3.0], 1.0, [5.0, 6.0])
+        w = ridge_one_block(np.zeros((3, 2)), [1.0, 2.0, 3.0], 1.0, [5.0, 6.0])
         assert np.allclose(w, [5.0, 6.0])
 
     def test_matches_grid_oracle_on_2x2(self):
@@ -238,7 +246,7 @@ class TestRidge:
         y = rng.standard_normal(2)
         anchor = rng.standard_normal(2)
         c = 0.7
-        w = ridge_ls_solve(X, y, c, anchor)
+        w = ridge_one_block(X, y, c, anchor)
 
         def objective(v):
             r = y - X @ v
@@ -257,10 +265,6 @@ class TestRidge:
         )
         assert np.allclose(w, grid_min[1], atol=1e-1)
 
-    def test_rejects_nonpositive_ridge(self):
-        with pytest.raises(ValueError):
-            ridge_ls_solve(np.eye(2), [1.0, 1.0], 0.0, np.zeros(2))
-
     def test_stacked_solve_matches_per_block_solve(self):
         rng = make_rng(31)
         N, n, k, C, c = 12, 2, 4, 20, 0.3
@@ -273,12 +277,12 @@ class TestRidge:
         assign[1, :] = 0
         masks = (assign[:, None, :] == np.arange(k)[:, None]).astype(float)
         XX, Xy = _sample_products(X, y)
-        out = _ridge_blocks(XX, Xy, masks, c, anchors, 1.0 / N)
+        out = _ridge_solve(_normal_products(XX, Xy, masks, 1.0 / N), c, anchors)
         n_empty = 0
         for b in range(C):
             for i in range(k):
                 rows = assign[b] == i
-                ref = ridge_ls_solve(X[rows], y[rows], c, anchors[i], nsamples=N)
+                ref = ridge_one_block(X[rows], y[rows], c, anchors[i], N)
                 assert np.allclose(out[b, i], ref, rtol=0.0, atol=1e-12)
                 if not rows.any():
                     n_empty += 1
@@ -293,9 +297,11 @@ class TestRidge:
         masks = (rng.integers(0, k, (C, 1, N)) == np.arange(k)[:, None]).astype(float)
         masks[0, 3] = 0.0  # an empty block
         anchors = rng.standard_normal((k, n))
+        # MM reuses one set of products across ridge weights: a solve must
+        # leave them as they were
         products = _normal_products(XX, Xy, masks, 1.0 / N)
         for c in (1e-9, 0.3, 2.0**40):
-            want = _ridge_blocks(XX, Xy, masks, c, anchors, 1.0 / N)
+            want = _ridge_solve(_normal_products(XX, Xy, masks, 1.0 / N), c, anchors)
             got = _ridge_solve(products, c, anchors)
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(got[0, 3], anchors[3])
@@ -306,9 +312,9 @@ class TestRidge:
         X = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0 + 1e-7]])
         XX, Xy = _sample_products(X, np.array([1.0, 0.0, -1.0]))
         masks = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        _ridge_blocks(XX, Xy, masks[:1], 1e-30, np.zeros(2), 1.0)
+        _ridge_solve(_normal_products(XX, Xy, masks[:1], 1.0), 1e-30, np.zeros(2))
         with pytest.raises(ArithmeticError):
-            _ridge_blocks(XX, Xy, masks, 1e-30, np.zeros(2), 1.0)
+            _ridge_solve(_normal_products(XX, Xy, masks, 1.0), 1e-30, np.zeros(2))
 
 
 class TestPseudoSubgrad:
@@ -640,7 +646,7 @@ def reference_mm_lspar(dataset, W0, params):
             Wtry = np.empty_like(W)
             for i in range(k):
                 rows = assign == i
-                Wtry[:, i] = ridge_ls_solve(X[rows], y[rows], c, W[:, i], nsamples=N)
+                Wtry[:, i] = ridge_one_block(X[rows], y[rows], c, W[:, i], N)
             ftry = lspar_objective(X, y, Wtry)
             if ftry < best_f:
                 best_f, best_candidate = ftry, Wtry

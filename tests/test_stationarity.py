@@ -97,6 +97,26 @@ class TestClassify:
         with pytest.raises(SubdiffError, match="disagrees with directional sweep"):
             classify(e, x)
 
+    # make_rng(2209, dim, i) at dim 2, i = 110 and 126, and at dim 3, i = 68
+    # and 92, lost the d-flag at s >= 1e9 while its tol was absolute: the
+    # sweep's rounding grows with the gradients
+    @pytest.mark.parametrize("s", [1e3, 1e6, 1e9, 1e12])
+    def test_flags_do_not_depend_on_units(self, s):
+        from nonsmooth.expr import dim_required
+
+        cases = [(2, i) for i in (*range(30), 110, 126)] + [(3, i) for i in (*range(30), 68, 92)]
+        checked = 0
+        for dim, i in cases:
+            e, x = random_pa_instance(make_rng(2209, dim, i), dim)
+            if dim_required(e) != dim:
+                continue
+            want, got = classify(e, x), classify(Scale(s, e), x)
+            assert (got.is_d, got.is_l, got.is_C) == (want.is_d, want.is_l, want.is_C), (dim, i)
+            if got.is_d is False:
+                assert dir_deriv(Scale(s, e), x, got.witness_direction).value < 0
+            checked += 1
+        assert checked >= 40
+
     def test_hierarchy_on_random_corpus(self, rng):
         for _ in range(200):
             dim = int(rng.integers(1, 4))
@@ -214,6 +234,12 @@ class TestConvexOptimality:
 
         with pytest.raises(InfeasiblePointError):
             convex_optimality_check(Abs(Var(0)), Box([0.0], [1.0]), [2.0])
+
+    def test_point_of_the_wrong_length_raises(self):
+        from nonsmooth.expr import DimensionMismatchError
+
+        with pytest.raises(DimensionMismatchError):
+            convex_optimality_check(Abs(Var(0)), Box([0.0, 0.0], [1.0, 1.0]), [0.0])
 
     def _exact_directional_min(self, g, C_h, x):
         """min over y in C of g'(x, y - x) via one epigraph LP (independent

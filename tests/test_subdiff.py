@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -49,7 +50,7 @@ from nonsmooth.polyhedra import (
     cone_rays_from_halfspaces,
     contains,
     conv_hull,
-    hpoly_is_empty,
+    lp_solve,
     set_distance,
 )
 from nonsmooth.rng import make_rng
@@ -337,7 +338,7 @@ class TestFrechet:
         fs = frechet(e, [0.0, 0.0])
         assert fs.is_empty and fs.set.components == ()
         assert isinstance(fs.halfspaces, HPolyhedron) and fs.halfspaces.dim == 2
-        assert hpoly_is_empty(fs.halfspaces)
+        assert not lp_solve(np.zeros(2), fs.halfspaces.A, fs.halfspaces.b).optimal
 
     @pytest.mark.parametrize("c", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
     def test_tiny_slopes_keep_their_shape(self, c):
@@ -800,6 +801,21 @@ class TestNormalCone:
     def test_infeasible_point(self):
         with pytest.raises(InfeasiblePointError):
             normal_cone(Box([0.0], [1.0]), [2.0])
+
+    def test_center_of_a_one_point_ball_is_normal_everywhere(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cone = normal_cone(Ball(np.zeros(2), 0.0), [0.0, 0.0])
+        for z in ([1.0, 0.0], [-3.0, 2.0], [0.0, -1.0]):
+            assert contains(cone, z)
+
+    @pytest.mark.parametrize("C", [Box([0.0, 0.0], [1.0, 1.0]), Ball(np.zeros(2), 1.0)], ids=["box", "ball"])
+    @pytest.mark.parametrize(
+        "x", [[math.nan, 0.0], [0.0, math.inf], [0.0], [0.0, 0.0, 0.0]], ids=["nan", "inf", "short", "long"]
+    )
+    def test_bad_points_raise(self, C, x):
+        with pytest.raises(DimensionMismatchError):
+            normal_cone(C, x)
 
 
 class TestWeaklyConvex:

@@ -129,7 +129,6 @@ def test_rel_scale(arrays, scale):
     [
         (polyhedra.lp_solve, "tol"),
         (polyhedra.conv_hull, "tol"),
-        (polyhedra.cones_equal, "tol"),
         (polyhedra.vertex_enumeration, "tol"),
         (subdiff.normal_cone, "tol"),
         (subdiff.eigmax_subdiff, "tol"),
