@@ -302,6 +302,8 @@ class Ball:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).ravel())
         if not 0 <= self.radius < math.inf:
             raise PolyhedraError(f"ball radius must be >= 0 and finite, got {self.radius}")
+        if not np.isfinite(self.center).all():
+            raise PolyhedraError(f"ball center must be finite, got {self.center.tolist()}")
 
     @property
     def dim(self) -> int:

@@ -263,6 +263,7 @@ class TestUsageErrors:
             (SAMPLED + ["--radius", "inf"], "--radius must be positive and finite, got inf"),
             (PROJ + ["--ball", "0 0 nan"], "ball radius must be >= 0 and finite, got nan"),
             (PROJ + ["--ball", "0 0 inf"], "ball radius must be >= 0 and finite, got inf"),
+            (PROJ + ["--ball", "nan 0 1"], "ball center must be finite, got [nan, 0.0]"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):

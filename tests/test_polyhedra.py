@@ -468,10 +468,12 @@ class TestContains:
         assert contains(Ball(np.zeros(2), 1.0), [0.6, 0.8], 1e-9)
         assert not contains(Ball(np.zeros(2), 1.0), [0.8, 0.8], 1e-9)
 
-    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
-    def test_ball_radius_must_be_finite_and_nonnegative(self, r):
-        with pytest.raises(PolyhedraError, match="radius"):
-            Ball(np.zeros(2), r)
+    @pytest.mark.parametrize(
+        "center, r", [([0.0, 0.0], float("nan")), ([0.0, 0.0], float("inf")), ([float("nan"), 0.0], 1.0)]
+    )
+    def test_ball_needs_a_finite_center_and_radius(self, center, r):
+        with pytest.raises(PolyhedraError, match="ball"):
+            Ball(np.array(center), r)
 
 
 @st.composite
