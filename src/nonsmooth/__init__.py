@@ -48,7 +48,6 @@ from .solvers import (
     Constant,
     Diminishing,
     Geometric,
-    MMParams,
     Polyak,
     SubgradOracle,
     mm_lspar,

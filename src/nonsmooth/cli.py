@@ -35,7 +35,6 @@ from .solvers import (
     Constant,
     Diminishing,
     Geometric,
-    MMParams,
     Polyak,
     lspar_oracle,
     mm_lspar,
@@ -189,20 +188,38 @@ def _write_trace(path: str, trace) -> None:
             w.writerow([i, repr(float(f)), repr(float(steps[i])), dist, wall])
 
 
+# the optional flags of solve that each (--method, --problem) reads, besides
+# --trace and the defaulted --N, --sigma and --seed
+_SOLVE_READS = {
+    ("mm", "lspar"): (),
+    ("subgrad", "lspar"): ("schedule", "iters"),
+    ("subgrad", None): ("expr", "x0", "schedule", "iters"),
+    ("proj-subgrad", None): ("expr", "x0", "schedule", "iters", "box", "ball"),
+}
+
+
 def _cmd_solve(args) -> int:
+    if args.method == "proj-subgrad" and args.problem is not None:
+        raise InputError("--method proj-subgrad does not read --problem; it projects an --expr objective")
+    flags = ("expr", "x0", "schedule", "iters", "box", "ball")
+    reads = _SOLVE_READS.get((args.method, args.problem), flags)  # (mm, None) fails below
+    unread = [f"--{f}" for f in flags if getattr(args, f) is not None and f not in reads]
+    if unread:
+        via = f"--method {args.method}" + (f" --problem {args.problem}" if args.problem else "")
+        raise InputError(f"{via} does not read {', '.join(unread)}")
+    schedule = _parse_schedule(args.schedule or "diminishing:1")
+    iters = 1000 if args.iters is None else args.iters
     if args.problem == "lspar":
         ds = experiments.gen_lspar_data(args.N, args.sigma, args.seed)
         W0 = make_rng(args.seed, 22).standard_normal(experiments.LSPAR_TRUE_W.shape)
         if args.method == "mm":
-            trace, cert = mm_lspar(ds, W0, MMParams())
+            trace, cert = mm_lspar(ds, W0)
             print(
-                f"mm: {trace.termination} after {trace.iterations} outer iterations, "
+                f"mm: {trace.termination} after {trace.extras['outer_iters']} outer iterations, "
                 f"f={float(trace.objectives[-1])!r}, d-stationary={cert.is_d_stationary}"
             )
         else:
-            trace = subgradient_method(
-                lspar_oracle(ds), W0, _parse_schedule(args.schedule), max_iter=args.iters
-            )
+            trace = subgradient_method(lspar_oracle(ds), W0, schedule, max_iter=iters)
             print(
                 f"subgrad: {trace.termination}, f={float(trace.objectives[-1])!r}, "
                 f"best={float(trace.best_f)!r}"
@@ -215,15 +232,14 @@ def _cmd_solve(args) -> int:
         e = _load_expr(args.expr)
         x0 = _parse_point(args.x0)
         oracle = oracle_from_expr(e)
-        schedule = _parse_schedule(args.schedule)
         if args.method == "proj-subgrad":
             if args.box is None and args.ball is None:
                 print("proj-subgrad needs --box 'lo.. hi..' or --ball 'center.. r'", file=sys.stderr)
                 return 2
             projector = _parse_projector(args, x0.size)
-            trace = projected_subgradient(oracle, projector, x0, schedule, max_iter=args.iters)
+            trace = projected_subgradient(oracle, projector, x0, schedule, max_iter=iters)
         else:
-            trace = subgradient_method(oracle, x0, schedule, max_iter=args.iters)
+            trace = subgradient_method(oracle, x0, schedule, max_iter=iters)
         print(
             f"{args.method}: {trace.termination}, f={float(trace.objectives[-1])!r}, "
             f"best={float(trace.best_f)!r}, x={trace.final_x.tolist()}"
@@ -335,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--problem", choices=["lspar"], help="built-in problem family")
     pv.add_argument("--N", type=int, default=10)
     pv.add_argument("--sigma", type=float, default=0.1)
-    pv.add_argument("--schedule", default="diminishing:1", help="kind:params, e.g. geometric:0.1,0.98")
-    pv.add_argument("--iters", type=int, default=1000)
+    pv.add_argument("--schedule", help="kind:params, e.g. geometric:0.1,0.98 (default diminishing:1)")
+    pv.add_argument("--iters", type=int, help="iterations of subgrad/proj-subgrad (default 1000)")
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--box", help="projector box 'lo... hi...'")
     pv.add_argument("--ball", help="projector ball 'center... radius'")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
@@ -30,7 +30,6 @@ import numpy as np
 from .rng import make_rng, stream_key
 from .solvers import (
     Geometric,
-    MMParams,
     SubgradOracle,
     lspar_subgradient_lockstep,
     mm_lspar,
@@ -72,7 +71,6 @@ class LsparDataset:
     N: int
     seed: int
     noise_sigma: float
-    model: str = "maxaffine4"
 
 
 def gen_lspar_data(N: int, noise_sigma: float, seed: int) -> LsparDataset:
@@ -142,26 +140,31 @@ class MatrixRecovery:
 
 @dataclass(frozen=True)
 class LogSumLS:
-    """Least squares b ~ A x* plus a log-sum sparsity penalty."""
+    """Least squares b ~ A x* plus the log-sum sparsity penalty
+    ``LOGSUM_LAM`` * sum_i log(|x_i| + ``LOGSUM_THETA``)."""
 
     A: np.ndarray
     b: np.ndarray
     x_star: np.ndarray
-    lam: float
-    theta: float
     outlier_mask: np.ndarray
     seed: int
 
 
 ROBUST_KINDS = ("sign", "amplitude", "blinddeconv", "matrix", "logsum")
+LOGSUM_LAM = 0.1  # the log-sum penalty's weight
+LOGSUM_THETA = 0.1  # the log-sum penalty's offset inside the log
+OUTLIER_SCALE = 10.0  # the standard deviation of an outlier's corruption
 
 
-def _outlier_mask(rng: np.random.Generator, m: int, frac: float) -> np.ndarray:
+def _corrupt(rng: np.random.Generator, b: np.ndarray, frac: float) -> tuple:
+    """``b`` with Gaussian corruption of scale ``OUTLIER_SCALE`` added on a
+    random ``frac`` of its entries, and the mask of those entries."""
+    m = b.size
     mask = np.zeros(m, dtype=bool)
     count = int(round(frac * m))
     if count:
         mask[rng.choice(m, size=count, replace=False)] = True
-    return mask
+    return b + mask * (OUTLIER_SCALE * rng.standard_normal(m)), mask
 
 
 def gen_robust_instance(
@@ -171,16 +174,13 @@ def gen_robust_instance(
     outlier_frac: float,
     seed: int,
     r: int = 2,
-    lam: float = 0.1,
-    theta: float = 0.1,
-    outlier_scale: float = 10.0,
 ):
     """Planted instance of a robust recovery problem.
 
     Measurement vectors are iid standard Gaussian, the planted signal is
     unit norm, and non-outlier measurements satisfy the model exactly.
     Outlier entries receive additive Gaussian corruption of scale
-    ``outlier_scale``.  ``kind`` is one of :data:`ROBUST_KINDS`.
+    ``OUTLIER_SCALE``.  ``kind`` is one of :data:`ROBUST_KINDS`.
     """
     rng = make_rng(seed, 7)
     if kind == "sign":
@@ -188,16 +188,14 @@ def gen_robust_instance(
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
         b = (A @ x) ** 2
-        mask = _outlier_mask(rng, m, outlier_frac)
-        b = b + mask * (outlier_scale * rng.standard_normal(m))
+        b, mask = _corrupt(rng, b, outlier_frac)
         return SignRetrieval(A=A, b=b, x_star=x, outlier_mask=mask, seed=seed)
     if kind == "amplitude":
         A = rng.standard_normal((m, n))
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
         b = np.abs(A @ x)
-        mask = _outlier_mask(rng, m, outlier_frac)
-        b = b + mask * (outlier_scale * rng.standard_normal(m))
+        b, mask = _corrupt(rng, b, outlier_frac)
         return AmplitudeRetrieval(A=A, b=b, x_star=x, outlier_mask=mask, seed=seed)
     if kind == "blinddeconv":
         A = rng.standard_normal((m, n))
@@ -207,8 +205,7 @@ def gen_robust_instance(
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
         b = (A @ w) * (C @ x)
-        mask = _outlier_mask(rng, m, outlier_frac)
-        b = b + mask * (outlier_scale * rng.standard_normal(m))
+        b, mask = _corrupt(rng, b, outlier_frac)
         return BlindDeconv(A=A, C=C, b=b, w_star=w, x_star=x, outlier_mask=mask, seed=seed)
     if kind == "matrix":
         mats = rng.standard_normal((m, n, n))
@@ -216,8 +213,7 @@ def gen_robust_instance(
         U /= np.linalg.norm(U)
         Xs = U @ U.T
         b = np.tensordot(mats, Xs, axes=([1, 2], [0, 1]))
-        mask = _outlier_mask(rng, m, outlier_frac)
-        b = b + mask * (outlier_scale * rng.standard_normal(m))
+        b, mask = _corrupt(rng, b, outlier_frac)
         return MatrixRecovery(mats=mats, b=b, U_star=U, outlier_mask=mask, seed=seed)
     if kind == "logsum":
         A = rng.standard_normal((m, n))
@@ -226,9 +222,8 @@ def gen_robust_instance(
         x[support] = rng.standard_normal(support.size)
         x /= max(np.linalg.norm(x), 1e-12)
         b = A @ x
-        mask = _outlier_mask(rng, m, outlier_frac)
-        b = b + mask * (outlier_scale * rng.standard_normal(m))
-        return LogSumLS(A=A, b=b, x_star=x, lam=lam, theta=theta, outlier_mask=mask, seed=seed)
+        b, mask = _corrupt(rng, b, outlier_frac)
+        return LogSumLS(A=A, b=b, x_star=x, outlier_mask=mask, seed=seed)
     raise ValueError(f"unknown instance kind {kind!r} (kinds: {', '.join(ROBUST_KINDS)})")
 
 
@@ -256,7 +251,7 @@ def robust_objective(inst, point) -> float:
     if isinstance(inst, LogSumLS):
         x = np.asarray(point, dtype=float).ravel()
         ls = 0.5 * float(np.mean((inst.b - inst.A @ x) ** 2))
-        return ls + inst.lam * float(np.sum(np.log(np.abs(x) + inst.theta)))
+        return ls + LOGSUM_LAM * float(np.sum(np.log(np.abs(x) + LOGSUM_THETA)))
     raise TypeError(f"unknown instance {type(inst).__name__}")
 
 
@@ -302,8 +297,8 @@ def robust_subgrad_oracle(inst, point) -> np.ndarray:
         x = np.asarray(point, dtype=float).ravel()
         m = inst.b.size
         grad_ls = (1.0 / m) * (inst.A.T @ (inst.A @ x - inst.b))
-        pen = _sign0(x) / (np.abs(x) + inst.theta)
-        return grad_ls + inst.lam * pen
+        pen = _sign0(x) / (np.abs(x) + LOGSUM_THETA)
+        return grad_ls + LOGSUM_LAM * pen
     raise TypeError(f"unknown instance {type(inst).__name__}")
 
 
@@ -366,16 +361,25 @@ class TrialRecord:
 CSV_HEADER = ["trial", "seed", "N", "method", "final_f", "best_f", "iters", "cert", "wall_ms"]
 
 
+# The step-size tuning's fixed choices: the diminishing-step coefficients it
+# tries, the root seed of its held-out problems (never an experiment seed) and
+# how many problems score each coefficient
+SUBGRAD_GRID = (0.1, 1.0, 10.0)
+HELDOUT_SEED = 987654321
+TUNING_PROBES = 5
+
+
 @dataclass(frozen=True)
 class LsparExperimentConfig:
+    """The LSPAR experiment's settings, each a CLI config key.  MM runs with
+    the fixed choices of :func:`~nonsmooth.solvers.mm_lspar`, and the
+    subgradient step is tuned per N by :func:`tune_subgrad_coefficient`."""
+
     N_list: tuple = (10, 50, 100)
     trials: int = 500
     root_seed: int = 0
     noise_sigma: float = 0.1
     subgrad_iters: int = 1500
-    subgrad_grid: tuple = (0.1, 1.0, 10.0)
-    heldout_seed: int = 987654321
-    mm: MMParams = field(default_factory=MMParams)
     out_dir: Optional[str] = None
     jobs: int = 1
 
@@ -385,8 +389,6 @@ class LsparExperimentConfig:
             "a non-empty N_list with every N >= 1": len(self.N_list) > 0
             and all(N >= 1 for N in self.N_list),
             "subgrad_iters >= 1": self.subgrad_iters >= 1,
-            "a non-empty subgrad_grid of positive values": len(self.subgrad_grid) > 0
-            and all(c > 0 for c in self.subgrad_grid),
             "jobs >= 1": self.jobs >= 1,
         }
         broken = [rule for rule, ok in rules.items() if not ok]
@@ -394,29 +396,24 @@ class LsparExperimentConfig:
             raise ValueError("LsparExperimentConfig needs " + ", ".join(broken))
 
 
-def tune_subgrad_coefficient(
-    N: int,
-    noise_sigma: float,
-    grid: Sequence[float],
-    heldout_seed: int,
-    iters: int,
-    probes: int = 5,
-) -> float:
-    """Pick the diminishing-step coefficient by mean final objective on
-    held-out seeds (the experiment seeds never overlap these).
+def tune_subgrad_coefficient(N: int, noise_sigma: float, iters: int) -> float:
+    """Pick the diminishing-step coefficient of ``SUBGRAD_GRID`` by mean
+    final objective on ``TUNING_PROBES`` held-out problems (seeded from
+    ``HELDOUT_SEED``, so the experiment seeds never overlap them).
 
     All grid x probes runs go through one lockstep subgradient call."""
-    data = [gen_lspar_data(N, noise_sigma, stream_key(heldout_seed, N, p)) for p in range(probes)]
-    W0 = [make_rng(heldout_seed, N, p, 5).standard_normal(LSPAR_TRUE_W.shape) for p in range(probes)]
+    probes = TUNING_PROBES
+    data = [gen_lspar_data(N, noise_sigma, stream_key(HELDOUT_SEED, N, p)) for p in range(probes)]
+    W0 = [make_rng(HELDOUT_SEED, N, p, 5).standard_normal(LSPAR_TRUE_W.shape) for p in range(probes)]
     final_f, _, _ = lspar_subgradient_lockstep(
-        np.stack([ds.X for ds in data] * len(grid)),
-        np.stack([ds.y for ds in data] * len(grid)),
-        np.stack(W0 * len(grid)),
-        np.repeat(np.asarray(grid, dtype=float), probes),
+        np.stack([ds.X for ds in data] * len(SUBGRAD_GRID)),
+        np.stack([ds.y for ds in data] * len(SUBGRAD_GRID)),
+        np.stack(W0 * len(SUBGRAD_GRID)),
+        np.repeat(np.asarray(SUBGRAD_GRID, dtype=float), probes),
         max_iter=iters,
     )
     scores = []
-    for i, c in enumerate(grid):
+    for i, c in enumerate(SUBGRAD_GRID):
         tot = 0.0
         for f in final_f[i * probes : (i + 1) * probes]:
             tot += float(f)
@@ -427,19 +424,18 @@ def tune_subgrad_coefficient(
 def _lspar_trial_block(args) -> list:
     """MM trial by trial, then the block's subgradient arm in one lockstep run.
 
-    ``args`` is (N, trials, root_seed, noise_sigma, subgrad_c, subgrad_iters,
-    mm_params) with ``trials`` a sequence of trial ids.  A subgradient row's
-    ``wall_ms`` is the lockstep run's wall time divided by the block's
-    trials.
+    ``args`` is (N, trials, root_seed, noise_sigma, subgrad_c, subgrad_iters)
+    with ``trials`` a sequence of trial ids.  A subgradient row's ``wall_ms``
+    is the lockstep run's wall time divided by the block's trials.
     """
-    (N, trials, root_seed, noise_sigma, subgrad_c, subgrad_iters, mm_params) = args
+    (N, trials, root_seed, noise_sigma, subgrad_c, subgrad_iters) = args
     mm_rows, data, starts = [], [], []
     for trial in trials:
         data_seed = stream_key(root_seed, N, trial, 11)
         ds = gen_lspar_data(N, noise_sigma, data_seed)
         W0 = make_rng(root_seed, N, trial, 22).standard_normal(LSPAR_TRUE_W.shape)
         t0 = time.perf_counter()
-        mm_trace, cert = mm_lspar(ds, W0, mm_params)
+        mm_trace, cert = mm_lspar(ds, W0)
         mm_rows.append(
             TrialRecord(
                 trial=trial,
@@ -484,9 +480,9 @@ def _lspar_trial_block(args) -> list:
 def run_single_lspar_trial(args) -> list:
     """One (N, trial) cell: shared start, MM then pseudo-subgradient.
 
-    ``args`` is (N, trial, root_seed, noise_sigma, subgrad_c, subgrad_iters,
-    mm_params); the cell is a block of one trial, so it reproduces the rows
-    the trial gets inside any batch."""
+    ``args`` is (N, trial, root_seed, noise_sigma, subgrad_c, subgrad_iters);
+    the cell is a block of one trial, so it reproduces the rows the trial
+    gets inside any batch."""
     N, trial, *rest = args
     return _lspar_trial_block((N, range(trial, trial + 1), *rest))
 
@@ -507,13 +503,7 @@ def run_lspar_experiment(config: LsparExperimentConfig) -> dict:
     records: list = []
     tuned = {}
     for N in config.N_list:
-        tuned[N] = tune_subgrad_coefficient(
-            N,
-            config.noise_sigma,
-            config.subgrad_grid,
-            config.heldout_seed,
-            config.subgrad_iters,
-        )
+        tuned[N] = tune_subgrad_coefficient(N, config.noise_sigma, config.subgrad_iters)
     trials = range(config.trials)
     size = max(1, -(-config.trials // max(1, config.jobs)))  # ceil: one block per job
     blocks = [
@@ -524,7 +514,6 @@ def run_lspar_experiment(config: LsparExperimentConfig) -> dict:
             config.noise_sigma,
             tuned[N],
             config.subgrad_iters,
-            config.mm,
         )
         for N in config.N_list
         for lo in range(0, config.trials, size)

@@ -273,7 +273,8 @@ class VPolytope:
 
 @dataclass(frozen=True)
 class HPolyhedron:
-    """Intersection of halfspaces {z : A z <= b}; may be empty or unbounded."""
+    """Intersection of halfspaces {z : A z <= b}; may be empty or unbounded.
+    ``A`` is finite and ``b`` not NaN; a row with b = +inf holds everywhere."""
 
     A: np.ndarray
     b: np.ndarray
@@ -283,6 +284,8 @@ class HPolyhedron:
         b = np.asarray(self.b, dtype=float).ravel()
         if A.shape[0] != b.size:
             raise PolyhedraError("halfspace matrix/offset size mismatch")
+        if not np.isfinite(A).all() or np.isnan(b).any():
+            raise PolyhedraError("halfspace matrix must be finite and offsets not NaN")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -312,7 +315,7 @@ class Ball:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box {z : lo <= z <= hi}."""
+    """Axis-aligned box {z : lo <= z <= hi}; a bound may be infinite, not NaN."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -320,6 +323,8 @@ class Box:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float).ravel()
         hi = np.asarray(self.hi, dtype=float).ravel()
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise PolyhedraError(f"box bounds must not be NaN, got {lo.tolist()} and {hi.tolist()}")
         if lo.size != hi.size or np.any(lo > hi):
             raise PolyhedraError("invalid box bounds")
         object.__setattr__(self, "lo", lo)

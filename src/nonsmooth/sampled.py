@@ -62,9 +62,9 @@ _DRAWS_LOCK = threading.Lock()
 _draws_held = 0  # the bytes _DRAWS holds
 
 
-def default_schedule(k_lo: int = 8, k_hi: int = 40) -> np.ndarray:
-    """The default step schedule t_k = 2^-k, k = k_lo .. k_hi."""
-    return np.array([2.0 ** -k for k in range(k_lo, k_hi + 1)])
+def default_schedule() -> np.ndarray:
+    """The default step schedule t_k = 2^-k, k = 8 .. 40."""
+    return np.array([2.0 ** -k for k in range(8, 41)])
 
 
 def as_evaluator(e: Expr) -> Callable[[np.ndarray], float]:

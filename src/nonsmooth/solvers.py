@@ -1,9 +1,9 @@
 """Iterative methods: subgradient descent variants and the MM solver.
 
 The subgradient method is not a descent method, so every trace records the
-best objective seen alongside the raw iterates.  Step schedules are plain
-value objects; oracles pair an objective evaluator with a map returning one
-member of the subdifferential at each point.
+best objective and point seen alongside the objective history.  Step
+schedules are plain value objects; oracles pair an objective evaluator with
+a map returning one member of the subdifferential at each point.
 
 For least-squares piecewise-affine regression (LSPAR) this module provides
 the mean-square objective, the pseudo-subgradient that pretends the basic
@@ -29,7 +29,6 @@ from .stationarity import DStatCertificate, lspar_d_stationarity_check
 from .tolerances import (
     DYKSTRA_FEAS_TOL,
     DYKSTRA_MOVE_TOL,
-    LSPAR_DSTAT_TOL,
     MM_EPS_FLOOR,
     NORMAL_EQ_RTOL,
     PROJECTION_TOL,
@@ -52,7 +51,6 @@ __all__ = [
     "lspar_pseudo_subgrad",
     "lspar_subgradient_lockstep",
     "lspar_oracle",
-    "MMParams",
     "mm_lspar",
 ]
 
@@ -210,11 +208,9 @@ class SolverTrace:
     best_x: np.ndarray
     final_x: np.ndarray
     termination: str
-    seed: Optional[int] = None
     wall_s: float = 0.0
     walls: Optional[np.ndarray] = None  # elapsed seconds at each iterate
     dists: Optional[np.ndarray] = None
-    iterates: Optional[list] = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -241,21 +237,19 @@ def subgradient_method(
     x0,
     schedule: StepSchedule,
     max_iter: int = 1000,
-    stop_tol: float = 0.0,
     ref=None,
-    record_iterates: bool = False,
 ) -> SolverTrace:
     """x_{k+1} = x_k - alpha_k s_k with s_k from the oracle.
 
     Not a descent method; the trace records the best objective seen.  Stops
-    early when ||s_k|| <= stop_tol (termination SMALL_SUBGRADIENT) and
-    otherwise runs ``max_iter`` steps.  ``ref`` (point or callable) adds a
-    per-iterate distance column.
+    early when s_k = 0 (termination SMALL_SUBGRADIENT) and otherwise runs
+    ``max_iter`` steps.  ``ref`` (point or callable) adds a per-iterate
+    distance column.
     """
-    return _subgradient_loop(oracle, None, x0, schedule, max_iter, stop_tol, ref, record_iterates)
+    return _subgradient_loop(oracle, None, x0, schedule, max_iter, ref)
 
 
-def _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, record_iterates):
+def _subgradient_loop(oracle, projector, x0, schedule, max_iter, ref):
     """The loop of both subgradient methods; with a ``projector`` the start
     and every step are projected onto it."""
     x = np.array(x0, dtype=float)
@@ -263,7 +257,6 @@ def _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, 
         x = project(projector, x)
     dist = _dist_fn(ref)
     fs, steps, dists, walls = [], [], [], []
-    iterates = [] if record_iterates else None
     best_f, best_x = math.inf, x.copy()
     termination = "MAX_ITER"
     t0 = time.perf_counter()
@@ -274,13 +267,11 @@ def _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, 
         walls.append(time.perf_counter() - t0)
         if dist is not None:
             dists.append(dist(x))
-        if record_iterates:
-            iterates.append(x.copy())
         if f < best_f:
             best_f, best_x = f, x.copy()
         s = np.asarray(s, dtype=float)
         gnorm = float(np.linalg.norm(s))
-        if gnorm <= stop_tol:
+        if gnorm == 0.0:
             steps.append(0.0)
             termination = "SMALL_SUBGRADIENT"
             break
@@ -299,7 +290,6 @@ def _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, 
         wall_s=time.perf_counter() - t0,
         walls=np.array(walls),
         dists=np.array(dists) if dist is not None else None,
-        iterates=iterates,
     )
 
 
@@ -363,12 +353,10 @@ def projected_subgradient(
     x0,
     schedule: StepSchedule,
     max_iter: int = 1000,
-    stop_tol: float = 0.0,
-    ref=None,
 ) -> SolverTrace:
     """x_{k+1} = Pi_C(x_k - alpha_k s_k); every iterate is feasible to
     :data:`~nonsmooth.tolerances.PROJECTION_TOL`."""
-    return _subgradient_loop(oracle, projector, x0, schedule, max_iter, stop_tol, ref, False)
+    return _subgradient_loop(oracle, projector, x0, schedule, max_iter, None)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +524,7 @@ def lspar_oracle(dataset) -> SubgradOracle:
 
 
 # MM solves and scores its candidates in stacks of at most this many.  On the
-# lspar benchmark (2 vCPUs), one stack of all 256 candidates (selection_cap)
+# lspar benchmark (2 vCPUs), one stack of all 256 candidates (MM_SELECTION_CAP)
 # raised peak RSS by 7.5% over the per-candidate loop, stacks of 64 by 3.4%;
 # their speed was the same within noise.
 CANDIDATE_STACK = 64
@@ -593,52 +581,37 @@ def _candidate_scores(Z, y) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class MMParams:
-    """Knobs of the non-monotone MM loop (defaults are the frozen choices)."""
-
-    eps0: Optional[float] = None  # default 0.1 * mean|y|
-    c0: float = 1.0
-    c_min: float = 1e-9
-    eta: float = 1e-4
-    shrink: float = 0.5
-    max_outer: int = 200
-    selection_cap: int = 256
-    dstat_tol: float = LSPAR_DSTAT_TOL
-
-    def __post_init__(self):
-        rules = {
-            "eps0 is None or > 0": self.eps0 is None or self.eps0 > 0,
-            "c0 > 0": self.c0 > 0,
-            "c_min > 0": self.c_min > 0,
-            "eta >= 0": self.eta >= 0,
-            "0 < shrink < 1": 0.0 < self.shrink < 1.0,
-            "max_outer >= 0": self.max_outer >= 0,
-            "selection_cap >= 1": self.selection_cap >= 1,
-            "dstat_tol >= 0": self.dstat_tol >= 0,
-        }
-        broken = [rule for rule, ok in rules.items() if not ok]
-        if broken:
-            raise ValueError("MMParams needs " + ", ".join(broken))
+# The fixed choices of mm_lspar, which its docstring describes; criterion 7's
+# frozen pin was measured with these values
+MM_C0 = 1.0
+MM_C_MIN = 1e-9
+MM_ETA = 1e-4
+MM_SHRINK = 0.5
+MM_MAX_OUTER = 200
+MM_SELECTION_CAP = 256
 
 
-def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
+def mm_lspar(dataset, W0) -> tuple:
     """Majorization-minimization for LSPAR with a d-stationarity certificate.
 
-    Outer loop: build eps-active branch sets; the candidates are the
-    ``selection_cap`` cheapest branch selections of the ambiguous samples by
-    total margin, ties broken lexicographically by choice rank (exactly one
-    when no sample is ambiguous); solve and score the ridge-regularized
-    least-squares surrogates of all candidates in stacked solves of up to
+    eps starts at max(0.1 mean|y|, ``MM_EPS_FLOOR``) and c at ``MM_C0``.
+    Outer loop, at most ``MM_MAX_OUTER`` times: build eps-active branch
+    sets; the candidates are the ``MM_SELECTION_CAP`` cheapest branch
+    selections of the ambiguous samples by total margin, ties broken
+    lexicographically by choice rank (exactly one when no sample is
+    ambiguous); solve and score the ridge-regularized least-squares
+    surrogates of all candidates in stacked solves of up to
     ``CANDIDATE_STACK`` candidates each (one stacked solve per outer
     iteration when there are no more), and accept the best candidate (the
     first one on ties) when the true objective decreases by at least
-    eta * ||delta W||^2.  When no candidate passes, the exact
-    d-stationarity test either certifies termination or eps shrinks and
-    the proximal weight grows.  The test runs once per distinct iterate:
-    rejected iterations keep W, so they reuse its certificate, and while
-    the shrinking eps leaves the eps-active sets as they were, they reuse
-    W's candidates and the c-free products of their normal equations.
+    ``MM_ETA`` * ||delta W||^2; an accepted step halves c down to
+    ``MM_C_MIN``.  When no candidate passes, the exact d-stationarity test
+    (at its default tol, ``LSPAR_DSTAT_TOL``) either certifies termination
+    or eps shrinks by ``MM_SHRINK`` and c doubles.  The test runs once per
+    distinct iterate: rejected iterations keep W, so they reuse its
+    certificate, and while the shrinking eps leaves the eps-active sets as
+    they were, they reuse W's candidates and the c-free products of their
+    normal equations.
 
     Returns (trace, certificate); certificate is the d-stationarity record
     at the final iterate in every termination path.  ``trace.extras`` counts
@@ -651,9 +624,8 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
     k = W.shape[1]
     if n * k > 16:
         raise ValueError("mm_lspar supports k*n <= 16")
-    eps = params.eps0 if params.eps0 is not None else 0.1 * float(np.mean(np.abs(y)))
-    eps = max(eps, MM_EPS_FLOOR)
-    c = params.c0
+    eps = max(0.1 * float(np.mean(np.abs(y))), MM_EPS_FLOOR)
+    c = MM_C0
     XX, Xy = _sample_products(X, y)
     branches = np.arange(k)[:, None]
     fs = [lspar_objective(X, y, W)]
@@ -664,7 +636,7 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
     cert: Optional[DStatCertificate] = None
     outer_iters = candidates = 0
     active = None  # the eps-active sets the candidate stacks were built for
-    for _ in range(params.max_outer):
+    for _ in range(MM_MAX_OUTER):
         outer_iters += 1
         f_cur = fs[-1]
         if active is None:  # W moved
@@ -672,7 +644,7 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
             margins = Z.max(axis=1)[:, None] - Z  # >= 0
         if active is None or not np.array_equal(margins <= eps, active):
             active = margins <= eps
-            assign = _candidate_assignments(Z.argmax(axis=1), margins, active, params.selection_cap)
+            assign = _candidate_assignments(Z.argmax(axis=1), margins, active, MM_SELECTION_CAP)
             stacks = []
             for lo in range(0, assign.shape[0], CANDIDATE_STACK):
                 masks = assign[lo : lo + CANDIDATE_STACK, None, :] == branches  # (C, k, N)
@@ -690,25 +662,25 @@ def mm_lspar(dataset, W0, params: MMParams = MMParams()) -> tuple:
             if best_candidate is not None
             else 0.0
         )
-        if best_candidate is not None and f_cur - best_f >= params.eta * delta and best_f < f_cur:
+        if best_candidate is not None and f_cur - best_f >= MM_ETA * delta and best_f < f_cur:
             W = best_candidate
             fs.append(best_f)
             walls.append(time.perf_counter() - t0)
             steps.append(math.sqrt(delta))
             # successful steps relax the proximal damping so a stable branch
             # assignment converges at the rate of its least-squares subproblem
-            c = max(params.c_min, 0.5 * c)
+            c = max(MM_C_MIN, 0.5 * c)
             cert = active = None  # W moved
             continue
         if cert is None:  # the check is a function of (dataset, W) alone
-            cert = lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol)
+            cert = lspar_d_stationarity_check(dataset, W)
         if cert.is_d_stationary:
             termination = "CONVERGED"
             break
-        eps *= params.shrink
+        eps *= MM_SHRINK
         c *= 2.0
     if cert is None:
-        cert = lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol)
+        cert = lspar_d_stationarity_check(dataset, W)
     trace = SolverTrace(
         objectives=np.array(fs),
         steps=np.array(steps),

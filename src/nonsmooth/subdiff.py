@@ -893,7 +893,8 @@ class EigmaxSubdiff:
     ``basis`` is an orthonormal basis of the top eigenspace.  Membership and
     extreme-point tests work in any eigenspace dimension, to
     :data:`~nonsmooth.tolerances.EIG_MEMBER_TOL`; explicit extreme points are
-    materialized for eigenspace dimension <= 2.
+    materialized for eigenspace dimension <= 2 (16 of them, evenly spaced on
+    the half circle of unit vectors, in dimension 2).
     """
 
     basis: np.ndarray
@@ -922,14 +923,14 @@ class EigmaxSubdiff:
         w = np.sort(np.linalg.eigvalsh((Z + Z.T) / 2.0))[::-1]
         return bool(w[0] >= 1.0 - EIG_MEMBER_TOL and (w.size == 1 or abs(w[1]) <= EIG_MEMBER_TOL))
 
-    def vertices(self, samples: int = 16) -> list:
+    def vertices(self) -> list:
         if self.multiplicity == 1:
             u = self.basis[:, 0]
             return [np.outer(u, u)]
         if self.multiplicity == 2:
             u1, u2 = self.basis[:, 0], self.basis[:, 1]
             out = []
-            for theta in np.linspace(0.0, math.pi, samples, endpoint=False):
+            for theta in np.linspace(0.0, math.pi, 16, endpoint=False):
                 u = math.cos(theta) * u1 + math.sin(theta) * u2
                 out.append(np.outer(u, u))
             return out

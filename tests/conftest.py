@@ -89,7 +89,7 @@ def criterion7_trial(N: int, trial: int):
     return ds, make_rng(0, N, trial, 22).standard_normal(LSPAR_TRUE_W.shape)
 
 
-def checked_mm_iterates(monkeypatch, ds, W0, params):
+def checked_mm_iterates(monkeypatch, ds, W0):
     """mm_lspar's (trace, certificate) and the W of every d-stationarity
     check it ran."""
     from nonsmooth import solvers
@@ -102,6 +102,6 @@ def checked_mm_iterates(monkeypatch, ds, W0, params):
         return check(dataset, W, **kwargs)
 
     monkeypatch.setattr(solvers, "lspar_d_stationarity_check", recording)
-    tr, cert = solvers.mm_lspar(ds, W0, params)
+    tr, cert = solvers.mm_lspar(ds, W0)
     monkeypatch.undo()
     return tr, cert, seen

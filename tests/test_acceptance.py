@@ -41,7 +41,6 @@ from nonsmooth.sampled import (
     gradient_sampling,
     sampled_c_stationarity,
 )
-from nonsmooth.solvers import MMParams
 from nonsmooth.stationarity import classify, convex_optimality_check, lspar_d_stationarity_check
 from nonsmooth.subdiff import (
     L1Norm,
@@ -411,7 +410,7 @@ def test_criterion_7_lspar_qualitative_gap(lspar_full_run):
         for r in (certified[i] for i in rng.choice(len(certified), size=min(10, len(certified)), replace=False)):
             ds = gen_lspar_data(N, 0.1, r.seed)
             W0 = mk(0, N, r.trial, 22).standard_normal(LSPAR_TRUE_W.shape)
-            tr, cert = mm_lspar(ds, W0, MMParams())
+            tr, cert = mm_lspar(ds, W0)
             assert cert.is_d_stationary
             assert lspar_d_stationarity_check(ds, tr.final_x).is_d_stationary
             recheck += 1
@@ -529,7 +528,6 @@ def test_criterion_9_determinism(lspar_full_run, tmp_path):
                 cfg.noise_sigma,
                 s["tuned_subgrad_c"][str(N)],
                 cfg.subgrad_iters,
-                cfg.mm,
             )
         )
         for r in redo:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from nonsmooth import solvers
 from nonsmooth.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -181,6 +182,12 @@ class TestSolve:
         assert "d-stationary" in out
         assert "np.float64" not in out
 
+    def test_mm_reports_its_outer_iterations(self, capsys):
+        # this run accepts 76 steps and then stalls until the budget is spent
+        code, out, _ = run_cli(["solve", "--method", "mm", "--problem", "lspar", "--N", "10", "--seed", "2"], capsys)
+        assert code == 0
+        assert out.startswith(f"mm: MAX_ITER after {solvers.MM_MAX_OUTER} outer iterations,"), out
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -264,6 +271,19 @@ class TestUsageErrors:
             (PROJ + ["--ball", "0 0 nan"], "ball radius must be >= 0 and finite, got nan"),
             (PROJ + ["--ball", "0 0 inf"], "ball radius must be >= 0 and finite, got inf"),
             (PROJ + ["--ball", "nan 0 1"], "ball center must be finite, got [nan, 0.0]"),
+            (["solve", "--method", "proj-subgrad", "--expr", "(abs (var 0))", "--x0", "3", "--box", "nan 1"],
+             "bad --box: box bounds must not be NaN"),
+            (["solve", "--method", "proj-subgrad", "--problem", "lspar"], "proj-subgrad does not read --problem"),
+            (["solve", "--method", "subgrad", "--problem", "lspar", "--expr", E2, "--x0", "1,1"],
+             "--method subgrad --problem lspar does not read --expr, --x0"),
+            (["solve", "--method", "subgrad", "--expr", E2, "--x0", "1,1", "--box", "0 0 1 1"],
+             "--method subgrad does not read --box"),
+            (["solve", "--method", "subgrad", "--expr", E2, "--x0", "1,1", "--ball", "0 0 1"],
+             "--method subgrad does not read --ball"),
+            (["solve", "--method", "mm", "--problem", "lspar", "--iters", "1"],
+             "--method mm --problem lspar does not read --iters"),
+            (["solve", "--method", "mm", "--problem", "lspar", "--schedule", "bogus:1"],
+             "--method mm --problem lspar does not read --schedule"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):

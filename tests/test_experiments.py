@@ -155,19 +155,15 @@ class TestLsparExperiment:
     def test_single_noiseless_trial_interpolates(self):
         # a seeded noiseless instance where MM reaches the interpolating
         # global minimum (frozen seed; the model class realizes the data)
-        cfg = LsparExperimentConfig(N_list=(10,), trials=1, root_seed=123, noise_sigma=0.0)
-        recs = run_single_lspar_trial(
-            (10, 0, 123, 0.0, 1.0, 1500, cfg.mm)
-        )
+        recs = run_single_lspar_trial((10, 0, 123, 0.0, 1.0, 1500))
         mm = [r for r in recs if r.method == "mm"][0]
         assert mm.final_f <= 1e-8
 
     def test_trial_rows_reproducible_in_isolation(self):
-        cfg = LsparExperimentConfig(N_list=(10,), trials=6, root_seed=9)
-        summary = run_lspar_experiment(cfg)
+        summary = run_lspar_experiment(LsparExperimentConfig(N_list=(10,), trials=6, root_seed=9))
         recs = summary["records"]
         # re-running one trial standalone reproduces its batch rows exactly
-        again = run_single_lspar_trial((10, 3, 9, 0.1, summary["tuned_subgrad_c"]["10"], 1500, cfg.mm))
+        again = run_single_lspar_trial((10, 3, 9, 0.1, summary["tuned_subgrad_c"]["10"], 1500))
         batch = [r for r in recs if r.trial == 3]
         for a, b in zip(again, batch):
             assert a.final_f == b.final_f
@@ -217,9 +213,6 @@ class TestConfigChecks:
             ("N_list", (10, 0)),
             ("subgrad_iters", 0),
             ("jobs", 0),
-            ("subgrad_grid", ()),
-            ("subgrad_grid", (1.0, 0.0)),
-            ("subgrad_grid", (float("nan"),)),
         ],
     )
     def test_lspar_config_rejects(self, field, value):
@@ -227,7 +220,7 @@ class TestConfigChecks:
             LsparExperimentConfig(**{field: value})
 
     def test_lspar_config_edges_are_valid(self):
-        LsparExperimentConfig(N_list=(1,), trials=1, subgrad_iters=1, subgrad_grid=(0.5,), jobs=1)
+        LsparExperimentConfig(N_list=(1,), trials=1, subgrad_iters=1, jobs=1)
         LsparExperimentConfig(trials=8, jobs=1)  # the benchmark's configuration
 
     @pytest.mark.parametrize(

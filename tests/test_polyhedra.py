@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy import inf, nan
 from hypothesis import strategies as st
 
 from nonsmooth import polyhedra
 from nonsmooth.polyhedra import (
     Ball,
+    Box,
     Cone,
     EmptySetError,
     HPolyhedron,
@@ -474,6 +476,32 @@ class TestContains:
     def test_ball_needs_a_finite_center_and_radius(self, center, r):
         with pytest.raises(PolyhedraError, match="ball"):
             Ball(np.array(center), r)
+
+    @pytest.mark.parametrize(
+        "A, b",
+        [
+            ([[1.0, 0.0]], [nan]),
+            ([[nan, 0.0]], [1.0]),
+            ([[inf, 0.0]], [1.0]),
+            ([[1.0, -inf]], [1.0]),
+        ],
+    )
+    def test_halfspaces_need_a_finite_matrix_and_no_nan_offset(self, A, b):
+        with pytest.raises(PolyhedraError, match="halfspace"):
+            HPolyhedron(A, b)
+
+    def test_an_infinite_offset_holds_everywhere(self):
+        H = HPolyhedron([[1.0, 0.0], [0.0, 1.0]], [inf, 1.0])
+        assert contains(H, [1e300, 1.0]) and not contains(H, [0.0, 2.0])
+
+    @pytest.mark.parametrize("lo, hi", [([0.0, nan], [1.0, 1.0]), ([0.0, 0.0], [nan, 1.0]), ([nan], [nan])])
+    def test_box_bounds_must_not_be_nan(self, lo, hi):
+        with pytest.raises(PolyhedraError, match="NaN"):
+            Box(lo, hi)
+
+    def test_box_bounds_may_be_infinite(self):
+        B = Box([0.0, -inf], [inf, 1.0])
+        assert contains(B, [1e300, -1e300]) and not contains(B, [-1.0, 0.0])
 
 
 @st.composite

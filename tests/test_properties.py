@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonsmooth.expr import Sum, dim_required, evaluate, parse_expr
+from nonsmooth.expr import Scale, Sum, dim_required, evaluate, parse_expr
 from nonsmooth.polyhedra import (
     SetUnion,
     cone_rays_from_halfspaces,
@@ -127,6 +127,45 @@ class TestInclusionChain:
             assert not fs.is_empty
             assert set_distance(fs.set, cs.set) <= 1e-8
             assert set_distance(ls.set, cs.set) <= 1e-8
+
+
+def sorted_components(ss) -> list:
+    """The vertex arrays of a subdifferential's components, each with its
+    rows in lexicographic order; [] for the empty set."""
+    if ss.is_empty:
+        return []
+    return [c.vertices[np.lexsort(c.vertices.T[::-1])] for c in ss.set.components]
+
+
+class TestScaleRule:
+    """The sets of Scale(s, e) are s times those of e, for s > 0, up to the
+    order of components and of vertices, at rtol 1e-6 of the set's size."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sets_scale_with_the_function(self, dim):
+        checked = nonempty = 0
+        for i in range(50):
+            e, x = random_pa_instance(make_rng(2310, dim, i), dim)
+            if dim_required(e) != dim:
+                continue
+            for oracle in (bouligand, frechet, limiting):
+                want = sorted_components(oracle(e, x))
+                nonempty += bool(want)
+                for s in (1e-12, 1e-6, 1e6, 1e12):
+                    got = sorted_components(oracle(Scale(s, e), x))
+                    left = [s * V for V in want]
+                    assert len(got) == len(left), (dim, i, oracle.__name__, s)
+                    for G in got:
+                        hits = [
+                            k
+                            for k, V in enumerate(left)
+                            if V.shape == G.shape
+                            and np.all(np.abs(G - V) <= 1e-6 * max(s, np.abs(V).max()))
+                        ]
+                        assert hits, (dim, i, oracle.__name__, s)
+                        left.pop(hits[0])
+                    checked += 1
+        assert checked >= 3 * 4 * 30 and nonempty >= 2 * 30
 
 
 class TestFrechetVertices:

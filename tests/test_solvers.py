@@ -20,7 +20,6 @@ from nonsmooth.solvers import (
     Constant,
     Diminishing,
     Geometric,
-    MMParams,
     Polyak,
     ProjectionError,
     SubgradOracle,
@@ -79,10 +78,8 @@ class TestSubgradientMethod:
         oracle = SubgradOracle(
             fn=lambda x: evaluate(e, x), subgrad=lambda x: np.array([1.0, 2.0])
         )
-        tr = subgradient_method(
-            oracle, [1.0, 0.0], Constant(0.1), max_iter=2, record_iterates=True
-        )
-        assert np.allclose(tr.iterates[1], [0.9, -0.2], atol=1e-15)
+        tr, iterates = run_recorded(oracle, [1.0, 0.0], Constant(0.1), max_iter=2)
+        assert np.allclose(iterates[1], [0.9, -0.2], atol=1e-15)
         assert tr.objectives[0] == 1.0
         assert tr.objectives[1] == pytest.approx(1.3, abs=1e-12)
 
@@ -107,20 +104,33 @@ class TestSubgradientMethod:
     def test_sign_zero_rule_stops_at_kink(self):
         # the oracle resolves Sign(0) to 0, so the method halts exactly at 0
         tr = subgradient_method(
-            oracle_from_expr(Abs(Var(0))), [1.0], Constant(1.0), max_iter=50,
-            stop_tol=1e-15,
+            oracle_from_expr(Abs(Var(0))), [1.0], Constant(1.0), max_iter=50
         )
         assert tr.termination == "SMALL_SUBGRADIENT"
         assert tr.final_x[0] == 0.0
 
 
+def run_recorded(oracle, x0, schedule, max_iter):
+    """``subgradient_method``'s trace and the iterates it queried the oracle
+    at, recorded by a wrapper that passes every call on unchanged."""
+    iterates = []
+
+    def both(x):
+        iterates.append(np.array(x, copy=True))
+        return oracle.value_and_subgrad(x)
+
+    recording = SubgradOracle(fn=oracle.fn, subgrad=oracle.subgrad, both=both)
+    return subgradient_method(recording, x0, schedule, max_iter=max_iter), iterates
+
+
 def assert_same_run(a, b):
-    """Two solver traces with bit-identical objectives and iterates."""
+    """Two recorded runs with bit-identical objectives and iterates."""
+    (a, a_iterates), (b, b_iterates) = a, b
     assert a.objectives.tobytes() == b.objectives.tobytes()
     assert a.steps.tobytes() == b.steps.tobytes()
     assert a.termination == b.termination
-    assert len(a.iterates) == len(b.iterates)
-    for u, v in zip(a.iterates, b.iterates):
+    assert len(a_iterates) == len(b_iterates) == a.iterations
+    for u, v in zip(a_iterates, b_iterates):
         assert u.tobytes() == v.tobytes()
     assert a.final_x.tobytes() == b.final_x.tobytes()
 
@@ -140,10 +150,7 @@ class TestOneSweepOracle:
                 f, g = oracle.both(x)
                 assert np.float64(f).tobytes() == np.float64(oracle.fn(x)).tobytes()
                 assert g.tobytes() == oracle.subgrad(x).tobytes()
-            runs = [
-                subgradient_method(o, anchor + 0.25, Diminishing(0.1), max_iter=40, record_iterates=True)
-                for o in (oracle, two)
-            ]
+            runs = [run_recorded(o, anchor + 0.25, Diminishing(0.1), max_iter=40) for o in (oracle, two)]
             assert_same_run(*runs)
 
     def test_lspar_oracle_runs_one_batch_per_step(self, monkeypatch):
@@ -156,10 +163,7 @@ class TestOneSweepOracle:
         calls = []
         real = solvers._lspar_batch
         monkeypatch.setattr(solvers, "_lspar_batch", lambda *a: calls.append(1) or real(*a))
-        runs = [
-            subgradient_method(o, W0, Diminishing(1.0), max_iter=50, record_iterates=True)
-            for o in (oracle, two)
-        ]
+        runs = [run_recorded(o, W0, Diminishing(1.0), max_iter=50) for o in (oracle, two)]
         assert len(calls) == 50 + 2 * 50
         assert_same_run(*runs)
 
@@ -435,11 +439,10 @@ class TestMM:
     def test_accepted_steps_satisfy_sufficient_decrease(self):
         ds = make_dataset(N=10, seed=5, sigma=0.1)
         rng = make_rng(6)
-        params = MMParams()
-        tr, _ = mm_lspar(ds, rng.standard_normal((2, 4)), params)
+        tr, _ = mm_lspar(ds, rng.standard_normal((2, 4)))
         fs = tr.objectives
         for k, step in enumerate(tr.steps):
-            assert fs[k] - fs[k + 1] >= params.eta * step**2 - 1e-15
+            assert fs[k] - fs[k + 1] >= solvers.MM_ETA * step**2 - 1e-15
 
     def test_k1_reduces_to_proximal_least_squares(self):
         rng = make_rng(8)
@@ -588,61 +591,35 @@ class TestCandidateFold:
 
         monkeypatch.setattr(solvers, "_candidate_assignments", compared)
         ds, W0 = criterion7_trial(N, trial)
-        tr, _ = solvers.mm_lspar(ds, W0, MMParams())
+        tr, _ = solvers.mm_lspar(ds, W0)
         assert (tr.extras["candidates"], tr.extras["outer_iters"]) == self.MM_COUNTS[N, trial]
         # rejected iterations whose eps-active sets did not change reuse them
         assert len(sizes) <= tr.extras["outer_iters"]
-        assert max(sizes) == MMParams().selection_cap
+        assert max(sizes) == solvers.MM_SELECTION_CAP
         if (N, trial) == (50, 0):
             assert tr.termination == "MAX_ITER"
             assert len(sizes) < tr.extras["outer_iters"]
 
 
-class TestMMParams:
-    @pytest.mark.parametrize(
-        "field, bad",
-        [
-            ("selection_cap", 0),
-            ("max_outer", -1),
-            ("c0", 0.0),
-            ("c0", -1.0),
-            ("c_min", 0.0),
-            ("eta", -1e-4),
-            ("shrink", 0.0),
-            ("shrink", 1.0),
-            ("dstat_tol", -1e-6),
-            ("eps0", 0.0),
-            ("eps0", float("nan")),
-        ],
-    )
-    def test_rejects(self, field, bad):
-        with pytest.raises(ValueError, match=field):
-            MMParams(**{field: bad})
-
-    def test_edges_stay_valid(self):
-        MMParams(max_outer=0, eta=0.0, dstat_tol=0.0, eps0=None, selection_cap=1)
-        MMParams(eps0=1e-12, shrink=0.999)
-
-
-def reference_mm_lspar(dataset, W0, params):
-    """The per-candidate MM loop: one ridge solve per branch per candidate."""
+def reference_mm_lspar(dataset, W0):
+    """The per-candidate MM loop: one ridge solve per branch per candidate,
+    with the ``MM_*`` constants ``solvers`` holds at the call."""
     X = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y, dtype=float).ravel()
     N = X.shape[0]
     W = np.array(W0, dtype=float)
     k = W.shape[1]
-    eps = params.eps0 if params.eps0 is not None else 0.1 * float(np.mean(np.abs(y)))
-    eps = max(eps, 1e-12)
-    c = params.c0
+    eps = max(0.1 * float(np.mean(np.abs(y))), 1e-12)
+    c = solvers.MM_C0
     f_cur = lspar_objective(X, y, W)
     termination = "MAX_ITER"
-    for _ in range(params.max_outer):
+    for _ in range(solvers.MM_MAX_OUTER):
         Z = X @ W
         margins = Z.max(axis=1)[:, None] - Z
         active = margins <= eps
         best_candidate, best_f = None, math.inf
         base = Z.argmax(axis=1)
-        for assign in reference_candidate_assignments(base, margins, active, params.selection_cap):
+        for assign in reference_candidate_assignments(base, margins, active, solvers.MM_SELECTION_CAP):
             Wtry = np.empty_like(W)
             for i in range(k):
                 rows = assign == i
@@ -652,16 +629,16 @@ def reference_mm_lspar(dataset, W0, params):
                 best_f, best_candidate = ftry, Wtry
         if best_candidate is not None:
             delta = float(np.linalg.norm(best_candidate - W) ** 2)
-            if f_cur - best_f >= params.eta * delta and best_f < f_cur:
+            if f_cur - best_f >= solvers.MM_ETA * delta and best_f < f_cur:
                 W, f_cur = best_candidate, best_f
-                c = max(params.c_min, 0.5 * c)
+                c = max(solvers.MM_C_MIN, 0.5 * c)
                 continue
-        if lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol).is_d_stationary:
+        if lspar_d_stationarity_check(dataset, W).is_d_stationary:
             termination = "CONVERGED"
             break
-        eps *= params.shrink
+        eps *= solvers.MM_SHRINK
         c *= 2.0
-    cert = lspar_d_stationarity_check(dataset, W, tol=params.dstat_tol)
+    cert = lspar_d_stationarity_check(dataset, W)
     return f_cur, termination, cert.is_d_stationary
 
 
@@ -669,12 +646,12 @@ class TestStackedMM:
     @pytest.mark.parametrize("N", [10, 50])
     @pytest.mark.parametrize("k", [4, 1])
     @pytest.mark.parametrize("cap", [1, 4, 256])
-    def test_matches_per_candidate_reference(self, N, k, cap):
+    def test_matches_per_candidate_reference(self, monkeypatch, N, k, cap):
         ds = make_dataset(N=N, seed=40 + N, sigma=0.1)
         W0 = make_rng(N, k, cap).standard_normal((2, k))
-        params = MMParams(selection_cap=cap)
-        tr, cert = mm_lspar(ds, W0, params)
-        f_ref, term_ref, cert_ref = reference_mm_lspar(ds, W0, params)
+        monkeypatch.setattr(solvers, "MM_SELECTION_CAP", cap)
+        tr, cert = mm_lspar(ds, W0)
+        f_ref, term_ref, cert_ref = reference_mm_lspar(ds, W0)
         assert tr.objectives[-1] == pytest.approx(f_ref, rel=1e-9, abs=0.0)
         assert tr.termination == term_ref
         assert cert.is_d_stationary == cert_ref == tr.extras["certificate"]
@@ -720,7 +697,7 @@ STALLED_N50 = {
 class TestStalledTrials:
     @pytest.mark.parametrize("trial", list(STALLED_N50))
     def test_pinned_bit_for_bit(self, trial):
-        tr, cert = mm_lspar(*criterion7_trial(50, trial), MMParams())
+        tr, cert = mm_lspar(*criterion7_trial(50, trial))
         f, iters, eps, c = STALLED_N50[trial]
         assert tr.termination == "MAX_ITER" and not cert.is_d_stationary
         assert float(tr.objectives[-1]).hex() == f
@@ -733,27 +710,31 @@ class TestOneCheckPerIterate:
     @pytest.mark.parametrize(
         "N, trial, params",
         [
-            (50, 0, MMParams()),  # stalls: every late iteration is rejected
-            (50, 3, MMParams()),  # converges
-            (10, 0, MMParams(max_outer=1)),  # stops right after an accepted step
-            (50, 0, MMParams(max_outer=0)),
+            (50, 0, {}),  # stalls: every late iteration is rejected
+            (50, 3, {}),  # converges
+            (10, 0, {"MM_MAX_OUTER": 1}),  # stops right after an accepted step
+            (50, 0, {"MM_MAX_OUTER": 0}),
         ],
     )
     def test_no_two_checks_at_an_equal_iterate(self, monkeypatch, N, trial, params):
+        # params: the MM constants this case overrides
         ds, W0 = criterion7_trial(N, trial)
-        tr, cert, seen = checked_mm_iterates(monkeypatch, ds, W0, params)
+        for name, value in params.items():
+            monkeypatch.setattr(solvers, name, value)
+        max_outer = solvers.MM_MAX_OUTER
+        tr, cert, seen = checked_mm_iterates(monkeypatch, ds, W0)
         assert seen
         for a in range(len(seen)):
             for b in range(a):
                 assert not np.array_equal(seen[a], seen[b])
         assert np.array_equal(seen[-1], tr.final_x)
-        fresh = lspar_d_stationarity_check(ds, tr.final_x, tol=params.dstat_tol)
+        fresh = lspar_d_stationarity_check(ds, tr.final_x)
         assert cert.is_d_stationary == fresh.is_d_stationary == tr.extras["certificate"]
         assert cert.min_value == fresh.min_value
         # one check per outer iteration at most, and never one per rejection
         # of an unchanged iterate
         assert len(seen) <= tr.steps.size + 1
-        if tr.termination == "MAX_ITER" and params.max_outer > tr.steps.size:
+        if tr.termination == "MAX_ITER" and max_outer > tr.steps.size:
             assert tr.extras["outer_iters"] > len(seen)
 
 

@@ -551,10 +551,10 @@ class TestUncertifiedWitnessDescends:
 
     @pytest.mark.parametrize("trial", [0, 1, 2, 4])
     def test_stalled_mm_runs(self, trial):
-        from nonsmooth.solvers import MMParams, lspar_objective, mm_lspar
+        from nonsmooth.solvers import lspar_objective, mm_lspar
 
         ds, W0 = criterion7_trial(50, trial)
-        tr, cert = mm_lspar(ds, W0, MMParams())
+        tr, cert = mm_lspar(ds, W0)
         assert tr.termination == "MAX_ITER" and not cert.is_d_stationary
         W, D = tr.final_x, cert.witness
         f0 = lspar_objective(ds.X, ds.y, W)
@@ -594,10 +594,8 @@ class TestLsparCheckMatchesRowByRow:
     def test_mm_iterates(self, monkeypatch, N, trial):
         # N = 50 trial 0 stops at max_outer with a positive-residual sample
         # tied within act_tol; trial 3 is certified
-        from nonsmooth.solvers import MMParams
-
         ds, W0 = criterion7_trial(N, trial)
-        _, _, seen = checked_mm_iterates(monkeypatch, ds, W0, MMParams())
+        _, _, seen = checked_mm_iterates(monkeypatch, ds, W0)
         assert seen
         for W in seen:
             assert_same_certificate(

@@ -798,6 +798,13 @@ class TestNormalCone:
         cone = normal_cone(Box([0.0, 0.0], [1.0, 1.0]), [0.5, 0.5])
         assert cone.is_trivial
 
+    def test_half_infinite_box_and_halfspaces(self):
+        # the infinite bounds are never active; the finite ones are
+        cone = normal_cone(Box([0.0, 0.0], [math.inf, math.inf]), [0.0, 1.0])
+        assert cone.rays.tolist() == [[-1.0, 0.0]]
+        H = HPolyhedron([[1.0, 0.0], [0.0, 1.0]], [math.inf, 1.0])
+        assert normal_cone(H, [5.0, 1.0]).rays.tolist() == [[0.0, 1.0]]
+
     def test_infeasible_point(self):
         with pytest.raises(InfeasiblePointError):
             normal_cone(Box([0.0], [1.0]), [2.0])

@@ -20,8 +20,8 @@ ALLOWED = [
     ("sampled.py", "_draws", 1e-300, "a floor under a norm before dividing by it"),
     ("experiments.py", "_write_fig5_svg", 1e-16, "a floor that keeps 0 on fig5's log axis"),
     ("experiments.py", "gen_robust_instance", 1e-12, "a floor under a norm before dividing by it"),
-    ("solvers.py", "MMParams.c_min", 1e-9, "a frozen MM parameter: the least proximal weight"),
-    ("solvers.py", "MMParams.eta", 1e-4, "a frozen MM parameter: the sufficient-decrease weight"),
+    ("solvers.py", "MM_C_MIN", 1e-9, "a frozen MM parameter: the least proximal weight"),
+    ("solvers.py", "MM_ETA", 1e-4, "a frozen MM parameter: the sufficient-decrease weight"),
 ]
 
 
@@ -47,13 +47,16 @@ def _sites(tree) -> list:
     """(owner, line, value) of every float literal with 0 < |value| < 1e-3,
     and (owner, line, "decimals") of every literal rounding-decimals
     argument; the owner is the enclosing top-level function,
-    ``Class.method`` or ``Class.field``."""
+    ``Class.method``, ``Class.field`` or the name a module-level assignment
+    binds."""
     owned = []
     for top in tree.body:
         if isinstance(top, ast.ClassDef):
             for m in top.body:
                 name = getattr(m, "name", None) or getattr(getattr(m, "target", None), "id", "")
                 owned.append((f"{top.name}.{name}", m))
+        elif isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+            owned.append((top.targets[0].id, top))
         else:
             owned.append((getattr(top, "name", "<module>"), top))
     found = []
@@ -98,6 +101,7 @@ def test_tolerance_guard_catches_planted_sites():
         "    margin: float = -1e-7\n"
         "def fine(x):\n"
         "    return np.round(x), round(x), np.round(x, KEY_DECIMALS), 0.5 * x, 1e-3, 12\n"
+        "LEAST = 1e-9\n"
     )
     assert [(owner, value) for owner, _, value in _sites(tree)] == [
         ("_within", 1e-9),
@@ -106,6 +110,7 @@ def test_tolerance_guard_catches_planted_sites():
         ("Cells.key", "decimals"),
         ("Cells.key", "decimals"),
         ("Cells.margin", 1e-7),
+        ("LEAST", 1e-9),
     ]
 
 
