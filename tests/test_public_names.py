@@ -135,9 +135,8 @@ ALLOWED_PARAMS = {
 
 def _is_dataclass(cls) -> bool:
     return any(
-        (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
         for d in cls.decorator_list
-        if isinstance(d.func if isinstance(d, ast.Call) else d, ast.Name)
     )
 
 
@@ -158,7 +157,7 @@ def _defaulted(modules: dict) -> dict:
 
     for tree in modules.values():
         for top in tree.body:
-            if top.name.startswith("_") if hasattr(top, "name") else True:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
                 continue
             if isinstance(top, ast.FunctionDef):
                 for p, i in params(top, 0):
@@ -177,45 +176,35 @@ def _defaulted(modules: dict) -> dict:
     return out
 
 
-def _set_params(modules: dict) -> set:
+def _set_params(modules: dict, cli_keys: dict) -> set:
     """(callee name, positional index or param name) of every argument some
-    call passes; ``"*"`` stands for every position from an unpacked one on,
-    ``"**"`` for every keyword.  The CLI's config keys set the configs'
-    fields by name."""
+    call passes; ``"*"`` stands for every position (an unpacked sequence),
+    ``"**"`` for every keyword.  The config keys of module ``cli`` set the
+    fields of the classes ``cli_keys`` maps to them."""
     out = set()
     for tree in modules.values():
         for n in ast.walk(tree):
             if not isinstance(n, ast.Call):
                 continue
             name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
-            for i, a in enumerate(n.args):
-                out.add((name, "*", i) if isinstance(a, ast.Starred) else (name, i))
-            for k in n.keywords:
-                out.add((name, k.arg or "**"))
-    cli = modules.get("cli")
-    for cls, var in CLI_KEYS.items():
-        for n in ast.walk(cli) if cli else ():
+            out.update((name, "*" if isinstance(a, ast.Starred) else i) for i, a in enumerate(n.args))
+            out.update((name, k.arg or "**") for k in n.keywords)
+    for cls, var in cli_keys.items():
+        for n in ast.walk(modules.get("cli", ast.Module(body=[]))):
             if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == var:
                 out.update((cls, k.value) for k in n.value.keys)
             elif isinstance(n, ast.Subscript) and getattr(n.value, "id", None) == var:
-                out.add((cls, n.slice.value))
+                out.add((cls, getattr(n.slice, "value", None)))
     return out
 
 
-def _unset_params(modules: dict, setters: dict) -> list:
+def _unset_params(modules: dict, setters: dict, cli_keys: dict = CLI_KEYS) -> list:
     """Defaulted parameters of ``modules`` that no call in ``setters`` sets."""
-    given = _set_params(setters)
-    starred = {}
-    for entry in given:
-        if len(entry) == 3:
-            starred[entry[0]] = min(entry[2], starred.get(entry[0], entry[2]))
+    given = _set_params(setters, cli_keys)
 
     def is_set(callee, i, p):
-        return (
-            (callee, p) in given
-            or (callee, "**") in given
-            or (i is not None and ((callee, i) in given or starred.get(callee, i + 1) <= i))
-        )
+        by_position = i is not None and ((callee, i) in given or (callee, "*") in given)
+        return by_position or (callee, p) in given or (callee, "**") in given
 
     return sorted(q for q, spec in _defaulted(modules).items() if not is_set(*spec))
 
@@ -256,8 +245,5 @@ def test_parameter_guard_catches_planted_sites():
     cli = ast.parse("_LSPAR_KEYS = {'z': int}\n_LSPAR_KEYS['q'] = int\n")
     modules = {"lib": lib}
     assert _unset_params(modules, {"lib": lib, "app": app}) == ["Cfg.m.t", "Cfg.w", "Cfg.z", "f.c", "f.e"]
-    CLI_KEYS["Cfg"] = "_LSPAR_KEYS"
-    try:
-        assert "Cfg.z" not in _unset_params(modules, {"app": app, "cli": cli})
-    finally:
-        del CLI_KEYS["Cfg"]
+    with_cli = _unset_params(modules, {"app": app, "cli": cli}, {"Cfg": "_LSPAR_KEYS"})
+    assert with_cli == ["Cfg.m.t", "Cfg.w", "f.c", "f.e"]
