@@ -188,11 +188,10 @@ def _write_trace(path: str, trace) -> None:
             w.writerow([i, repr(float(f)), repr(float(steps[i])), dist, wall])
 
 
-# the optional flags of solve that each (--method, --problem) reads, besides
-# --trace and the defaulted --N, --sigma and --seed
+# the optional flags of solve that each (--method, --problem) reads, besides --trace
 _SOLVE_READS = {
-    ("mm", "lspar"): (),
-    ("subgrad", "lspar"): ("schedule", "iters"),
+    ("mm", "lspar"): ("N", "sigma", "seed"),
+    ("subgrad", "lspar"): ("schedule", "iters", "N", "sigma", "seed"),
     ("subgrad", None): ("expr", "x0", "schedule", "iters"),
     ("proj-subgrad", None): ("expr", "x0", "schedule", "iters", "box", "ball"),
 }
@@ -201,7 +200,7 @@ _SOLVE_READS = {
 def _cmd_solve(args) -> int:
     if args.method == "proj-subgrad" and args.problem is not None:
         raise InputError("--method proj-subgrad does not read --problem; it projects an --expr objective")
-    flags = ("expr", "x0", "schedule", "iters", "box", "ball")
+    flags = ("expr", "x0", "schedule", "iters", "box", "ball", "N", "sigma", "seed")
     reads = _SOLVE_READS.get((args.method, args.problem), flags)  # (mm, None) fails below
     unread = [f"--{f}" for f in flags if getattr(args, f) is not None and f not in reads]
     if unread:
@@ -210,8 +209,15 @@ def _cmd_solve(args) -> int:
     schedule = _parse_schedule(args.schedule or "diminishing:1")
     iters = 1000 if args.iters is None else args.iters
     if args.problem == "lspar":
-        ds = experiments.gen_lspar_data(args.N, args.sigma, args.seed)
-        W0 = make_rng(args.seed, 22).standard_normal(experiments.LSPAR_TRUE_W.shape)
+        N = 10 if args.N is None else args.N
+        sigma = 0.1 if args.sigma is None else args.sigma
+        seed = 42 if args.seed is None else args.seed
+        if N < 1:
+            raise InputError(f"--N must be >= 1, got {N}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise InputError(f"--sigma must be finite and >= 0, got {sigma}")
+        ds = experiments.gen_lspar_data(N, sigma, seed)
+        W0 = make_rng(seed, 22).standard_normal(experiments.LSPAR_TRUE_W.shape)
         if args.method == "mm":
             trace, cert = mm_lspar(ds, W0)
             print(
@@ -288,6 +294,14 @@ def _cmd_experiment(args) -> int:
                 f"subgrad={s['median_final']['subgrad']:.3e}, "
                 f"frac(mm <= subgrad)={s['frac_mm_not_worse']:.3f}"
             )
+        for N in cfg.N_list:
+            tuning = summary["tuning"][str(N)]
+            scores = ", ".join(f"c={c:g} {f:.3e}" for c, f in tuning["scores"].items())
+            print(
+                f"N={N}: step tuning picked c={summary['tuned_subgrad_c'][str(N)]:g} "
+                f"(mean final f: {scores})"
+                + (", an end of the grid" if tuning["at_grid_edge"] else "")
+            )
     else:
         out = experiments.run_recovery_experiment(cfg)
         print(
@@ -349,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--expr", help="objective expression (subgrad/proj-subgrad)")
     pv.add_argument("--x0", help="start point")
     pv.add_argument("--problem", choices=["lspar"], help="built-in problem family")
-    pv.add_argument("--N", type=int, default=10)
-    pv.add_argument("--sigma", type=float, default=0.1)
+    pv.add_argument("--N", type=int, help="LSPAR samples (default 10)")
+    pv.add_argument("--sigma", type=float, help="LSPAR noise standard deviation (default 0.1)")
     pv.add_argument("--schedule", help="kind:params, e.g. geometric:0.1,0.98 (default diminishing:1)")
     pv.add_argument("--iters", type=int, help="iterations of subgrad/proj-subgrad (default 1000)")
-    pv.add_argument("--seed", type=int, default=42)
+    pv.add_argument("--seed", type=int, help="LSPAR data and start seed (default 42)")
     pv.add_argument("--box", help="projector box 'lo... hi...'")
     pv.add_argument("--ball", help="projector ball 'center... radius'")
     pv.add_argument("--trace", help="write iteration trace CSV here")

@@ -4,7 +4,10 @@ Two experiment families:
 
 * piecewise-affine regression (LSPAR): fit y = max_i w_i^T x by the MM
   solver and by the pseudo-subgradient method from shared random starts,
-  over many trials, reproducing the qualitative gap between the two;
+  over many trials, reproducing the qualitative gap between the two; the
+  subgradient step is tuned per N on held-out problems in one lockstep run
+  over every N, and each block of trials runs its subgradient arm, at every
+  N, in one more;
 * robust recovery: sign/amplitude retrieval, blind deconvolution, low-rank
   matrix recovery, and log-sum-penalized least squares, minimized by the
   subgradient method with a geometric step schedule, tracking distance to
@@ -19,6 +22,7 @@ aside).  Plots are written directly as SVG.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -74,12 +78,15 @@ class LsparDataset:
 
 
 def gen_lspar_data(N: int, noise_sigma: float, seed: int) -> LsparDataset:
-    """Synthetic regression data: x uniform on [-1,1]^2, Gaussian noise.
+    """Synthetic regression data: x uniform on [-1,1]^2, Gaussian noise of
+    standard deviation ``noise_sigma`` (finite and >= 0; 0 draws no noise).
 
     Regenerating with the same arguments is bit-identical.
     """
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ValueError(f"N must be >= 1, got {N}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = make_rng(seed, 1)
     X = rng.uniform(-1.0, 1.0, size=(N, 2))
     noise = noise_sigma * rng.standard_normal(N) if noise_sigma > 0 else np.zeros(N)
@@ -386,6 +393,7 @@ class LsparExperimentConfig:
     def __post_init__(self):
         rules = {
             "trials >= 1": self.trials >= 1,
+            "a finite noise_sigma >= 0": math.isfinite(self.noise_sigma) and self.noise_sigma >= 0,
             "a non-empty N_list with every N >= 1": len(self.N_list) > 0
             and all(N >= 1 for N in self.N_list),
             "subgrad_iters >= 1": self.subgrad_iters >= 1,
@@ -396,67 +404,85 @@ class LsparExperimentConfig:
             raise ValueError("LsparExperimentConfig needs " + ", ".join(broken))
 
 
-def tune_subgrad_coefficient(N: int, noise_sigma: float, iters: int) -> float:
-    """Pick the diminishing-step coefficient of ``SUBGRAD_GRID`` by mean
+def tune_subgrad_coefficient(N_list, noise_sigma: float, iters: int) -> dict:
+    """Pick each N's diminishing-step coefficient of ``SUBGRAD_GRID`` by mean
     final objective on ``TUNING_PROBES`` held-out problems (seeded from
     ``HELDOUT_SEED``, so the experiment seeds never overlap them).
 
-    All grid x probes runs go through one lockstep subgradient call."""
-    probes = TUNING_PROBES
-    data = [gen_lspar_data(N, noise_sigma, stream_key(HELDOUT_SEED, N, p)) for p in range(probes)]
-    W0 = [make_rng(HELDOUT_SEED, N, p, 5).standard_normal(LSPAR_TRUE_W.shape) for p in range(probes)]
+    The grid x probes runs of every N go through one lockstep subgradient
+    call.  Returns ``{N: (c, scores)}``: the pick, and the mean final
+    objective of each grid value in grid order.  The smallest mean wins,
+    ties going to the smaller coefficient.
+    """
+    Ns = list(dict.fromkeys(N_list))
+    probes = {
+        (N, p): (
+            gen_lspar_data(N, noise_sigma, stream_key(HELDOUT_SEED, N, p)),
+            make_rng(HELDOUT_SEED, N, p, 5).standard_normal(LSPAR_TRUE_W.shape),
+        )
+        for N in Ns
+        for p in range(TUNING_PROBES)
+    }
+    runs = [(N, c, p) for N in Ns for c in SUBGRAD_GRID for p in range(TUNING_PROBES)]
     final_f, _, _ = lspar_subgradient_lockstep(
-        np.stack([ds.X for ds in data] * len(SUBGRAD_GRID)),
-        np.stack([ds.y for ds in data] * len(SUBGRAD_GRID)),
-        np.stack(W0 * len(SUBGRAD_GRID)),
-        np.repeat(np.asarray(SUBGRAD_GRID, dtype=float), probes),
+        [probes[N, p][0].X for N, _, p in runs],
+        [probes[N, p][0].y for N, _, p in runs],
+        [probes[N, p][1] for N, _, p in runs],
+        [c for _, c, _ in runs],
         max_iter=iters,
     )
-    scores = []
-    for i, c in enumerate(SUBGRAD_GRID):
-        tot = 0.0
-        for f in final_f[i * probes : (i + 1) * probes]:
-            tot += float(f)
-        scores.append((tot / probes, c))
-    return min(scores)[1]
+    picks = {}
+    for N, fs in zip(Ns, final_f.reshape(len(Ns), len(SUBGRAD_GRID), TUNING_PROBES)):
+        scores = []
+        for probe_f in fs:
+            tot = 0.0
+            for f in probe_f:
+                tot += float(f)
+            scores.append(tot / TUNING_PROBES)
+        picks[N] = (min(zip(scores, SUBGRAD_GRID))[1], tuple(scores))
+    return picks
 
 
 def _lspar_trial_block(args) -> list:
     """MM trial by trial, then the block's subgradient arm in one lockstep run.
 
-    ``args`` is (N, trials, root_seed, noise_sigma, subgrad_c, subgrad_iters)
-    with ``trials`` a sequence of trial ids.  A subgradient row's ``wall_ms``
-    is the lockstep run's wall time divided by the block's trials.
+    ``args`` is (N_list, trials, root_seed, noise_sigma, coeffs,
+    subgrad_iters) with ``trials`` a sequence of trial ids, run at every N
+    of ``N_list``, and ``coeffs`` each N's step coefficient.  A subgradient
+    row's ``wall_ms`` is the lockstep run's wall time divided by the
+    block's trials across all N.
     """
-    (N, trials, root_seed, noise_sigma, subgrad_c, subgrad_iters) = args
-    mm_rows, data, starts = [], [], []
-    for trial in trials:
-        data_seed = stream_key(root_seed, N, trial, 11)
-        ds = gen_lspar_data(N, noise_sigma, data_seed)
-        W0 = make_rng(root_seed, N, trial, 22).standard_normal(LSPAR_TRUE_W.shape)
-        t0 = time.perf_counter()
-        mm_trace, cert = mm_lspar(ds, W0)
-        mm_rows.append(
-            TrialRecord(
-                trial=trial,
-                seed=data_seed,
-                N=N,
-                method="mm",
-                final_f=float(mm_trace.objectives[-1]),
-                best_f=float(mm_trace.best_f),
-                iters=mm_trace.iterations,
-                cert=bool(cert.is_d_stationary),
-                wall_ms=1e3 * (time.perf_counter() - t0),
+    (N_list, trials, root_seed, noise_sigma, coeffs, subgrad_iters) = args
+    mm_rows, data, starts, sg_coeffs = [], [], [], []
+    for N, coeff in zip(N_list, coeffs):
+        for trial in trials:
+            data_seed = stream_key(root_seed, N, trial, 11)
+            ds = gen_lspar_data(N, noise_sigma, data_seed)
+            W0 = make_rng(root_seed, N, trial, 22).standard_normal(LSPAR_TRUE_W.shape)
+            t0 = time.perf_counter()
+            mm_trace, cert = mm_lspar(ds, W0)
+            mm_rows.append(
+                TrialRecord(
+                    trial=trial,
+                    seed=data_seed,
+                    N=N,
+                    method="mm",
+                    final_f=float(mm_trace.objectives[-1]),
+                    best_f=float(mm_trace.best_f),
+                    iters=mm_trace.iterations,
+                    cert=bool(cert.is_d_stationary),
+                    wall_ms=1e3 * (time.perf_counter() - t0),
+                )
             )
-        )
-        data.append(ds)
-        starts.append(W0)
+            data.append(ds)
+            starts.append(W0)
+            sg_coeffs.append(coeff)
     t0 = time.perf_counter()
     final_f, best_f, iters = lspar_subgradient_lockstep(
-        np.stack([ds.X for ds in data]),
-        np.stack([ds.y for ds in data]),
-        np.stack(starts),
-        np.full(len(starts), subgrad_c),
+        [ds.X for ds in data],
+        [ds.y for ds in data],
+        starts,
+        sg_coeffs,
         max_iter=subgrad_iters,
     )
     sg_ms = 1e3 * (time.perf_counter() - t0) / len(starts)
@@ -464,7 +490,7 @@ def _lspar_trial_block(args) -> list:
         TrialRecord(
             trial=mm.trial,
             seed=mm.seed,
-            N=N,
+            N=mm.N,
             method="subgrad",
             final_f=float(final_f[i]),
             best_f=float(best_f[i]),
@@ -481,41 +507,44 @@ def run_single_lspar_trial(args) -> list:
     """One (N, trial) cell: shared start, MM then pseudo-subgradient.
 
     ``args`` is (N, trial, root_seed, noise_sigma, subgrad_c, subgrad_iters);
-    the cell is a block of one trial, so it reproduces the rows the trial
-    gets inside any batch."""
-    N, trial, *rest = args
-    return _lspar_trial_block((N, range(trial, trial + 1), *rest))
+    the cell is a block of one trial at one N, so it reproduces the rows the
+    trial gets inside any batch."""
+    N, trial, root_seed, noise_sigma, subgrad_c, subgrad_iters = args
+    return _lspar_trial_block(
+        ((N,), range(trial, trial + 1), root_seed, noise_sigma, (subgrad_c,), subgrad_iters)
+    )
 
 
 def run_lspar_experiment(config: LsparExperimentConfig) -> dict:
     """MM vs pseudo-subgradient over shared initializations.
 
-    For each N, MM runs trial by trial and the subgradient arm runs all
-    trials in lockstep.  With ``jobs > 1`` each N's trials are split into
-    ``jobs`` contiguous blocks mapped over a process pool.
+    The step-size tuning of every N is one lockstep subgradient run.  The
+    trials are then split into ``jobs`` contiguous blocks of trial ids, each
+    covering every N: a block runs MM trial by trial and its subgradient
+    arm as one more lockstep run, and with ``jobs > 1`` the blocks are
+    mapped over a process pool.
 
     Writes ``trials.csv``, ``summary.csv``, ``fig5.svg`` (final-objective
     box plots) and ``fig6.svg`` (per-trial-minimum counts) when ``out_dir``
     is set.  Per-trial-minimum attribution: the strictly smaller final
     objective wins; exact ties go to the first method in (mm, subgrad), so
-    the counts always sum to the number of trials.
+    the counts always sum to the number of trials.  The summary's
+    ``tuning`` maps each N to the mean final objective of every
+    ``SUBGRAD_GRID`` value and whether the pick is an end of the grid.
     """
     records: list = []
-    tuned = {}
-    for N in config.N_list:
-        tuned[N] = tune_subgrad_coefficient(N, config.noise_sigma, config.subgrad_iters)
+    tuning = tune_subgrad_coefficient(config.N_list, config.noise_sigma, config.subgrad_iters)
     trials = range(config.trials)
     size = max(1, -(-config.trials // max(1, config.jobs)))  # ceil: one block per job
     blocks = [
         (
-            N,
+            config.N_list,
             trials[lo : lo + size],
             config.root_seed,
             config.noise_sigma,
-            tuned[N],
+            tuple(tuning[N][0] for N in config.N_list),
             config.subgrad_iters,
         )
-        for N in config.N_list
         for lo in range(0, config.trials, size)
     ]
     if config.jobs > 1:
@@ -528,7 +557,14 @@ def run_lspar_experiment(config: LsparExperimentConfig) -> dict:
     records.sort(key=lambda r: (r.N, r.trial, r.method))
 
     summary = _summarize_lspar(records, config)
-    summary["tuned_subgrad_c"] = {str(k): v for k, v in tuned.items()}
+    summary["tuned_subgrad_c"] = {str(N): c for N, (c, _) in tuning.items()}
+    summary["tuning"] = {
+        str(N): {
+            "scores": dict(zip(SUBGRAD_GRID, scores)),
+            "at_grid_edge": c in (SUBGRAD_GRID[0], SUBGRAD_GRID[-1]),
+        }
+        for N, (c, scores) in tuning.items()
+    }
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         with open(os.path.join(config.out_dir, "trials.csv"), "w", newline="") as fh:

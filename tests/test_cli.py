@@ -188,6 +188,14 @@ class TestSolve:
         assert code == 0
         assert out.startswith(f"mm: MAX_ITER after {solvers.MM_MAX_OUTER} outer iterations,"), out
 
+    @pytest.mark.parametrize("method", ["mm", "subgrad"])
+    def test_lspar_defaults_are_N_10_sigma_0_1_seed_42(self, method, capsys):
+        base = ["solve", "--method", method, "--problem", "lspar"]
+        base += ["--iters", "30"] if method == "subgrad" else []
+        explicit = ["--N", "10", "--sigma", "0.1", "--seed", "42"]
+        outs = [run_cli(base + extra, capsys)[1] for extra in ([], explicit)]
+        assert outs[0] == outs[1] and outs[0].startswith(f"{method}: ")
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -284,6 +292,19 @@ class TestUsageErrors:
              "--method mm --problem lspar does not read --iters"),
             (["solve", "--method", "mm", "--problem", "lspar", "--schedule", "bogus:1"],
              "--method mm --problem lspar does not read --schedule"),
+            (["solve", "--method", "subgrad", "--expr", "(abs (var 0))", "--x0", "1", "--N", "5", "--seed", "9",
+              "--sigma", "3", "--iters", "3"], "--method subgrad does not read --N, --sigma, --seed"),
+            (PROJ + ["--box", "0 0 1 1", "--seed", "1"], "--method proj-subgrad does not read --seed"),
+            (["solve", "--method", "mm", "--problem", "lspar", "--N", "0"], "--N must be >= 1, got 0"),
+            (["solve", "--method", "subgrad", "--problem", "lspar", "--N", "-3"], "--N must be >= 1, got -3"),
+            (["solve", "--method", "mm", "--problem", "lspar", "--sigma", "nan"],
+             "--sigma must be finite and >= 0, got nan"),
+            (["solve", "--method", "mm", "--problem", "lspar", "--sigma", "-1"],
+             "--sigma must be finite and >= 0, got -1.0"),
+            (["solve", "--method", "subgrad", "--problem", "lspar", "--sigma", "inf"],
+             "--sigma must be finite and >= 0, got inf"),
+            (["experiment", "lspar", "--set", "noise_sigma=-1"], "a finite noise_sigma >= 0"),
+            (["experiment", "lspar", "--set", "noise_sigma=nan"], "a finite noise_sigma >= 0"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):
@@ -430,6 +451,19 @@ class TestExperimentCommand:
         assert code == 0
         assert (tmp_path / "trials.csv").exists()
         assert "N=10" in out
+
+    def test_lspar_run_reports_the_tuning(self, capsys):
+        code, out, _ = run_cli(
+            ["experiment", "lspar", "--set", "trials=1", "--set", "N_list=10,50", "--set", "subgrad_iters=50"],
+            capsys,
+        )
+        assert code == 0
+        lines = [line for line in out.splitlines() if "step tuning" in line]
+        assert [line.split(":")[0] for line in lines] == ["N=10", "N=50"]
+        for line in lines:
+            assert all(f"c={c:g} " in line for c in (0.1, 1.0, 10.0)), line
+        assert lines[0].startswith("N=10: step tuning picked c=10 (")
+        assert lines[0].endswith(", an end of the grid")
 
     def test_recovery_run(self, capsys):
         code, out, _ = run_cli(

@@ -3,9 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+import nonsmooth.experiments as experiments
 from nonsmooth.experiments import (
+    HELDOUT_SEED,
     LSPAR_TRUE_W,
     ROBUST_KINDS,
+    SUBGRAD_GRID,
+    TUNING_PROBES,
     LsparExperimentConfig,
     RecoveryConfig,
     fit_log_linear,
@@ -18,8 +22,10 @@ from nonsmooth.experiments import (
     run_lspar_experiment,
     run_recovery_experiment,
     run_single_lspar_trial,
+    tune_subgrad_coefficient,
 )
-from nonsmooth.rng import make_rng
+from nonsmooth.rng import make_rng, stream_key
+from nonsmooth.solvers import Diminishing, lspar_oracle, subgradient_method
 
 
 class TestLsparData:
@@ -33,6 +39,11 @@ class TestLsparData:
         b = gen_lspar_data(10, 0.1, seed=42)
         assert a.X.tobytes() == b.X.tobytes()
         assert a.y.tobytes() == b.y.tobytes()
+
+    @pytest.mark.parametrize("sigma", [float("nan"), -2.0, float("inf"), -float("inf")])
+    def test_rejects_a_bad_noise_sigma(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            gen_lspar_data(10, sigma, 3)
 
     def test_noise_std_in_expected_band(self):
         ds = gen_lspar_data(100, 0.1, seed=7)
@@ -140,17 +151,53 @@ class TestLsparExperiment:
         assert (tmp_path / "summary.csv").exists()
 
     def test_process_pool_writes_the_same_trials(self, tmp_path):
-        # jobs = 2 splits the trials into two lockstep blocks in two workers
+        # jobs = 2 splits the trials into two blocks, each over every N, in two workers
         rows = {}
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
             run_lspar_experiment(
-                LsparExperimentConfig(N_list=(10,), trials=6, root_seed=4, out_dir=str(out), jobs=jobs)
+                LsparExperimentConfig(N_list=(10, 50), trials=6, root_seed=4, out_dir=str(out), jobs=jobs)
             )
             with open(out / "trials.csv") as fh:
                 rows[jobs] = [r[:-1] for r in csv.reader(fh)]  # wall_ms aside
-        assert rows[1][0][-1] == "cert" and len(rows[1]) == 1 + 6 * 2
+        assert rows[1][0][-1] == "cert" and len(rows[1]) == 1 + 6 * 2 * 2
         assert rows[2] == rows[1]
+
+    def test_one_lockstep_run_tunes_and_one_runs_the_arm(self, monkeypatch):
+        sizes = []
+        real = experiments.lspar_subgradient_lockstep
+
+        def counted(X, *args, **kwargs):
+            sizes.append(len(X))
+            return real(X, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "lspar_subgradient_lockstep", counted)
+        run_lspar_experiment(LsparExperimentConfig(N_list=(10, 50, 100), trials=3, subgrad_iters=20))
+        assert sizes == [3 * len(SUBGRAD_GRID) * TUNING_PROBES, 3 * 3]
+
+    def test_summary_reports_the_tuning(self):
+        s = run_lspar_experiment(LsparExperimentConfig(N_list=(10, 50), trials=1, subgrad_iters=50))
+        for N in ("10", "50"):
+            tuning = s["tuning"][N]
+            assert list(tuning["scores"]) == list(SUBGRAD_GRID)
+            pick = min(zip(tuning["scores"].values(), SUBGRAD_GRID))[1]
+            assert s["tuned_subgrad_c"][N] == pick
+            assert tuning["at_grid_edge"] == (pick in (SUBGRAD_GRID[0], SUBGRAD_GRID[-1]))
+
+    def test_tuning_scores_are_the_held_out_runs(self):
+        # every N's scores are its own grid x probes runs, whatever else is tuned with it
+        together = tune_subgrad_coefficient((50, 10), 0.1, 60)
+        for N in (10, 50):
+            assert tune_subgrad_coefficient((N,), 0.1, 60)[N] == together[N]
+            scores = []
+            for c in SUBGRAD_GRID:
+                tot = 0.0
+                for p in range(TUNING_PROBES):
+                    ds = gen_lspar_data(N, 0.1, stream_key(HELDOUT_SEED, N, p))
+                    W0 = make_rng(HELDOUT_SEED, N, p, 5).standard_normal(LSPAR_TRUE_W.shape)
+                    tot += float(subgradient_method(lspar_oracle(ds), W0, Diminishing(c), 60).objectives[-1])
+                scores.append(tot / TUNING_PROBES)
+            assert together[N][1] == tuple(scores)
 
     def test_single_noiseless_trial_interpolates(self):
         # a seeded noiseless instance where MM reaches the interpolating
@@ -213,6 +260,9 @@ class TestConfigChecks:
             ("N_list", (10, 0)),
             ("subgrad_iters", 0),
             ("jobs", 0),
+            ("noise_sigma", -1.0),
+            ("noise_sigma", float("nan")),
+            ("noise_sigma", float("inf")),
         ],
     )
     def test_lspar_config_rejects(self, field, value):

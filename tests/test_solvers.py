@@ -421,6 +421,98 @@ class TestLockstepSubgradient:
             lspar_subgradient_lockstep(X, y, W0, np.r_[c[:6], 0.0], max_iter=5)
 
 
+    def mixed(self):
+        # interleaved N, so the kernel's grouping by N reorders the trials
+        Ns = (100, 10, 50, 10, 100, 50, 50, 10, 100)
+        datasets = [make_dataset(N=N, seed=80 + t, sigma=0.1) for t, N in enumerate(Ns)]
+        W0s = [make_rng(N, t, 81).standard_normal((2, 4)) for t, N in enumerate(Ns)]
+        coeffs = [(0.1, 1.0, 10.0)[t % 3] for t in range(len(Ns))]
+        return Ns, datasets, W0s, coeffs
+
+    @staticmethod
+    def run_mixed(datasets, W0s, coeffs, max_iter):
+        return lspar_subgradient_lockstep(
+            [ds.X for ds in datasets], [ds.y for ds in datasets], W0s, coeffs, max_iter=max_iter
+        )
+
+    def test_mixed_N_matches_per_trial_runs_and_stacked_calls(self):
+        Ns, datasets, W0s, coeffs = self.mixed()
+        got = self.run_mixed(datasets, W0s, coeffs, 1500)
+        for t, (ds, W0, c) in enumerate(zip(datasets, W0s, coeffs)):
+            tr = subgradient_method(lspar_oracle(ds), W0, Diminishing(c), max_iter=1500)
+            want = (tr.objectives[-1], tr.best_f, tr.iterations)
+            assert [np.float64(a[t]).tobytes() for a in got] == [np.float64(v).tobytes() for v in want]
+        for N in (10, 50, 100):
+            ids = [t for t, M in enumerate(Ns) if M == N]
+            stacked = lockstep_batch(
+                [datasets[t] for t in ids], [W0s[t] for t in ids], [coeffs[t] for t in ids], 1500
+            )
+            for a, b in zip(got, stacked):
+                assert a[ids].tobytes() == b.tobytes()
+
+    def test_mixed_N_matches_the_per_sample_formulas(self):
+        # an independent loop: the formulas of test_matches_per_sample_reference
+        _, datasets, W0s, coeffs = self.mixed()
+        got = self.run_mixed(datasets, W0s, coeffs, 300)
+        for t, (ds, W, c) in enumerate(zip(datasets, W0s, coeffs)):
+            N, best = ds.y.size, math.inf
+            for it in range(300):
+                Z = ds.X @ W
+                r = Z.max(axis=1) - ds.y
+                f = float(0.5 * np.mean(r * r))
+                best = min(best, f)
+                G = np.zeros_like(W)
+                np.add.at(G.T, Z.argmax(axis=1), (r / N)[:, None] * ds.X)
+                W = W - (c / math.sqrt(it + 1.0)) * G
+            assert (got[0][t], got[1][t], got[2][t]) == (f, best, 300)
+
+    def test_vanishing_subgradient_in_a_mixed_batch_freezes_one_trial(self):
+        _, datasets, W0s, coeffs = self.mixed()
+        live = self.run_mixed(datasets, W0s, coeffs, 300)
+        datasets.insert(4, make_dataset(N=50, seed=5))  # noiseless, started at the planted model
+        W0s.insert(4, W_TRUE)
+        coeffs.insert(4, 2.0)
+        final_f, best_f, iters = self.run_mixed(datasets, W0s, coeffs, 300)
+        assert (final_f[4], best_f[4], iters[4]) == (0.0, 0.0, 1)
+        others = [t for t in range(len(datasets)) if t != 4]
+        for got, want in zip((final_f, best_f, iters), live):
+            assert got[others].tobytes() == want.tobytes()
+        assert np.all(iters[others] == 300)
+
+    def test_rejects_mixed_N_shapes(self):
+        _, datasets, W0s, coeffs = self.mixed()
+        X = [ds.X for ds in datasets]
+        y = [ds.y for ds in datasets]
+        bad = [
+            (X, y[:2] + [y[2][:-1]] + y[3:], W0s),  # a y one sample short
+            (X[:3] + [np.ones((10, 3))] + X[4:], y, W0s),  # an X with another n
+            (X, y, W0s[:5] + [np.ones((2, 3))] + W0s[6:]),  # a W0 with another k
+            (X, y, W0s[:5] + [np.ones((3, 4))] + W0s[6:]),  # a W0 with another n
+            (X[:1] + [np.ones((0, 2))] + X[2:], y[:1] + [np.ones(0)] + y[2:], W0s),  # N = 0
+        ]
+        for args in bad:
+            with pytest.raises(ValueError, match="lspar_subgradient_lockstep"):
+                lspar_subgradient_lockstep(*args, coeffs, max_iter=5)
+
+
+class TestBranchWinners:
+    """The kernel's scan against numpy's max and argmax along the branches."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_matches_max_and_argmax_with_ties_and_nans(self, k):
+        rng = make_rng(90, k)
+        Z = rng.integers(-2, 3, (500, k)).astype(float)  # many ties
+        Z[rng.random((500, k)) < 0.05] = np.nan
+        Z[rng.random((500, k)) < 0.05] = np.inf
+        Z[rng.random((500, k)) < 0.05] = -np.inf
+        Z[0], Z[1], Z[2] = np.nan, -np.inf, np.inf  # rows of one value
+        cells = solvers._LsparCells([np.zeros((500, 2))], [np.zeros(500)], k)
+        cells.Z[:] = Z
+        m, w = cells.winners()
+        assert np.array_equal(w, Z.argmax(axis=1))
+        assert np.array_equal(m, Z.max(axis=1), equal_nan=True)
+
+
 class TestMM:
     def test_noiseless_from_truth_terminates_immediately(self):
         ds = make_dataset(N=10, seed=1)
