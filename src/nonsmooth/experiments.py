@@ -11,7 +11,10 @@ Two experiment families:
 * robust recovery: sign/amplitude retrieval, blind deconvolution, low-rank
   matrix recovery, and log-sum-penalized least squares, minimized by the
   subgradient method with a geometric step schedule, tracking distance to
-  the planted signal modulo the model's symmetry group.
+  the planted signal modulo the model's symmetry group.  Each kind is a
+  dataclass that owns its ``objective``, its ``subgrad`` (flat, with
+  Sign(0) = 0), its ``distance`` and its flat planted point ``truth``;
+  :func:`gen_robust_instance` maps a kind name to its instance.
 
 Every trial derives its random streams from (root seed, N, trial id), so
 runs are reproducible bit-for-bit, trials can be re-run in isolation, and
@@ -51,9 +54,6 @@ __all__ = [
     "LogSumLS",
     "ROBUST_KINDS",
     "gen_robust_instance",
-    "robust_objective",
-    "robust_subgrad_oracle",
-    "orbit_distance",
     "TrialRecord",
     "LsparExperimentConfig",
     "run_lspar_experiment",
@@ -99,31 +99,57 @@ def gen_lspar_data(N: int, noise_sigma: float, seed: int) -> LsparDataset:
 # ---------------------------------------------------------------------------
 
 
+def _flat(point) -> np.ndarray:
+    return np.asarray(point, dtype=float).ravel()
+
+
 @dataclass(frozen=True)
 class SignRetrieval:
-    """b_i = (a_i^T x*)^2 + s_i with sparse outliers s."""
+    """b_i = (a_i^T x*)^2 + s_i with sparse outliers s.  Objective
+    mean_i |(a_i^T x)^2 - b_i| over x; distance min over +-x*."""
 
     A: np.ndarray
     b: np.ndarray
     x_star: np.ndarray
     outlier_mask: np.ndarray
     seed: int
+
+    @property
+    def truth(self) -> np.ndarray:
+        return self.x_star
+
+    def objective(self, point) -> float:
+        return float(np.mean(np.abs((self.A @ _flat(point)) ** 2 - self.b)))
+
+    def subgrad(self, point) -> np.ndarray:
+        ax = self.A @ _flat(point)
+        sgn = np.sign(ax**2 - self.b)  # numpy sign(0) = 0, the Sign(0) -> 0 rule
+        return (2.0 / self.b.size) * (self.A.T @ (ax * sgn))
+
+    def distance(self, point) -> float:
+        x = _flat(point)
+        return float(min(np.linalg.norm(x - self.x_star), np.linalg.norm(x + self.x_star)))
 
 
 @dataclass(frozen=True)
-class AmplitudeRetrieval:
-    """b_i = |a_i^T x*| + s_i with sparse outliers s."""
+class AmplitudeRetrieval(SignRetrieval):
+    """b_i = |a_i^T x*| + s_i with sparse outliers s.  Objective
+    mean_i ||a_i^T x| - b_i| over x; truth and distance as sign retrieval."""
 
-    A: np.ndarray
-    b: np.ndarray
-    x_star: np.ndarray
-    outlier_mask: np.ndarray
-    seed: int
+    def objective(self, point) -> float:
+        return float(np.mean(np.abs(np.abs(self.A @ _flat(point)) - self.b)))
+
+    def subgrad(self, point) -> np.ndarray:
+        ax = self.A @ _flat(point)
+        sgn = np.sign(np.abs(ax) - self.b)
+        return (1.0 / self.b.size) * (self.A.T @ (sgn * np.sign(ax)))
 
 
 @dataclass(frozen=True)
 class BlindDeconv:
-    """b_i = (a_i^T w*)(c_i^T x*) + s_i with sparse outliers s."""
+    """b_i = (a_i^T w*)(c_i^T x*) + s_i with sparse outliers s.  Objective
+    mean_i |(a_i^T w)(c_i^T x) - b_i| over the stacked (w, x); distance
+    ||w x^T - w* x*^T||, blind to the scaling (c w, x / c)."""
 
     A: np.ndarray
     C: np.ndarray
@@ -133,10 +159,36 @@ class BlindDeconv:
     outlier_mask: np.ndarray
     seed: int
 
+    @property
+    def truth(self) -> np.ndarray:
+        return np.concatenate([self.w_star, self.x_star])
+
+    def _split(self, point) -> tuple:
+        p = _flat(point)
+        return p[: self.A.shape[1]], p[self.A.shape[1] :]
+
+    def objective(self, point) -> float:
+        w, x = self._split(point)
+        return float(np.mean(np.abs((self.A @ w) * (self.C @ x) - self.b)))
+
+    def subgrad(self, point) -> np.ndarray:
+        w, x = self._split(point)
+        aw, cx = self.A @ w, self.C @ x
+        sgn = np.sign(aw * cx - self.b)
+        gw = (1.0 / self.b.size) * (self.A.T @ (sgn * cx))
+        gx = (1.0 / self.b.size) * (self.C.T @ (sgn * aw))
+        return np.concatenate([gw, gx])
+
+    def distance(self, point) -> float:
+        w, x = self._split(point)
+        return float(np.linalg.norm(np.outer(w, x) - np.outer(self.w_star, self.x_star)))
+
 
 @dataclass(frozen=True)
 class MatrixRecovery:
-    """b_i = <A_i, U* U*^T> + s_i, U* of rank r, with sparse outliers s."""
+    """b_i = <A_i, U* U*^T> + s_i, U* of rank r, with sparse outliers s.
+    Objective mean_i |<A_i, U U^T> - b_i| over U flattened to n r entries;
+    distance ||U U^T - U* U*^T||, blind to U -> U Q for orthogonal Q."""
 
     mats: np.ndarray  # (m, n, n)
     b: np.ndarray
@@ -144,17 +196,58 @@ class MatrixRecovery:
     outlier_mask: np.ndarray
     seed: int
 
+    @property
+    def truth(self) -> np.ndarray:
+        return self.U_star.ravel()
+
+    def _factor(self, point) -> np.ndarray:
+        return _flat(point).reshape(self.U_star.shape)
+
+    def _residual(self, U: np.ndarray) -> np.ndarray:
+        return np.tensordot(self.mats, U @ U.T, axes=([1, 2], [0, 1])) - self.b
+
+    def objective(self, point) -> float:
+        return float(np.mean(np.abs(self._residual(self._factor(point)))))
+
+    def subgrad(self, point) -> np.ndarray:
+        U = self._factor(point)
+        G = np.tensordot(np.sign(self._residual(U)), self.mats, axes=(0, 0))  # adjoint of signs
+        return ((1.0 / self.b.size) * ((G.T @ U) + (G @ U))).ravel()
+
+    def distance(self, point) -> float:
+        U = self._factor(point)
+        return float(np.linalg.norm(U @ U.T - self.U_star @ self.U_star.T))
+
 
 @dataclass(frozen=True)
 class LogSumLS:
     """Least squares b ~ A x* plus the log-sum sparsity penalty
-    ``LOGSUM_LAM`` * sum_i log(|x_i| + ``LOGSUM_THETA``)."""
+    ``LOGSUM_LAM`` * sum_i log(|x_i| + ``LOGSUM_THETA``).  Objective
+    (1/2) mean_i (b_i - a_i^T x)^2 plus the penalty over x, subgradient by
+    the sum rule; no symmetry, so the distance is ||x - x*||."""
 
     A: np.ndarray
     b: np.ndarray
     x_star: np.ndarray
     outlier_mask: np.ndarray
     seed: int
+
+    @property
+    def truth(self) -> np.ndarray:
+        return self.x_star
+
+    def objective(self, point) -> float:
+        x = _flat(point)
+        ls = 0.5 * float(np.mean((self.b - self.A @ x) ** 2))
+        return ls + LOGSUM_LAM * float(np.sum(np.log(np.abs(x) + LOGSUM_THETA)))
+
+    def subgrad(self, point) -> np.ndarray:
+        x = _flat(point)
+        grad_ls = (1.0 / self.b.size) * (self.A.T @ (self.A @ x - self.b))
+        return grad_ls + LOGSUM_LAM * (np.sign(x) / (np.abs(x) + LOGSUM_THETA))
+
+    def distance(self, point) -> float:
+        return float(np.linalg.norm(_flat(point) - self.x_star))
 
 
 ROBUST_KINDS = ("sign", "amplitude", "blinddeconv", "matrix", "logsum")
@@ -190,20 +283,14 @@ def gen_robust_instance(
     ``OUTLIER_SCALE``.  ``kind`` is one of :data:`ROBUST_KINDS`.
     """
     rng = make_rng(seed, 7)
-    if kind == "sign":
+    if kind in ("sign", "amplitude"):
         A = rng.standard_normal((m, n))
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
-        b = (A @ x) ** 2
+        b = (A @ x) ** 2 if kind == "sign" else np.abs(A @ x)
         b, mask = _corrupt(rng, b, outlier_frac)
-        return SignRetrieval(A=A, b=b, x_star=x, outlier_mask=mask, seed=seed)
-    if kind == "amplitude":
-        A = rng.standard_normal((m, n))
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        b = np.abs(A @ x)
-        b, mask = _corrupt(rng, b, outlier_frac)
-        return AmplitudeRetrieval(A=A, b=b, x_star=x, outlier_mask=mask, seed=seed)
+        cls = SignRetrieval if kind == "sign" else AmplitudeRetrieval
+        return cls(A=A, b=b, x_star=x, outlier_mask=mask, seed=seed)
     if kind == "blinddeconv":
         A = rng.standard_normal((m, n))
         C = rng.standard_normal((m, n))
@@ -218,8 +305,7 @@ def gen_robust_instance(
         mats = rng.standard_normal((m, n, n))
         U = rng.standard_normal((n, r))
         U /= np.linalg.norm(U)
-        Xs = U @ U.T
-        b = np.tensordot(mats, Xs, axes=([1, 2], [0, 1]))
+        b = np.tensordot(mats, U @ U.T, axes=([1, 2], [0, 1]))
         b, mask = _corrupt(rng, b, outlier_frac)
         return MatrixRecovery(mats=mats, b=b, U_star=U, outlier_mask=mask, seed=seed)
     if kind == "logsum":
@@ -232,106 +318,6 @@ def gen_robust_instance(
         b, mask = _corrupt(rng, b, outlier_frac)
         return LogSumLS(A=A, b=b, x_star=x, outlier_mask=mask, seed=seed)
     raise ValueError(f"unknown instance kind {kind!r} (kinds: {', '.join(ROBUST_KINDS)})")
-
-
-def _sign0(v: np.ndarray) -> np.ndarray:
-    return np.sign(v)  # numpy sign(0) = 0, matching the Sign(0) -> 0 rule
-
-
-def robust_objective(inst, point) -> float:
-    """Objective value of the robust formulation for the given instance."""
-    if isinstance(inst, SignRetrieval):
-        x = np.asarray(point, dtype=float).ravel()
-        return float(np.mean(np.abs((inst.A @ x) ** 2 - inst.b)))
-    if isinstance(inst, AmplitudeRetrieval):
-        x = np.asarray(point, dtype=float).ravel()
-        return float(np.mean(np.abs(np.abs(inst.A @ x) - inst.b)))
-    if isinstance(inst, BlindDeconv):
-        n = inst.A.shape[1]
-        p = np.asarray(point, dtype=float).ravel()
-        w, x = p[:n], p[n:]
-        return float(np.mean(np.abs((inst.A @ w) * (inst.C @ x) - inst.b)))
-    if isinstance(inst, MatrixRecovery):
-        U = np.asarray(point, dtype=float).reshape(inst.U_star.shape)
-        resid = np.tensordot(inst.mats, U @ U.T, axes=([1, 2], [0, 1])) - inst.b
-        return float(np.mean(np.abs(resid)))
-    if isinstance(inst, LogSumLS):
-        x = np.asarray(point, dtype=float).ravel()
-        ls = 0.5 * float(np.mean((inst.b - inst.A @ x) ** 2))
-        return ls + LOGSUM_LAM * float(np.sum(np.log(np.abs(x) + LOGSUM_THETA)))
-    raise TypeError(f"unknown instance {type(inst).__name__}")
-
-
-def robust_subgrad_oracle(inst, point) -> np.ndarray:
-    """One subgradient of the robust objective, with Sign(0) resolved to 0.
-
-    Shapes: retrieval kinds take/return an n-vector, blind deconvolution a
-    stacked (w, x) vector, matrix recovery an (n, r) factor (flat input
-    accepted), log-sum the coefficient vector (least-squares gradient plus
-    the penalty subgradient via the sum rule).
-    """
-    if isinstance(inst, SignRetrieval):
-        x = np.asarray(point, dtype=float).ravel()
-        m = inst.b.size
-        ax = inst.A @ x
-        sgn = _sign0(ax**2 - inst.b)
-        return (2.0 / m) * (inst.A.T @ (ax * sgn))
-    if isinstance(inst, AmplitudeRetrieval):
-        x = np.asarray(point, dtype=float).ravel()
-        m = inst.b.size
-        ax = inst.A @ x
-        sgn = _sign0(np.abs(ax) - inst.b)
-        return (1.0 / m) * (inst.A.T @ (sgn * _sign0(ax)))
-    if isinstance(inst, BlindDeconv):
-        n = inst.A.shape[1]
-        p = np.asarray(point, dtype=float).ravel()
-        w, x = p[:n], p[n:]
-        m = inst.b.size
-        aw = inst.A @ w
-        cx = inst.C @ x
-        sgn = _sign0(aw * cx - inst.b)
-        gw = (1.0 / m) * (inst.A.T @ (sgn * cx))
-        gx = (1.0 / m) * (inst.C.T @ (sgn * aw))
-        return np.concatenate([gw, gx])
-    if isinstance(inst, MatrixRecovery):
-        U = np.asarray(point, dtype=float).reshape(inst.U_star.shape)
-        m = inst.b.size
-        resid = np.tensordot(inst.mats, U @ U.T, axes=([1, 2], [0, 1])) - inst.b
-        sgn = _sign0(resid)
-        G = np.tensordot(sgn, inst.mats, axes=(0, 0))  # adjoint applied to signs
-        return (1.0 / m) * ((G.T @ U) + (G @ U))
-    if isinstance(inst, LogSumLS):
-        x = np.asarray(point, dtype=float).ravel()
-        m = inst.b.size
-        grad_ls = (1.0 / m) * (inst.A.T @ (inst.A @ x - inst.b))
-        pen = _sign0(x) / (np.abs(x) + LOGSUM_THETA)
-        return grad_ls + LOGSUM_LAM * pen
-    raise TypeError(f"unknown instance {type(inst).__name__}")
-
-
-def orbit_distance(inst, point) -> float:
-    """Distance to the planted signal modulo the model's symmetry group.
-
-    Retrieval kinds quotient the global sign (min over +-x*); blind
-    deconvolution and matrix recovery compare the scale-invariant products
-    w x^T and U U^T; log-sum least squares has no symmetry.
-    """
-    if isinstance(inst, (SignRetrieval, AmplitudeRetrieval)):
-        x = np.asarray(point, dtype=float).ravel()
-        return float(
-            min(np.linalg.norm(x - inst.x_star), np.linalg.norm(x + inst.x_star))
-        )
-    if isinstance(inst, BlindDeconv):
-        n = inst.A.shape[1]
-        p = np.asarray(point, dtype=float).ravel()
-        w, x = p[:n], p[n:]
-        return float(np.linalg.norm(np.outer(w, x) - np.outer(inst.w_star, inst.x_star)))
-    if isinstance(inst, MatrixRecovery):
-        U = np.asarray(point, dtype=float).reshape(inst.U_star.shape)
-        return float(np.linalg.norm(U @ U.T - inst.U_star @ inst.U_star.T))
-    if isinstance(inst, LogSumLS):
-        return float(np.linalg.norm(np.asarray(point, float).ravel() - inst.x_star))
-    raise TypeError(f"unknown instance {type(inst).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +382,7 @@ class LsparExperimentConfig:
             "a finite noise_sigma >= 0": math.isfinite(self.noise_sigma) and self.noise_sigma >= 0,
             "a non-empty N_list with every N >= 1": len(self.N_list) > 0
             and all(N >= 1 for N in self.N_list),
+            "distinct N in N_list": len(set(self.N_list)) == len(self.N_list),
             "subgrad_iters >= 1": self.subgrad_iters >= 1,
             "jobs >= 1": self.jobs >= 1,
         }
@@ -409,21 +396,20 @@ def tune_subgrad_coefficient(N_list, noise_sigma: float, iters: int) -> dict:
     final objective on ``TUNING_PROBES`` held-out problems (seeded from
     ``HELDOUT_SEED``, so the experiment seeds never overlap them).
 
-    The grid x probes runs of every N go through one lockstep subgradient
-    call.  Returns ``{N: (c, scores)}``: the pick, and the mean final
+    The grid x probes runs of every N, the N of ``N_list`` being distinct,
+    go through one lockstep subgradient call.  Returns ``{N: (c, scores)}``: the pick, and the mean final
     objective of each grid value in grid order.  The smallest mean wins,
     ties going to the smaller coefficient.
     """
-    Ns = list(dict.fromkeys(N_list))
     probes = {
         (N, p): (
             gen_lspar_data(N, noise_sigma, stream_key(HELDOUT_SEED, N, p)),
             make_rng(HELDOUT_SEED, N, p, 5).standard_normal(LSPAR_TRUE_W.shape),
         )
-        for N in Ns
+        for N in N_list
         for p in range(TUNING_PROBES)
     }
-    runs = [(N, c, p) for N in Ns for c in SUBGRAD_GRID for p in range(TUNING_PROBES)]
+    runs = [(N, c, p) for N in N_list for c in SUBGRAD_GRID for p in range(TUNING_PROBES)]
     final_f, _, _ = lspar_subgradient_lockstep(
         [probes[N, p][0].X for N, _, p in runs],
         [probes[N, p][0].y for N, _, p in runs],
@@ -432,7 +418,7 @@ def tune_subgrad_coefficient(N_list, noise_sigma: float, iters: int) -> dict:
         max_iter=iters,
     )
     picks = {}
-    for N, fs in zip(Ns, final_f.reshape(len(Ns), len(SUBGRAD_GRID), TUNING_PROBES)):
+    for N, fs in zip(N_list, final_f.reshape(len(N_list), len(SUBGRAD_GRID), TUNING_PROBES)):
         scores = []
         for probe_f in fs:
             tot = 0.0
@@ -653,10 +639,11 @@ class RecoveryConfig:
             "m >= 4 n for the retrieval kinds": self.kind not in ("sign", "amplitude")
             or self.m >= 4 * self.n,
             "0 <= outlier_frac <= 1": 0.0 <= self.outlier_frac <= 1.0,
-            "alpha0 > 0": self.alpha0 > 0,
+            "a finite alpha0 > 0": math.isfinite(self.alpha0) and self.alpha0 > 0,
             "0 < q < 1": 0.0 < self.q < 1.0,
             "iters >= 1": self.iters >= 1,
             "r >= 1": self.r >= 1,
+            "a finite warm_start >= 0": math.isfinite(self.warm_start) and self.warm_start >= 0,
         }
         broken = [rule for rule, ok in rules.items() if not ok]
         if broken:
@@ -689,23 +676,13 @@ def run_recovery_experiment(config: RecoveryConfig) -> dict:
         config.kind, config.n, config.m, config.outlier_frac, config.seed, r=config.r
     )
     rng = make_rng(config.seed, 33)
-    if isinstance(inst, BlindDeconv):
-        truth = np.concatenate([inst.w_star, inst.x_star])
-    elif isinstance(inst, MatrixRecovery):
-        truth = inst.U_star.ravel()
-    else:
-        truth = inst.x_star
-    x0 = truth + config.warm_start * rng.standard_normal(truth.size)
-    oracle = SubgradOracle(
-        fn=lambda z: robust_objective(inst, z),
-        subgrad=lambda z: robust_subgrad_oracle(inst, z).ravel(),
-    )
+    x0 = inst.truth + config.warm_start * rng.standard_normal(inst.truth.size)
     trace = subgradient_method(
-        oracle,
+        SubgradOracle(fn=inst.objective, subgrad=inst.subgrad),
         x0,
         Geometric(config.alpha0, config.q),
         max_iter=config.iters,
-        ref=lambda z: orbit_distance(inst, z),
+        ref=inst.distance,
     )
     dists = trace.dists
     best_so_far = np.minimum.accumulate(dists)

@@ -305,6 +305,10 @@ class TestUsageErrors:
              "--sigma must be finite and >= 0, got inf"),
             (["experiment", "lspar", "--set", "noise_sigma=-1"], "a finite noise_sigma >= 0"),
             (["experiment", "lspar", "--set", "noise_sigma=nan"], "a finite noise_sigma >= 0"),
+            (["experiment", "lspar", "--set", "trials=2", "--set", "N_list=10,10"], "distinct N in N_list"),
+            (["experiment", "recovery", "--set", "warm_start=nan"], "a finite warm_start >= 0"),
+            (["experiment", "recovery", "--set", "warm_start=inf"], "a finite warm_start >= 0"),
+            (["experiment", "recovery", "--set", "alpha0=inf"], "a finite alpha0 > 0"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):

@@ -15,10 +15,7 @@ from nonsmooth.experiments import (
     fit_log_linear,
     gen_lspar_data,
     gen_robust_instance,
-    orbit_distance,
     parse_config,
-    robust_objective,
-    robust_subgrad_oracle,
     run_lspar_experiment,
     run_recovery_experiment,
     run_single_lspar_trial,
@@ -67,15 +64,15 @@ class TestRobustOracles:
             outlier_mask=inst.outlier_mask,
             seed=1,
         )
-        g = robust_subgrad_oracle(inst, [2.0])
+        g = inst.subgrad([2.0])
         assert g[0] == pytest.approx(4.0, abs=1e-12)
         h = 1e-7
-        fd = (robust_objective(inst, [2.0 + h]) - robust_objective(inst, [2.0 - h])) / (2 * h)
+        fd = (inst.objective([2.0 + h]) - inst.objective([2.0 - h])) / (2 * h)
         assert fd == pytest.approx(4.0, abs=1e-5)
 
     def test_matrix_recovery_zero_residual(self):
         inst = gen_robust_instance("matrix", 3, 12, 0.0, seed=2, r=1)
-        g = robust_subgrad_oracle(inst, inst.U_star)
+        g = inst.subgrad(inst.U_star)
         assert np.allclose(g, 0.0, atol=1e-12)  # Sign(0) -> 0 on zero residuals
 
     def test_blind_deconv_unit_example(self):
@@ -89,7 +86,7 @@ class TestRobustOracles:
             outlier_mask=inst.outlier_mask,
             seed=3,
         )
-        g = robust_subgrad_oracle(inst, [1.0, 1.0])
+        g = inst.subgrad([1.0, 1.0])
         assert np.allclose(g, [1.0, 1.0], atol=1e-12)
         h = 1e-7
         for i in range(2):
@@ -97,25 +94,25 @@ class TestRobustOracles:
             pp, pm = p.copy(), p.copy()
             pp[i] += h
             pm[i] -= h
-            fd = (robust_objective(inst, pp) - robust_objective(inst, pm)) / (2 * h)
+            fd = (inst.objective(pp) - inst.objective(pm)) / (2 * h)
             assert fd == pytest.approx(g[i], abs=1e-5)
 
-    @pytest.mark.parametrize("kind", ["sign", "amplitude", "blinddeconv", "logsum"])
+    @pytest.mark.parametrize("kind", ["sign", "amplitude", "blinddeconv", "logsum", "matrix"])
     def test_oracle_matches_fd_at_generic_points(self, kind):
-        inst = gen_robust_instance(kind, 4, 20, 0.1, seed=11)
+        inst = gen_robust_instance(kind, 4, 20, 0.1, seed=11)  # matrix: r = 2
         rng = make_rng(13)
-        dim = 8 if kind == "blinddeconv" else 4
+        dim = 8 if kind in ("blinddeconv", "matrix") else 4
         checked = 0
         for _ in range(100):
             x = rng.standard_normal(dim)
-            g = robust_subgrad_oracle(inst, x)
+            g = inst.subgrad(x)
             gn = float(np.linalg.norm(g))
             if gn < 1e-9:
                 continue
             d = g / gn
             h = 1e-7
-            f1 = robust_objective(inst, x + h * d)
-            f2 = robust_objective(inst, x - h * d)
+            f1 = inst.objective(x + h * d)
+            f2 = inst.objective(x - h * d)
             fd = (f1 - f2) / (2 * h)
             # at non-kink points the directional derivative matches <g, d>
             if abs(fd - float(g @ d)) > 1e-5 * max(1.0, abs(fd)):
@@ -130,9 +127,17 @@ class TestRobustOracles:
         assert int(inst.outlier_mask.sum()) == 10
 
     def test_orbit_distance_sign_symmetry(self):
-        inst = gen_robust_instance("sign", 5, 40, 0.0, seed=22)
-        assert orbit_distance(inst, inst.x_star) == 0.0
-        assert orbit_distance(inst, -inst.x_star) == 0.0
+        for kind in ("sign", "amplitude"):
+            inst = gen_robust_instance(kind, 5, 40, 0.0, seed=22)
+            assert inst.distance(inst.x_star) == 0.0
+            assert inst.distance(-inst.x_star) == 0.0
+        # the scaling (c w*, x* / c) of blind deconvolution and the rotation
+        # U* Q of matrix recovery reach the planted products up to rounding
+        inst = gen_robust_instance("blinddeconv", 5, 40, 0.0, seed=22)
+        assert inst.distance(np.concatenate([3.0 * inst.w_star, inst.x_star / 3.0])) < 1e-12
+        inst = gen_robust_instance("matrix", 5, 40, 0.0, seed=22, r=3)
+        Q, _ = np.linalg.qr(make_rng(23).standard_normal((3, 3)))
+        assert inst.distance(inst.U_star @ Q) < 1e-12
 
 
 class TestLsparExperiment:
@@ -263,6 +268,7 @@ class TestConfigChecks:
             ("noise_sigma", -1.0),
             ("noise_sigma", float("nan")),
             ("noise_sigma", float("inf")),
+            ("N_list", (10, 10)),
         ],
     )
     def test_lspar_config_rejects(self, field, value):
@@ -287,6 +293,10 @@ class TestConfigChecks:
             ("q", 1.0),
             ("iters", 0),
             ("r", 0),
+            ("warm_start", float("nan")),
+            ("warm_start", float("inf")),
+            ("warm_start", -0.1),
+            ("alpha0", float("inf")),
         ],
     )
     def test_recovery_config_rejects(self, field, value):
