@@ -17,10 +17,13 @@ refuses the input (one stderr line names the cap and the way around it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -66,6 +69,15 @@ _CAPS = (
 
 class InputError(Exception):
     """A malformed command-line value that argparse cannot see."""
+
+
+@contextlib.contextmanager
+def _flag(name: str, value):
+    """Report a ValueError of the library's own check on ``value`` as a bad ``name``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"bad {name} {value}: {exc}") from None
 
 
 def _load_expr(spec: str):
@@ -135,8 +147,7 @@ def _cmd_subdiff(args) -> int:
     }
     if args.sampled:
         if args.which != "clarke":
-            print("sampled mode supports --which clarke only", file=sys.stderr)
-            return 2
+            raise InputError("sampled mode supports --which clarke only")
         if not (math.isfinite(args.radius) and args.radius > 0):
             raise InputError(f"--radius must be positive and finite, got {args.radius}")
         ss = gradient_sampling(
@@ -167,10 +178,8 @@ def _cmd_subdiff(args) -> int:
 def _cmd_classify(args) -> int:
     e = _load_expr(args.expr)
     x = _parse_point(args.point)
-    try:
+    with _flag("--tol", args.tol):
         rep = classify(e, x, tol=args.tol)
-    except ValueError as exc:  # a negative --tol
-        raise InputError(str(exc)) from None
     print(json.dumps(rep.to_json(), indent=2))
     return 0
 
@@ -225,7 +234,8 @@ def _cmd_solve(args) -> int:
                 f"f={float(trace.objectives[-1])!r}, d-stationary={cert.is_d_stationary}"
             )
         else:
-            trace = subgradient_method(lspar_oracle(ds), W0, schedule, max_iter=iters)
+            with _flag("--iters", iters):
+                trace = subgradient_method(lspar_oracle(ds), W0, schedule, max_iter=iters)
             print(
                 f"subgrad: {trace.termination}, f={float(trace.objectives[-1])!r}, "
                 f"best={float(trace.best_f)!r}"
@@ -233,19 +243,19 @@ def _cmd_solve(args) -> int:
     else:
         if args.method == "mm" or args.expr is None or args.x0 is None:
             need = "--problem lspar" if args.method == "mm" else "--expr and --x0"
-            print(f"solve with --method {args.method} needs {need}", file=sys.stderr)
-            return 2
+            raise InputError(f"--method {args.method} needs {need}")
         e = _load_expr(args.expr)
         x0 = _parse_point(args.x0)
         oracle = oracle_from_expr(e)
         if args.method == "proj-subgrad":
             if args.box is None and args.ball is None:
-                print("proj-subgrad needs --box 'lo.. hi..' or --ball 'center.. r'", file=sys.stderr)
-                return 2
+                raise InputError("proj-subgrad needs --box 'lo.. hi..' or --ball 'center.. r'")
             projector = _parse_projector(args, x0.size)
-            trace = projected_subgradient(oracle, projector, x0, schedule, max_iter=iters)
+            with _flag("--iters", iters):
+                trace = projected_subgradient(oracle, projector, x0, schedule, max_iter=iters)
         else:
-            trace = subgradient_method(oracle, x0, schedule, max_iter=iters)
+            with _flag("--iters", iters):
+                trace = subgradient_method(oracle, x0, schedule, max_iter=iters)
         print(
             f"{args.method}: {trace.termination}, f={float(trace.objectives[-1])!r}, "
             f"best={float(trace.best_f)!r}, x={trace.final_x.tolist()}"
@@ -256,34 +266,28 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# each experiment family's config keys with their types
-_LSPAR_KEYS = {"trials": int, "root_seed": int, "noise_sigma": float, "subgrad_iters": int, "jobs": int}
-_LSPAR_KEYS["N_list"] = lambda v: tuple(int(N) for N in (v if isinstance(v, list) else [v]))
-_RECOVERY_KEYS = {
-    "kind": str, "n": int, "m": int, "outlier_frac": float, "alpha0": float,
-    "q": float, "iters": int, "seed": int, "warm_start": float, "r": int,
-}
+# a config field's annotation (a string: experiments.py defers annotations) -> its
+# value from its key's text, a list for a comma list
+_CASTS = {"int": int, "float": float, "str": str}
+_CASTS["tuple"] = lambda v: tuple(map(int, v if isinstance(v, list) else [v]))
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    try:
-        if args.config:
-            with open(args.config) as fh:
-                overrides.update(experiments.parse_config(fh.read()))
-        for kv in args.set or []:
-            overrides.update(experiments.parse_config(kv))
-        keys = _LSPAR_KEYS if args.family == "lspar" else _RECOVERY_KEYS
-        kwargs = {key: cast(overrides[key]) for key, cast in keys.items() if key in overrides}
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad config value: {exc}") from None
     family = (
         experiments.LsparExperimentConfig if args.family == "lspar" else experiments.RecoveryConfig
     )
+    # the config keys are the fields but out_dir, which --out sets
+    casts = {f.name: _CASTS[f.type] for f in dataclasses.fields(family) if f.name != "out_dir"}
     try:
-        cfg = family(out_dir=args.out, **kwargs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        overrides = {}
+        for text in ([Path(args.config).read_text()] if args.config else []) + (args.set or []):
+            overrides.update(experiments.parse_config(text))
+        unknown = sorted(set(overrides) - set(casts))
+        if unknown:
+            raise InputError(f"unknown config key {unknown[0]!r} (keys: {', '.join(casts)})")
+        cfg = family(out_dir=args.out, **{key: casts[key](text) for key, text in overrides.items()})
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad config value: {exc}") from None
     if args.family == "lspar":
         summary = experiments.run_lspar_experiment(cfg)
         for N in cfg.N_list:
@@ -395,7 +399,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ExprSyntaxError, DimensionMismatchError) as exc:
+    except (InputError, ExprSyntaxError, DimensionMismatchError, OSError) as exc:
         print(f"nonsmooth: {args.command}: {exc}", file=sys.stderr)
         return 2
     except tuple(err for err, _, _ in _CAPS) as exc:

@@ -518,6 +518,8 @@ def run_lspar_experiment(config: LsparExperimentConfig) -> dict:
     ``tuning`` maps each N to the mean final objective of every
     ``SUBGRAD_GRID`` value and whether the pick is an end of the grid.
     """
+    if config.out_dir:  # a bad out_dir fails before the first trial
+        os.makedirs(config.out_dir, exist_ok=True)
     records: list = []
     tuning = tune_subgrad_coefficient(config.N_list, config.noise_sigma, config.subgrad_iters)
     trials = range(config.trials)
@@ -552,7 +554,6 @@ def run_lspar_experiment(config: LsparExperimentConfig) -> dict:
         for N, (c, scores) in tuning.items()
     }
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         with open(os.path.join(config.out_dir, "trials.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
@@ -672,6 +673,8 @@ def run_recovery_experiment(config: RecoveryConfig) -> dict:
     iterate and fits a log-linear trend to the best-so-far distances.
     Writes ``recovery.csv`` when ``out_dir`` is set.
     """
+    if config.out_dir:  # a bad out_dir fails before the first iteration
+        os.makedirs(config.out_dir, exist_ok=True)
     inst = gen_robust_instance(
         config.kind, config.n, config.m, config.outlier_frac, config.seed, r=config.r
     )
@@ -699,7 +702,6 @@ def run_recovery_experiment(config: RecoveryConfig) -> dict:
         "seed": config.seed,
     }
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         with open(os.path.join(config.out_dir, "recovery.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["iter", "objective", "distance", "best_distance"])
@@ -714,7 +716,8 @@ def run_recovery_experiment(config: RecoveryConfig) -> dict:
 
 
 def parse_config(text: str) -> dict:
-    """Parse flat ``key = value`` lines ('#' comments, commas make lists)."""
+    """Parse flat ``key = value`` lines ('#' comments) into each value's text:
+    a string, or a list of strings where commas make a list."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -723,24 +726,7 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-
-        def coerce(tok: str):
-            low = tok.lower()
-            if low in ("true", "false"):
-                return low == "true"
-            try:
-                return int(tok)
-            except ValueError:
-                pass
-            try:
-                return float(tok)
-            except ValueError:
-                return tok
-
-        if "," in val:
-            out[key] = [coerce(t.strip()) for t in val.split(",") if t.strip()]
-        else:
-            out[key] = coerce(val)
+        out[key] = [t.strip() for t in val.split(",") if t.strip()] if "," in val else val
     return out
 
 

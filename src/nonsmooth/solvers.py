@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr import _ABS, _BUILTIN, _MAX, BUILTINS, Expr, _check_point, _sweep, _tape, evaluate
 from .polyhedra import Ball, Box, HPolyhedron
-from .stationarity import DStatCertificate, lspar_d_stationarity_check
+from .stationarity import LSPAR_SIZE_CAP, DStatCertificate, lspar_d_stationarity_check
 from .tolerances import (
     DYKSTRA_FEAS_TOL,
     DYKSTRA_MOVE_TOL,
@@ -70,8 +70,8 @@ class Constant:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("constant step must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("constant step must be positive and finite")
 
     def step(self, k: int, f_val: float, gnorm: float) -> float:
         return self.alpha
@@ -84,8 +84,8 @@ class Diminishing:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("diminishing coefficient must be positive")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError("diminishing coefficient must be positive and finite")
 
     def step(self, k: int, f_val: float, gnorm: float) -> float:
         return self.c / math.sqrt(k + 1.0)
@@ -99,8 +99,8 @@ class Geometric:
     q: float
 
     def __post_init__(self):
-        if self.alpha0 <= 0 or not (0.0 < self.q < 1.0):
-            raise ValueError("geometric schedule needs alpha0 > 0 and q in (0,1)")
+        if not (math.isfinite(self.alpha0) and self.alpha0 > 0 and 0.0 < self.q < 1.0):
+            raise ValueError("geometric schedule needs a finite alpha0 > 0 and q in (0,1)")
 
     def step(self, k: int, f_val: float, gnorm: float) -> float:
         return self.alpha0 * self.q**k
@@ -114,8 +114,8 @@ class Polyak:
     margin: float = 0.0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("polyak margin must be >= 0")
+        if not (math.isfinite(self.f_star) and math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError("polyak needs a finite f_star and a finite margin >= 0")
 
     def step(self, k: int, f_val: float, gnorm: float) -> float:
         gap = f_val - self.f_star + self.margin
@@ -253,6 +253,8 @@ def subgradient_method(
 def _subgradient_loop(oracle, projector, x0, schedule, max_iter, ref):
     """The loop of both subgradient methods; with a ``projector`` the start
     and every step are projected onto it."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     x = np.array(x0, dtype=float)
     if projector is not None:
         x = project(projector, x)
@@ -707,8 +709,8 @@ def mm_lspar(dataset, W0) -> tuple:
     N, n = X.shape
     W = np.array(W0, dtype=float)
     k = W.shape[1]
-    if n * k > 16:
-        raise ValueError("mm_lspar supports k*n <= 16")
+    if n * k > LSPAR_SIZE_CAP:
+        raise ValueError(f"mm_lspar supports k*n <= {LSPAR_SIZE_CAP}")
     eps = max(0.1 * float(np.mean(np.abs(y))), MM_EPS_FLOOR)
     c = MM_C0
     XX, Xy = _sample_products(X, y)

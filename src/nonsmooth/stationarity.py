@@ -36,6 +36,7 @@ from .subdiff import (
     _point,
     clarke,
     convex_catalog_subdiff,
+    dir_deriv,
     normal_cone,
 )
 from .tolerances import (
@@ -207,6 +208,8 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
         sl, sr = p.slopes()
         cand = [(-sl, np.array([-1.0])), (sr, np.array([1.0]))]
         wvalue, witness = min(cand, key=lambda t: t[0])
+    if witness is not None and not dir_deriv(e, x, witness).value < 0:  # the forward sweep's check
+        raise SubdiffError(f"internal: witness {witness.tolist()} does not descend at x")
 
     return StationarityReport(
         is_d=is_d,
@@ -299,6 +302,10 @@ class DStatCertificate:
         return self.is_d_stationary
 
 
+# the largest n * k of an LSPAR W that the check and mm_lspar accept
+LSPAR_SIZE_CAP = 16
+
+
 def lspar_d_stationarity_check(
     dataset,
     W,
@@ -324,8 +331,8 @@ def lspar_d_stationarity_check(
     y = np.asarray(dataset.y, dtype=float).ravel()
     W = np.asarray(W, dtype=float)
     n, k = W.shape
-    if n * k > 16:
-        raise SubdiffError("lspar check supports k*n <= 16")
+    if n * k > LSPAR_SIZE_CAP:
+        raise SubdiffError(f"lspar check supports k*n <= {LSPAR_SIZE_CAP}")
     N = X.shape[0]
     act_tol = tol if act_tol is None else act_tol
     if not act_tol >= 0:

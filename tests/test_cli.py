@@ -233,6 +233,9 @@ class TestUsageErrors:
     E2 = "(max (var 0) (var 1))"
     PROJ = ["solve", "--method", "proj-subgrad", "--expr", E2, "--x0", "0.5 0.5", "--iters", "5"]
     SAMPLED = ["subdiff", "--sampled", "--which", "clarke", "--expr", "(abs (var 0))", "--point", "0"]
+    SUBGRAD = ["solve", "--method", "subgrad", "--expr", "(abs (var 0))", "--x0", "1"]
+    PROJ_BOX = ["solve", "--method", "proj-subgrad", "--expr", "(abs (var 0))", "--x0", "1", "--box", "0 2"]
+    LSPAR_SMALL = ["experiment", "lspar", "--set", "trials=1", "--set", "subgrad_iters=5"]
 
     @pytest.mark.parametrize(
         "args, says",
@@ -309,6 +312,25 @@ class TestUsageErrors:
             (["experiment", "recovery", "--set", "warm_start=nan"], "a finite warm_start >= 0"),
             (["experiment", "recovery", "--set", "warm_start=inf"], "a finite warm_start >= 0"),
             (["experiment", "recovery", "--set", "alpha0=inf"], "a finite alpha0 > 0"),
+            # the config keys are the dataclass fields, typed by their annotations
+            (LSPAR_SMALL + ["--set", "trails=1"], "unknown config key 'trails'"),
+            (["experiment", "recovery", "--set", "itres=3"], "unknown config key 'itres'"),
+            (["experiment", "recovery", "--set", "iters=2.7"], "'2.7'"),
+            (["experiment", "recovery", "--set", "iters=true"], "'true'"),
+            (["experiment", "recovery", "--set", "iters=1e3"], "'1e3'"),
+            (["experiment", "recovery", "--set", "alpha0=true"], "'true'"),
+            (["experiment", "recovery", "--set", "out_dir=x"], "unknown config key 'out_dir'"),
+            (SUBGRAD + ["--iters", "0"], "bad --iters 0: max_iter must be >= 1"),
+            (PROJ_BOX + ["--iters", "-5"], "bad --iters -5: max_iter must be >= 1"),
+            (["solve", "--method", "subgrad", "--problem", "lspar", "--iters", "0"],
+             "bad --iters 0: max_iter must be >= 1"),
+            (SUBGRAD + ["--schedule", "constant:inf"], "bad --schedule 'constant:inf'"),
+            (SUBGRAD + ["--schedule", "diminishing:nan"], "bad --schedule 'diminishing:nan'"),
+            (SUBGRAD + ["--schedule", "geometric:inf,0.5"], "bad --schedule 'geometric:inf,0.5'"),
+            (SUBGRAD + ["--schedule", "polyak:nan"], "bad --schedule 'polyak:nan'"),
+            (SUBGRAD + ["--schedule", "polyak:0,inf"], "bad --schedule 'polyak:0,inf'"),
+            (["subdiff", "--sampled", "--which", "bouligand", "--expr", "(abs (var 0))", "--point", "0"],
+             "sampled mode supports --which clarke only"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):
@@ -316,6 +338,29 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and says in err, err
+        assert err.startswith(f"nonsmooth: {args[0]}: "), err
+
+    def test_file_errors_exit_2_with_one_line_naming_the_path(self, tmp_path, capsys, monkeypatch):
+        from nonsmooth import experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the experiment ran before its --out was made")
+
+        monkeypatch.setattr(experiments, "tune_subgrad_coefficient", refuse)
+        monkeypatch.setattr(experiments, "gen_robust_instance", refuse)
+        (tmp_path / "file").write_text("")
+        missing, under_file = str(tmp_path / "missing" / "x"), str(tmp_path / "file" / "out")
+        for args, path in [
+            (["eval", "--expr", missing, "--point", "0"], missing),
+            (["experiment", "recovery", "--config", missing], missing),
+            (self.SUBGRAD + ["--iters", "3", "--trace", missing], missing),
+            (["experiment", "recovery", "--out", under_file], under_file),
+            (self.LSPAR_SMALL + ["--out", under_file], under_file),
+        ]:
+            code, _, err = run_cli(args, capsys)
+            assert code == 2, args
+            assert err.count("\n") == 1 and err.startswith(f"nonsmooth: {args[0]}: "), err
+            assert repr(path) in err, err
 
     @pytest.mark.parametrize("which", ["clarke", "bouligand", "frechet", "limiting"])
     @pytest.mark.parametrize(

@@ -106,8 +106,9 @@ def test_guards_catch_planted_sites():
 # a call through another name (a dict entry, a local alias) counts for none.
 BENCH = PKG.parents[1] / "perfbench"
 
-# the experiment configs' fields that the CLI sets from its config keys
-CLI_KEYS = {"LsparExperimentConfig": "_LSPAR_KEYS", "RecoveryConfig": "_RECOVERY_KEYS"}
+# the experiment configs, whose every field but out_dir the CLI sets from a
+# config key of the same name (``dataclasses.fields``); --out sets out_dir
+CLI_KEYS = ("LsparExperimentConfig", "RecoveryConfig")
 
 # defaulted parameters no call sets, each with the reason it stays
 ALLOWED_PARAMS = {
@@ -176,11 +177,10 @@ def _defaulted(modules: dict) -> dict:
     return out
 
 
-def _set_params(modules: dict, cli_keys: dict) -> set:
+def _set_params(modules: dict) -> set:
     """(callee name, positional index or param name) of every argument some
     call passes; ``"*"`` stands for every position (an unpacked sequence),
-    ``"**"`` for every keyword.  The config keys of module ``cli`` set the
-    fields of the classes ``cli_keys`` maps to them."""
+    ``"**"`` for every keyword."""
     out = set()
     for tree in modules.values():
         for n in ast.walk(tree):
@@ -189,20 +189,18 @@ def _set_params(modules: dict, cli_keys: dict) -> set:
             name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
             out.update((name, "*" if isinstance(a, ast.Starred) else i) for i, a in enumerate(n.args))
             out.update((name, k.arg or "**") for k in n.keywords)
-    for cls, var in cli_keys.items():
-        for n in ast.walk(modules.get("cli", ast.Module(body=[]))):
-            if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == var:
-                out.update((cls, k.value) for k in n.value.keys)
-            elif isinstance(n, ast.Subscript) and getattr(n.value, "id", None) == var:
-                out.add((cls, getattr(n.slice, "value", None)))
     return out
 
 
-def _unset_params(modules: dict, setters: dict, cli_keys: dict = CLI_KEYS) -> list:
-    """Defaulted parameters of ``modules`` that no call in ``setters`` sets."""
-    given = _set_params(setters, cli_keys)
+def _unset_params(modules: dict, setters: dict, cli_keys: tuple = CLI_KEYS) -> list:
+    """Defaulted parameters of ``modules`` that no call in ``setters`` sets;
+    the fields but ``out_dir`` of the classes ``cli_keys`` names count as
+    set."""
+    given = _set_params(setters)
 
     def is_set(callee, i, p):
+        if callee in cli_keys and p != "out_dir":
+            return True
         by_position = i is not None and ((callee, i) in given or (callee, "*") in given)
         return by_position or (callee, p) in given or (callee, "**") in given
 
@@ -215,6 +213,7 @@ def _setters() -> dict:
 
 
 def test_every_defaulted_parameter_has_a_setter():
+    assert "fields" in _reads(_package()["cli"]), "CLI_KEYS holds only while the CLI reads the fields"
     unset = _unset_params(_package(), _setters())
     assert [q for q in unset if q not in ALLOWED_PARAMS] == [], "make these constants or set them"
     assert sorted(ALLOWED_PARAMS) == unset, "an allowlist entry is set by a call or does not exist"
@@ -232,6 +231,7 @@ def test_parameter_guard_catches_planted_sites():
         "    y: int = 1\n"
         "    z: int = 2\n"
         "    w: int = 3\n"
+        "    out_dir: str = None\n"
         "    def m(self, t=1, u=2): pass\n"
     )
     app = ast.parse(
@@ -242,8 +242,9 @@ def test_parameter_guard_catches_planted_sites():
         "mod.h(**kw)\n"
         "alias(d=1, e=1)\n"
     )
-    cli = ast.parse("_LSPAR_KEYS = {'z': int}\n_LSPAR_KEYS['q'] = int\n")
     modules = {"lib": lib}
-    assert _unset_params(modules, {"lib": lib, "app": app}) == ["Cfg.m.t", "Cfg.w", "Cfg.z", "f.c", "f.e"]
-    with_cli = _unset_params(modules, {"app": app, "cli": cli}, {"Cfg": "_LSPAR_KEYS"})
-    assert with_cli == ["Cfg.m.t", "Cfg.w", "f.c", "f.e"]
+    assert _unset_params(modules, {"lib": lib, "app": app}) == [
+        "Cfg.m.t", "Cfg.out_dir", "Cfg.w", "Cfg.z", "f.c", "f.e"
+    ]
+    # a CLI config's fields count as set, but out_dir and its methods' parameters
+    assert _unset_params(modules, {"app": app}, ("Cfg",)) == ["Cfg.m.t", "Cfg.out_dir", "f.c", "f.e"]

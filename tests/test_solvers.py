@@ -34,6 +34,7 @@ from nonsmooth.solvers import (
     subgradient_method,
 )
 from nonsmooth.stationarity import lspar_d_stationarity_check
+from nonsmooth.subdiff import SubdiffError
 
 from conftest import checked_mm_iterates, criterion7_trial, random_pa_instance
 
@@ -68,6 +69,26 @@ class TestSchedules:
             Geometric(1.0, 1.0)
         with pytest.raises(ValueError):
             Diminishing(-1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Constant(math.inf),
+            lambda: Constant(math.nan),
+            lambda: Diminishing(math.nan),
+            lambda: Diminishing(math.inf),
+            lambda: Geometric(math.inf, 0.5),
+            lambda: Geometric(math.nan, 0.5),
+            lambda: Geometric(1.0, math.nan),
+            lambda: Polyak(math.nan),
+            lambda: Polyak(-math.inf),
+            lambda: Polyak(0.0, math.inf),
+            lambda: Polyak(0.0, math.nan),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 class TestSubgradientMethod:
@@ -133,6 +154,24 @@ def assert_same_run(a, b):
     for u, v in zip(a_iterates, b_iterates):
         assert u.tobytes() == v.tobytes()
     assert a.final_x.tobytes() == b.final_x.tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_subgradient_methods_reject_max_iter_below_1(max_iter):
+    oracle = oracle_from_expr(Abs(Var(0)))
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        subgradient_method(oracle, [1.0], Constant(0.1), max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        projected_subgradient(oracle, Box([0.0], [2.0]), [1.0], Constant(0.1), max_iter=max_iter)
+
+
+def test_lspar_size_cap_is_shared():
+    # W of shape (2, 9): n * k = 18 is over the cap of both
+    ds, W = make_dataset(), np.zeros((2, 9))
+    with pytest.raises(ValueError, match=r"mm_lspar supports k\*n <= 16"):
+        mm_lspar(ds, W)
+    with pytest.raises(SubdiffError, match=r"lspar check supports k\*n <= 16"):
+        lspar_d_stationarity_check(ds, W)
 
 
 class TestOneSweepOracle:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nonsmooth.expr import Abs, Affine, Const, Max, Min, Scale, Sq, Sum, Var, evaluate, vmax
+from nonsmooth.expr import Abs, Affine, Builtin1D, Const, Max, Min, Scale, Sq, Sum, Var, evaluate, vmax
 from nonsmooth.gallery import f1_expr, f2_expr, xsqsin_expr
 from nonsmooth.polyhedra import Box, HPolyhedron, contains, lp_solve, vertex_enumeration
 from nonsmooth.rng import make_rng
@@ -14,7 +14,7 @@ from nonsmooth.stationarity import (
     convex_optimality_check,
     lspar_d_stationarity_check,
 )
-from nonsmooth.subdiff import SubdiffError, clarke, dir_deriv, normal_cone
+from nonsmooth.subdiff import DirDerivValue, SubdiffError, clarke, dir_deriv, normal_cone
 
 from conftest import checked_mm_iterates, criterion7_trial, random_convex_pa, random_pa_instance
 
@@ -95,6 +95,23 @@ class TestClassify:
 
         monkeypatch.setattr(stat, "_min_dirderiv_over_box", flipped)
         with pytest.raises(SubdiffError, match="disagrees with directional sweep"):
+            classify(e, x)
+
+    @pytest.mark.parametrize(
+        "e, x",
+        [
+            (Scale(-1.0, Abs(Var(0))), [0.0]),  # the exact branch
+            (Scale(-1.0, Sum((Abs(Var(0)), Abs(Var(1))))), [0.0, 0.0]),
+            (Builtin1D("xsinlog", Var(0)), [0.5]),  # the 1-D builtin branch
+        ],
+        ids=["neg_abs", "neg_l1_2d", "builtin"],
+    )
+    def test_witness_that_does_not_descend_trips_the_guard(self, monkeypatch, e, x):
+        import nonsmooth.stationarity as stat
+
+        assert classify(e, x).witness_direction is not None
+        monkeypatch.setattr(stat, "dir_deriv", lambda e, x, d: DirDerivValue(value=0.0, kind="ordinary"))
+        with pytest.raises(SubdiffError, match="internal: witness"):
             classify(e, x)
 
     # make_rng(2209, dim, i) at dim 2, i = 110 and 126, and at dim 3, i = 68
