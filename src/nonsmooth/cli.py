@@ -215,6 +215,8 @@ def _cmd_solve(args) -> int:
     if unread:
         via = f"--method {args.method}" + (f" --problem {args.problem}" if args.problem else "")
         raise InputError(f"{via} does not read {', '.join(unread)}")
+    if args.trace:  # made before the run, so a bad path fails first
+        open(args.trace, "w").close()  # and a run that fails later leaves it empty
     schedule = _parse_schedule(args.schedule or "diminishing:1")
     iters = 1000 if args.iters is None else args.iters
     if args.problem == "lspar":
@@ -285,7 +287,13 @@ def _cmd_experiment(args) -> int:
         unknown = sorted(set(overrides) - set(casts))
         if unknown:
             raise InputError(f"unknown config key {unknown[0]!r} (keys: {', '.join(casts)})")
-        cfg = family(out_dir=args.out, **{key: casts[key](text) for key, text in overrides.items()})
+        values = {}
+        for key, text in overrides.items():
+            try:
+                values[key] = casts[key](text)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bad config value for {key}: {exc}") from None
+        cfg = family(out_dir=args.out, **values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad config value: {exc}") from None
     if args.family == "lspar":
@@ -349,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["frechet", "limiting", "clarke", "bouligand"],
     )
-    mode = ps.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--sampled", action="store_true", default=False)
+    ps.add_argument("--sampled", action="store_true", help="estimate the Clarke set by sampling")
     ps.add_argument("--seed", type=int, default=42)
     ps.add_argument("--radius", type=float, default=0.1)
     ps.set_defaults(func=_cmd_subdiff)

@@ -785,6 +785,7 @@ def parse_expr(text: str) -> Expr:
 
 
 def _fmt(v: float) -> str:
+    v = float(v)  # a numpy float's repr is np.float64(...), which the parser refuses
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)

@@ -6,13 +6,13 @@ schedules are plain value objects; oracles pair an objective evaluator with
 a map returning one member of the subdifferential at each point.
 
 For least-squares piecewise-affine regression (LSPAR) this module provides
-the mean-square objective, the pseudo-subgradient that pretends the basic
-chain rule holds (back-propagation style, smallest index winning argmax
-ties), all from one batched kernel; a diminishing-step subgradient loop
-that runs many trials, of any sample counts, in lockstep; the
-ridge-regularized least-squares subproblem solver; and a non-monotone
-majorization-minimization loop that terminates with an exact
-d-stationarity certificate.
+one batched kernel for the mean-square objective and the pseudo-subgradient
+that pretends the basic chain rule holds (back-propagation style, smallest
+index winning argmax ties), read one trial at a time through
+:func:`lspar_oracle`; on it run a diminishing-step subgradient loop over
+many trials, of any sample counts, in lockstep, and a non-monotone
+majorization-minimization loop, with its ridge-regularized least-squares
+subproblem solver, that terminates with an exact d-stationarity certificate.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ __all__ = [
     "projected_subgradient",
     "project",
     "ProjectionError",
-    "lspar_objective",
-    "lspar_pseudo_subgrad",
     "lspar_subgradient_lockstep",
     "lspar_oracle",
     "mm_lspar",
@@ -413,7 +411,7 @@ def _ridge_solve(products, c: float, anchors) -> np.ndarray:
 
 class _LsparCells:
     """The loop invariants and work buffers of T LSPAR problems of any
-    sizes N_t with k branches, for :func:`_lspar_batch`.
+    sizes N_t with k branches, for :func:`_lspar_batch` and :func:`mm_lspar`.
 
     Trials are grouped by N: ``order`` lists the trial ids group by group
     (stable within a group), and every per-trial array of the kernel is in
@@ -507,28 +505,6 @@ def _lspar_batch(cells: _LsparCells, W) -> tuple:
     return f, G.reshape(T, n, k)
 
 
-def _one_trial(X, y, W) -> tuple:
-    """Objective and pseudo-subgradient of one LSPAR problem."""
-    W = np.asarray(W, dtype=float)
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float).ravel()
-    f, G = _lspar_batch(_LsparCells([X], [y], W.shape[-1]), W[None])
-    return f[0], G[0]
-
-
-def lspar_objective(X, y, W) -> float:
-    """(1/2N) sum_s (y_s - max_i w_i^T x_s)^2."""
-    return float(_one_trial(X, y, W)[0])
-
-
-def lspar_pseudo_subgrad(X, y, W) -> np.ndarray:
-    """Chain-rule-pretending subgradient of the LSPAR objective.
-
-    grad w.r.t. w_i = (1/N) sum_s (g_s(W) - y_s) x_s [i = argmax_j w_j^T x_s]
-    with the smallest index winning argmax ties.
-    """
-    return _one_trial(X, y, W)[1]
-
-
 def lspar_subgradient_lockstep(X, y, W0, coeffs, max_iter: int = 1000) -> tuple:
     """T pseudo-subgradient runs on LSPAR with diminishing steps, in lockstep.
 
@@ -566,8 +542,8 @@ def lspar_subgradient_lockstep(X, y, W0, coeffs, max_iter: int = 1000) -> tuple:
                 f"with N_t >= 1 and the n, k of W0[0] {Ws[0].shape}; trial {t} has "
                 f"{Xt.shape}, {yt.shape} and {Wt.shape}"
             )
-    if not np.all(c > 0):
-        raise ValueError("diminishing coefficients must be positive")
+    if not np.all(np.isfinite(c) & (c > 0)):
+        raise ValueError("diminishing coefficients must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     cells = _LsparCells(Xs, ys, Ws[0].shape[1])
@@ -715,7 +691,8 @@ def mm_lspar(dataset, W0) -> tuple:
     c = MM_C0
     XX, Xy = _sample_products(X, y)
     branches = np.arange(k)[:, None]
-    fs = [lspar_objective(X, y, W)]
+    cells = _LsparCells([X], [y], k)
+    fs = [float(_lspar_batch(cells, W[None])[0][0])]
     steps: list = []
     walls: list = [0.0]
     t0 = time.perf_counter()
@@ -727,11 +704,12 @@ def mm_lspar(dataset, W0) -> tuple:
         outer_iters += 1
         f_cur = fs[-1]
         if active is None:  # W moved
-            Z = X @ W
-            margins = Z.max(axis=1)[:, None] - Z  # >= 0
+            np.matmul(X, W, out=cells.Z)
+            m, base = cells.winners()  # the cells' buffers, unchanged until W moves
+            margins = m[:, None] - cells.Z  # >= 0
         if active is None or not np.array_equal(margins <= eps, active):
             active = margins <= eps
-            assign = _candidate_assignments(Z.argmax(axis=1), margins, active, MM_SELECTION_CAP)
+            assign = _candidate_assignments(base, margins, active, MM_SELECTION_CAP)
             stacks = []
             for lo in range(0, assign.shape[0], CANDIDATE_STACK):
                 masks = assign[lo : lo + CANDIDATE_STACK, None, :] == branches  # (C, k, N)

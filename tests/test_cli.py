@@ -331,6 +331,8 @@ class TestUsageErrors:
             (SUBGRAD + ["--schedule", "polyak:0,inf"], "bad --schedule 'polyak:0,inf'"),
             (["subdiff", "--sampled", "--which", "bouligand", "--expr", "(abs (var 0))", "--point", "0"],
              "sampled mode supports --which clarke only"),
+            (["experiment", "recovery", "--set", "n=1,2"], "bad config value for n: "),
+            (["experiment", "recovery", "--set", "iters=2.7"], "bad config value for iters: "),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):
@@ -357,8 +359,9 @@ class TestUsageErrors:
             (["experiment", "recovery", "--out", under_file], under_file),
             (self.LSPAR_SMALL + ["--out", under_file], under_file),
         ]:
-            code, _, err = run_cli(args, capsys)
+            code, out, err = run_cli(args, capsys)
             assert code == 2, args
+            assert out == "", args  # --trace is opened before the solver runs
             assert err.count("\n") == 1 and err.startswith(f"nonsmooth: {args[0]}: "), err
             assert repr(path) in err, err
 
@@ -532,3 +535,34 @@ class TestExperimentCommand:
         )
         assert code == 0
         assert "final distance" in out
+
+
+def test_every_option_is_read():
+    """An option whose dest ``cli.py`` never reads, as ``args.<dest>`` or
+    as a name in ``_cmd_solve``'s ``flags``, does nothing."""
+    import argparse
+    import ast
+
+    from nonsmooth import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    reads = {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+    }
+    solve = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_cmd_solve")
+    flags = next(
+        n.value
+        for n in ast.walk(solve)
+        if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "flags" for t in n.targets)
+    )
+    reads |= {c.value for c in flags.elts}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = [
+        f"{command} {a.option_strings or a.dest}"
+        for command, parser in sub.choices.items()
+        for a in parser._actions
+        if not isinstance(a, argparse._HelpAction) and a.dest not in reads
+    ]
+    assert unread == []

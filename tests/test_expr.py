@@ -195,6 +195,19 @@ class TestParser:
         ):
             assert parse_expr(print_expr(e)) == e
 
+    @pytest.mark.parametrize(
+        "e, text",
+        [
+            (Const(np.float64(1.5)), "(const 1.5)"),
+            (Scale(np.float64(0.5), Var(0)), "(scale 0.5 (var 0))"),
+            (Affine((1.0,), np.float64(0.25)), "(affine (1) 0.25)"),
+            (Const(np.float64(2.0)), "(const 2)"),
+        ],
+    )
+    def test_numpy_floats_round_trip(self, e, text):
+        assert print_expr(e) == text
+        assert parse_expr(print_expr(e)) == e
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ExprSyntaxError) as ei:
             parse_expr("(max (var 0)\n  (oops 1))")

@@ -23,9 +23,7 @@ from nonsmooth.solvers import (
     Polyak,
     ProjectionError,
     SubgradOracle,
-    lspar_objective,
     lspar_oracle,
-    lspar_pseudo_subgrad,
     lspar_subgradient_lockstep,
     mm_lspar,
     oracle_from_expr,
@@ -363,23 +361,25 @@ class TestRidge:
 class TestPseudoSubgrad:
     def test_matches_fd_at_smooth_points(self):
         ds = make_dataset(N=20, seed=4, sigma=0.1)
+        oracle = lspar_oracle(ds)
         rng = make_rng(9)
         for _ in range(10):
             W = rng.standard_normal((2, 4))
-            G = lspar_pseudo_subgrad(ds.X, ds.y, W)
+            G = oracle.subgrad(W)
             # finite differences of the objective at a no-tie point
             h = 1e-7
             for idx in [(0, 0), (1, 2)]:
                 E = np.zeros((2, 4))
                 E[idx] = h
-                fd = (lspar_objective(ds.X, ds.y, W + E) - lspar_objective(ds.X, ds.y, W - E)) / (2 * h)
+                fd = (oracle.fn(W + E) - oracle.fn(W - E)) / (2 * h)
                 assert fd == pytest.approx(G[idx], abs=1e-5)
 
     def test_matches_per_sample_reference(self):
-        # the one-trial views of the batched kernel against the direct
+        # the one-trial oracle of the batched kernel against the direct
         # per-sample formulas, bit for bit, ties included
         N = 30
         ds = make_dataset(N=N, seed=12, sigma=0.1)
+        oracle = lspar_oracle(ds)
         rng = make_rng(13)
         for trial in range(5):
             W = rng.standard_normal((2, 4))
@@ -390,8 +390,8 @@ class TestPseudoSubgrad:
             r = Z.max(axis=1) - ds.y
             G = np.zeros_like(W)
             np.add.at(G.T, winners, (r / N)[:, None] * ds.X)
-            assert lspar_objective(ds.X, ds.y, W) == float(0.5 * np.mean(r * r))
-            assert np.array_equal(lspar_pseudo_subgrad(ds.X, ds.y, W), G)
+            assert oracle.fn(W) == float(0.5 * np.mean(r * r))
+            assert np.array_equal(oracle.subgrad(W), G)
 
 
 def lockstep_batch(datasets, W0s, coeffs, max_iter):
@@ -458,6 +458,8 @@ class TestLockstepSubgradient:
                 lspar_subgradient_lockstep(*args, max_iter=5)
         with pytest.raises(ValueError, match="positive"):
             lspar_subgradient_lockstep(X, y, W0, np.r_[c[:6], 0.0], max_iter=5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            lspar_subgradient_lockstep(X, y, W0, np.r_[c[:6], np.inf], max_iter=5)
 
 
     def mixed(self):
@@ -742,7 +744,8 @@ def reference_mm_lspar(dataset, W0):
     k = W.shape[1]
     eps = max(0.1 * float(np.mean(np.abs(y))), 1e-12)
     c = solvers.MM_C0
-    f_cur = lspar_objective(X, y, W)
+    objective = lspar_oracle(dataset).fn
+    f_cur = objective(W)
     termination = "MAX_ITER"
     for _ in range(solvers.MM_MAX_OUTER):
         Z = X @ W
@@ -755,7 +758,7 @@ def reference_mm_lspar(dataset, W0):
             for i in range(k):
                 rows = assign == i
                 Wtry[:, i] = ridge_one_block(X[rows], y[rows], c, W[:, i], N)
-            ftry = lspar_objective(X, y, Wtry)
+            ftry = objective(Wtry)
             if ftry < best_f:
                 best_f, best_candidate = ftry, Wtry
         if best_candidate is not None:

@@ -568,17 +568,18 @@ class TestUncertifiedWitnessDescends:
 
     @pytest.mark.parametrize("trial", [0, 1, 2, 4])
     def test_stalled_mm_runs(self, trial):
-        from nonsmooth.solvers import lspar_objective, mm_lspar
+        from nonsmooth.solvers import lspar_oracle, mm_lspar
 
         ds, W0 = criterion7_trial(50, trial)
         tr, cert = mm_lspar(ds, W0)
         assert tr.termination == "MAX_ITER" and not cert.is_d_stationary
         W, D = tr.final_x, cert.witness
-        f0 = lspar_objective(ds.X, ds.y, W)
+        objective = lspar_oracle(ds).fn
+        f0 = objective(W)
         for t in (1e-8, 1e-6):
-            assert lspar_objective(ds.X, ds.y, W + t * D) < f0
+            assert objective(W + t * D) < f0
         t = 1e-8
-        slope = (lspar_objective(ds.X, ds.y, W + t * D) - f0) / t
+        slope = (objective(W + t * D) - f0) / t
         assert slope == pytest.approx(cert.min_value, rel=5e-3)
 
 
