@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -65,6 +66,9 @@ _CAPS = (
     (TooManyTiesError, "tie cap", "perturb W"),
     (DimensionCapError, "dimension cap", "lower the dimension"),
 )
+
+# the exact sets that subdiff --which names
+_EXACT_SETS = {f.__name__: f for f in (frechet, limiting, clarke, bouligand)}
 
 
 class InputError(Exception):
@@ -139,23 +143,20 @@ def _cmd_eval(args) -> int:
 def _cmd_subdiff(args) -> int:
     e = _load_expr(args.expr)
     x = _parse_point(args.point)
-    ops = {
-        "frechet": frechet,
-        "limiting": limiting,
-        "clarke": clarke,
-        "bouligand": bouligand,
-    }
+    if not args.sampled and (args.seed is not None or args.radius is not None):
+        raise InputError(f"exact --which {args.which} does not read --seed or --radius; only --sampled does")
     if args.sampled:
         if args.which != "clarke":
             raise InputError("sampled mode supports --which clarke only")
-        if not (math.isfinite(args.radius) and args.radius > 0):
+        if args.radius is not None and not (math.isfinite(args.radius) and args.radius > 0):
             raise InputError(f"--radius must be positive and finite, got {args.radius}")
-        ss = gradient_sampling(
-            as_gradient_oracle(e), x, radius=args.radius, seed=args.seed
-        )
+        own = inspect.signature(gradient_sampling).parameters  # the defaults of options not given
+        radius = own["radius"].default if args.radius is None else args.radius
+        seed = own["seed"].default if args.seed is None else args.seed
+        ss = gradient_sampling(as_gradient_oracle(e), x, radius=radius, seed=seed)
     else:
         try:
-            ss = ops[args.which](e, x)
+            ss = _EXACT_SETS[args.which](e, x)
         except (UnsupportedFragmentError, NotDirectionallyDifferentiableError) as exc:
             frag = classify_fragment(e).value
             raise InputError(
@@ -352,14 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("subdiff", help="compute a subdifferential")
     ps.add_argument("--expr", required=True)
     ps.add_argument("--point", required=True)
-    ps.add_argument(
-        "--which",
-        required=True,
-        choices=["frechet", "limiting", "clarke", "bouligand"],
-    )
+    ps.add_argument("--which", required=True, choices=list(_EXACT_SETS))
     ps.add_argument("--sampled", action="store_true", help="estimate the Clarke set by sampling")
-    ps.add_argument("--seed", type=int, default=42)
-    ps.add_argument("--radius", type=float, default=0.1)
+    ps.add_argument("--seed", type=int, help="--sampled seed (default: gradient_sampling's own)")
+    ps.add_argument("--radius", type=float, help="--sampled radius (default: gradient_sampling's own)")
     ps.set_defaults(func=_cmd_subdiff)
 
     pc = sub.add_parser("classify", help="stationarity report")

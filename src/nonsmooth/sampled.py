@@ -35,7 +35,7 @@ from .expr import Expr, _check_rows, _sweep_rows, _tape, evaluate
 from .polyhedra import SetUnion, conv_hull, contains, set_distance
 from .rng import make_rng
 from .subdiff import DirDerivValue, SubdiffKind, SubdiffSet
-from .tolerances import FD_OSC_TOL
+from .tolerances import FD_OSC_TOL, _check_tol
 
 __all__ = [
     "fd_dir_deriv",
@@ -336,9 +336,8 @@ def sampled_c_stationarity(
     """C-stationarity from samples: is 0 within ``tol`` of the sampled hull?
 
     Approximate by construction; pair it with the exact engine whenever the
-    fragment supports one.  ``tol`` must be >= 0.
+    fragment supports one.  ``tol`` must be finite and >= 0.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     ss = gradient_sampling(grad, x, radius=radius, samples=samples, seed=seed)
     return contains(ss.set, np.zeros(np.atleast_1d(np.asarray(x)).size), tol)

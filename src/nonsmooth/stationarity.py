@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .expr import Expr, FragmentClass, classify_fragment
+from .expr import Expr
 from .polyhedra import (
     Ball,
     Box,
@@ -32,8 +32,10 @@ from .polyhedra import (
     vertex_enumeration,
 )
 from .subdiff import (
+    NotDirectionallyDifferentiableError,
     SubdiffError,
     _point,
+    _refusal,
     clarke,
     convex_catalog_subdiff,
     dir_deriv,
@@ -46,6 +48,7 @@ from .tolerances import (
     SLOPE_TIE_TOL,
     STATIONARITY_TOL,
     WITNESS_KEY_DECIMALS,
+    _check_tol,
     rel_scale,
 )
 
@@ -146,38 +149,36 @@ def _min_dirderiv_over_box(e: Expr, x: np.ndarray, cells: Optional[list]):
 def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
     """Classify x along the d-/l-/C-stationarity hierarchy, with certificates.
 
-    Fully exact for PA trees of dim <= 3 and 1-D PA/PLQ trees.  For 1-D
-    registry-builtin trees only the d-flag is exact (via one-sided
-    derivatives); the other flags come back None.  Where the directional
+    A flag is None where its oracle (Clarke, limiting, Frechet) does not
+    answer (:data:`~nonsmooth.subdiff._SUPPORT`, or a builtin with no
+    one-sided derivative at x).  Where the directional
     sweep (min over the unit box of f'(x, .)) is available, the d-flag is
     that minimum being >= -tol * scale, scale the largest |entry| of the cell
     gradients at x (at least 1), as membership scales its tol; Frechet
     membership cross-checks it.  Otherwise the d-flag is Frechet membership.
-    ``tol`` must be >= 0.
+    ``tol`` must be finite and >= 0.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     p = _point(e, x)
     x = p.x
-    frag = classify_fragment(e)
     n = x.size
     certs: dict = {}
-    pa_plq = frag in (FragmentClass.PA, FragmentClass.PLQ)
-    exact = (pa_plq and n == 1) or (frag is FragmentClass.PA and n <= 3)
     # the sets come from the record at x, which the exact calls at x share
     is_C = is_l = is_d = None
     fs = None
-    if pa_plq and n <= 4:
+    if _refusal(e, n, "clarke") is None:
         is_C = p.clarke().contains(np.zeros(n), tol)
         certs["clarke_contains_zero"] = is_C
+    # the sweep runs where every set is exact: the limiting set's domain
+    exact = _refusal(e, n, "limiting") is None
     if exact:
         ls, fs = p.limiting()
         is_l = contains(ls.set, np.zeros(n), tol)
         certs["limiting_contains_zero"] = is_l
-    if n == 1:
+    if fs is None and _refusal(e, n, "frechet") is None:
         try:
             fs = p.frechet()
-        except SubdiffError:  # a builtin with no one-sided derivative at x
+        except NotDirectionallyDifferentiableError:  # a builtin at x
             pass
     if fs is not None:
         is_d = (not fs.is_empty) and fs.contains(np.zeros(n), tol)
@@ -203,8 +204,8 @@ def classify(e: Expr, x, tol: float = STATIONARITY_TOL) -> StationarityReport:
         if not is_d:
             witness = mdir
             wvalue = float(mval)
-    elif is_d is False and fs is not None:
-        # 1-D builtin case: certify with the negative one-sided direction
+    elif is_d is False:
+        # a 1-D tree outside PA/PLQ: certify with the negative one-sided direction
         sl, sr = p.slopes()
         cand = [(-sl, np.array([-1.0])), (sr, np.array([1.0]))]
         wvalue, witness = min(cand, key=lambda t: t[0])
@@ -253,12 +254,11 @@ def convex_optimality_check(
     that are a max of affine pieces are convex by construction) or a catalog
     item.  ``C`` may be None for the unconstrained problem.  The test finds
     the point s + nu of (subdifferential) + N_C(x) nearest to 0 and accepts
-    when it is within ``tol`` (>= 0) of 0 in every coordinate; the
+    when it is within ``tol`` (finite, >= 0) of 0 in every coordinate; the
     certificate then carries s, a subgradient, and nu, a normal direction,
     read from the weights of that point.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
     if isinstance(g, Expr):

@@ -70,6 +70,7 @@ from .expr import (
     classify_fragment,
 )
 from .polyhedra import (
+    MAX_POLYTOPE_DIM,
     Ball,
     Box,
     Cone,
@@ -285,20 +286,16 @@ def _dir_value(e: Expr, x: np.ndarray, d: np.ndarray, pattern=None) -> tuple:
 
 
 def dir_deriv(e: Expr, x, d) -> DirDerivValue:
-    """Exact one-sided directional derivative f'(x, d) for PA/PLQ trees.
+    """Exact one-sided directional derivative f'(x, d), where
+    :data:`_SUPPORT` says.
 
-    One-dimensional trees with registry builtins are also supported as long
-    as every builtin involved has one-sided derivatives at the base point.
-    Raises :class:`UnsupportedFragmentError` for general fragments
-    (USE_SAMPLED) and :class:`NotDirectionallyDifferentiableError` when the
-    one-sided limit does not exist.
+    Raises :class:`UnsupportedFragmentError` elsewhere (USE_SAMPLED) and
+    :class:`NotDirectionallyDifferentiableError` when the one-sided limit
+    does not exist.
     """
-    frag = classify_fragment(e)
-    if frag is FragmentClass.GENERAL:
-        raise UnsupportedFragmentError("USE_SAMPLED: exact rules need PA/PLQ or 1-D")
-    x = _check_point(e, x)
+    p = _supported(e, x, "dir_deriv")
     d = np.asarray(d, dtype=float).ravel()
-    return DirDerivValue(value=float(_dir_value(e, x, d)[1][-1]), kind="ordinary")
+    return DirDerivValue(value=float(_dir_value(e, p.x, d)[1][-1]), kind="ordinary")
 
 
 def clarke_dir_deriv(e: Expr, x, d) -> DirDerivValue:
@@ -471,8 +468,10 @@ class _Point:
         return cells
 
     def slopes(self) -> tuple:
+        """(left slope -f'(x, -1), right slope f'(x, 1)) at x in 1-D."""
         if self._slopes is None:
-            self._slopes = _one_sided_slopes(self.e, self.x)
+            right, back = (_dir_value(self.e, self.x, np.array([t]))[1][-1] for t in (1.0, -1.0))
+            self._slopes = -back, right
         return self._slopes
 
     def bouligand(self) -> SubdiffSet:
@@ -537,34 +536,61 @@ def _handed_out(ss: SubdiffSet) -> SubdiffSet:
 
 
 # ---------------------------------------------------------------------------
-# Bouligand and Clarke subdifferentials
+# Which trees each exact oracle answers; Bouligand and Clarke subdifferentials
 # ---------------------------------------------------------------------------
 
+# The one home of each exact oracle's domain: (fragments at a 1-D point,
+# fragments above it, dimension cap or None).  dir_deriv and the 1-D Frechet
+# set need only one-sided derivatives along a sweep; the cells need PA/PLQ
+# pieces; Frechet and limiting faces above 1-D need PA ones, and the 1-D
+# limiting set needs isolated breakpoints.
+_SUPPORT = {
+    name: (tuple(map(FragmentClass, one.split())), tuple(map(FragmentClass, many.split())), cap)
+    for name, one, many, cap in (
+        ("dir_deriv", "PA PLQ SMOOTH1D GENERAL", "PA PLQ SMOOTH1D", None),
+        ("bouligand", "PA PLQ", "PA PLQ", MAX_POLYTOPE_DIM),
+        ("clarke", "PA PLQ", "PA PLQ", MAX_POLYTOPE_DIM),
+        ("frechet", "PA PLQ SMOOTH1D GENERAL", "PA", 3),
+        ("limiting", "PA PLQ", "PA", 3),
+    )
+}
 
-def _bc_point(e: Expr, x, name: str) -> _Point:
-    """The record at x, for a PA/PLQ tree of dim <= 4; the errors name the
-    function ``name`` that was called."""
-    if classify_fragment(e) not in (FragmentClass.PA, FragmentClass.PLQ):
-        raise UnsupportedFragmentError(f"USE_SAMPLED: {name} needs a PA/PLQ tree")
+
+def _refusal(e: Expr, n: int, name: str) -> Optional[Exception]:
+    """The error the exact oracle ``name`` raises on ``e`` at an ``n``-D
+    point, or None when :data:`_SUPPORT` says it answers there."""
+    one, many, cap = _SUPPORT[name]
+    frags = one if n == 1 else many
+    if classify_fragment(e) not in frags:
+        need = "/".join(f.value for f in frags) + (" tree" if one == many else f" tree in dimension {n}")
+        return UnsupportedFragmentError(f"USE_SAMPLED: {name} needs a {need}")
+    if cap is not None and n > cap:
+        return DimensionCapError(f"dimension cap exceeded ({name} supports dim <= {cap})")
+    return None
+
+
+def _supported(e: Expr, x, name: str) -> _Point:
+    """The record at x for the exact oracle ``name``; raises :func:`_refusal`'s error."""
     x = np.asarray(x, dtype=float).ravel()
-    if x.size > 4:
-        raise DimensionCapError(f"dimension cap exceeded ({name} supports dim <= 4)")
+    err = _refusal(e, x.size, name)
+    if err is not None:
+        raise err
     return _point(e, x)
 
 
 def bouligand(e: Expr, x) -> SubdiffSet:
-    """Exact Bouligand subdifferential of a PA/PLQ tree at x (dim <= 4).
+    """Exact Bouligand subdifferential at x, where :data:`_SUPPORT` says.
 
     Returns the gradients of the essential cells of d -> f'(x, d), which
     are the gradients of the pieces essentially active at x, one singleton
     component per gradient.
     """
-    return _handed_out(_bc_point(e, x, "bouligand").bouligand())
+    return _handed_out(_supported(e, x, "bouligand").bouligand())
 
 
 def clarke(e: Expr, x) -> SubdiffSet:
     """Exact Clarke subdifferential: convex hull of the Bouligand set."""
-    return _handed_out(_bc_point(e, x, "clarke").clarke())
+    return _handed_out(_supported(e, x, "clarke").clarke())
 
 
 # ---------------------------------------------------------------------------
@@ -608,31 +634,14 @@ def _frechet_from_cells(cells: list, n: int, at: np.ndarray) -> SubdiffSet:
     )
 
 
-def _one_sided_slopes(e: Expr, x: np.ndarray) -> tuple:
-    """(left slope, right slope) of a 1-D expression at x.
-
-    The left slope is the slope of the piece on (x - delta, x), i.e.
-    -f'(x, -1); the right slope is f'(x, +1).
-    """
-    right = _dir_value(e, x, np.array([1.0]))[1][-1]
-    back = _dir_value(e, x, np.array([-1.0]))[1][-1]
-    return -back, right
-
-
 def frechet(e: Expr, x) -> SubdiffSet:
     """Exact Frechet subdifferential: linear minorants of d -> f'(x, d).
 
-    Supported inputs: PA trees in dimension <= 3, and any 1-D expression
-    whose one-sided derivatives exist at x (PA, PLQ, registry builtins).
     In 1-D the set is [-f'(x,-1), f'(x,1)], empty when that interval is
     inverted by more than :data:`~nonsmooth.tolerances.SLOPE_ORDER_TOL`.
+    Where it answers: :data:`_SUPPORT`.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != 1 and (classify_fragment(e) is not FragmentClass.PA or x.size > 3):
-        raise UnsupportedFragmentError(
-            "exact frechet needs a PA tree of dim <= 3 or a 1-D expression"
-        )
-    return _handed_out(_point(e, x).frechet())
+    return _handed_out(_supported(e, x, "frechet").frechet())
 
 
 # ---------------------------------------------------------------------------
@@ -666,37 +675,21 @@ def _face_directions(cells: list, n: int) -> list:
 def limiting(e: Expr, x) -> SubdiffSet:
     """Exact limiting subdifferential (union of nearby Frechet sets).
 
-    Supported inputs: PA trees in dimension <= 3, and 1-D PA/PLQ trees
-    (isolated breakpoints).  In 1-D the set is built from the two one-sided
-    slope limits; in higher dimension we enumerate every activity pattern
-    realizable arbitrarily close to x and union the pattern Frechet sets
-    with the Frechet set at x itself.
+    In 1-D the set is built from the two one-sided slope limits; in higher
+    dimension we enumerate every activity pattern realizable arbitrarily
+    close to x and union the pattern Frechet sets with the Frechet set at x
+    itself.  Where it answers: :data:`_SUPPORT`.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    frag = classify_fragment(e)
-    if x.size == 1:
-        supported = frag in (FragmentClass.PA, FragmentClass.PLQ)
-    else:
-        supported = frag is FragmentClass.PA and x.size <= 3
-    if not supported:
-        raise UnsupportedFragmentError(
-            "exact limiting needs PA (dim <= 3) or a 1-D PA/PLQ tree"
-        )
-    return _handed_out(_point(e, x).limiting()[0])
+    return _handed_out(_supported(e, x, "limiting").limiting()[0])
 
 
 def _limiting(p: _Point) -> tuple:
-    """(:func:`limiting`, Frechet set at x) at the record's point; the
-    Frechet set is None in 1-D."""
+    """(:func:`limiting`, Frechet set at x) at the record's point."""
     x, n = p.x, p.x.size
-    if n == 1:
-        sl, sr = p.slopes()
-        comps: list = []
-        if sl <= sr + SLOPE_ORDER_TOL:
-            comps.append(conv_hull([[sl], [sr]]))
-        else:
-            comps.extend([VPolytope([[sl]]), VPolytope([[sr]])])
-        return SubdiffSet(kind=SubdiffKind.LIMITING, set=SetUnion(tuple(comps)), at=x), None
+    fs = p.frechet()
+    if n == 1:  # the Frechet interval, or both one-sided slopes where it is empty
+        comps = fs.set.components or tuple(VPolytope([[s]]) for s in p.slopes())
+        return SubdiffSet(kind=SubdiffKind.LIMITING, set=SetUnion(comps), at=x), fs
     cells = p.cells()
     pieces: list = []  # (component, the halfspaces it was enumerated from)
     sigs = set()
@@ -712,7 +705,6 @@ def _limiting(p: _Point) -> tuple:
                 sigs.add(key)
                 pieces.append((comp, ss.halfspaces))
 
-    fs = p.frechet()
     add(fs)
     # faces whose live pattern is one already handled add nothing new
     patterns = {p.base()[1]}

@@ -18,6 +18,12 @@ def rel_scale(*arrays) -> float:
     return max(1.0, *[float(np.abs(a).max()) for a in arrays])
 
 
+def _check_tol(tol) -> None:
+    """Refuse a caller's stationarity tolerance that is not a finite number >= 0."""
+    if not (tol >= 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
+
+
 # --- polyhedra: the dense simplex ------------------------------------------
 # absolute on tableau entries and reduced costs, which are zero below it;
 # phase 1 calls an LP infeasible when its least total violation exceeds

@@ -117,6 +117,15 @@ class TestSubdiff:
         payload = json.loads(out)
         assert payload["exactness"] == "sampled"
 
+    def test_sampled_defaults_are_gradient_sampling_defaults(self, capsys):
+        from nonsmooth import as_gradient_oracle, gradient_sampling, parse_expr
+
+        expr = "(abs (var 0))"
+        code, out, _ = run_cli(["subdiff", "--sampled", "--which", "clarke", "--expr", expr, "--point", "0.01"], capsys)
+        assert code == 0
+        want = gradient_sampling(as_gradient_oracle(parse_expr(expr)), [0.01]).to_json()
+        assert json.loads(out) == json.loads(json.dumps(want))
+
 
 class TestClassify:
     def test_f2_json(self, capsys):
@@ -141,6 +150,18 @@ class TestClassify:
         assert code == 0
         payload = json.loads(out)
         assert (payload["is_C"], payload["is_l"], payload["is_d"]) == (True, True, True)
+
+    def test_1d_general_tree_gets_a_descending_witness(self, capsys):
+        # -|x| + x^4 is GENERAL: only the d-flag is exact, and its witness
+        # is checked by dir_deriv, which answers every 1-D tree
+        expr = "(sum (scale -1 (abs (var 0))) (sq (sq (var 0))))"
+        code, out, err = run_cli(["classify", "--expr", expr, "--point", "0"], capsys)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert (payload["is_C"], payload["is_l"], payload["is_d"]) == (None, None, False)
+        (w,) = payload["witness_direction"]
+        assert payload["witness_value"] == -1.0
+        assert -abs(w / 64) + (w / 64) ** 4 < 0.0  # f(t w) < f(0) for small t
 
 
 class TestSolve:
@@ -229,6 +250,11 @@ class TestUsageErrors:
             [sys.executable, "-m", "nonsmooth.cli"], capture_output=True
         )
         assert proc.returncode == 2
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = subprocess.run([sys.executable, "-m", "nonsmooth", "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: nonsmooth")
 
     E2 = "(max (var 0) (var 1))"
     PROJ = ["solve", "--method", "proj-subgrad", "--expr", E2, "--x0", "0.5 0.5", "--iters", "5"]
@@ -333,6 +359,15 @@ class TestUsageErrors:
              "sampled mode supports --which clarke only"),
             (["experiment", "recovery", "--set", "n=1,2"], "bad config value for n: "),
             (["experiment", "recovery", "--set", "iters=2.7"], "bad config value for iters: "),
+            # --seed and --radius are --sampled options
+            (["subdiff", "--which", "frechet", "--expr", "(abs (var 0))", "--point", "0", "--radius", "5",
+              "--seed", "3"], "exact --which frechet does not read --seed or --radius"),
+            (["subdiff", "--which", "clarke", "--expr", "(abs (var 0))", "--point", "0", "--seed", "42"],
+             "exact --which clarke does not read --seed or --radius"),
+            (["subdiff", "--which", "bouligand", "--expr", "(abs (var 0))", "--point", "0", "--radius", "0.1"],
+             "exact --which bouligand does not read --seed or --radius"),
+            (["classify", "--expr", "(abs (var 0))", "--point", "0", "--tol", "inf"],
+             "bad --tol inf: tol must be >= 0 and finite, got inf"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, args, says):
@@ -467,6 +502,18 @@ class TestCapExits:
                 capsys,
                 "dimension cap",
                 f"({which} supports dim <= 4); lower the dimension",
+            )
+
+    def test_exact_frechet_dimension_cap(self, capsys):
+        # the exact Frechet and limiting sets stop at dimension 3, and the
+        # refusal is a cap, as Bouligand's and Clarke's are
+        expr = "(max (affine (1 1 1 1) 0) (affine (1 -1 1 -1) 0))"
+        for which in ("frechet", "limiting"):
+            self.check(
+                ["subdiff", "--expr", expr, "--point", "0,0,0,0", "--which", which],
+                capsys,
+                "dimension cap",
+                f"({which} supports dim <= 3); lower the dimension",
             )
 
     def test_tie_cap(self, monkeypatch, capsys):

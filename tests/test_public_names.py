@@ -98,6 +98,60 @@ def test_guards_catch_planted_sites():
     assert _unread_constants(modules) == ["UNREAD"]
 
 
+# Which trees and dimensions the exact engine answers is one table,
+# ``subdiff._SUPPORT``, read by the one support check, ``_refusal``.  In the
+# modules it gates, no other code reads a tree's fragment, so no second gate
+# can grow beside the table.
+SUPPORT_CHECK = {"subdiff": ("_SUPPORT", "_refusal"), "stationarity": ()}
+FRAGMENT_READS = {"classify_fragment", "FragmentClass", "fragment"}
+
+
+def _fragment_reads(tree, allowed: tuple) -> list:
+    """Sorted (owner, line) of each read of ``classify_fragment``,
+    ``FragmentClass`` or a ``.fragment`` attribute outside the owners
+    ``allowed``.  The owner is the enclosing top-level function or class,
+    the name a top-level assignment binds, or "<module>"."""
+    out = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            owner = top.name
+        elif isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+            owner = top.targets[0].id
+        else:
+            owner = "<module>"
+        if owner in allowed:
+            continue
+        for n in ast.walk(top):
+            name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+            if name in FRAGMENT_READS:
+                out.append((owner, n.lineno))
+    return sorted(out)
+
+
+def test_fragment_gates_live_in_the_support_table():
+    modules = _package()
+    for mod, allowed in SUPPORT_CHECK.items():
+        assert _fragment_reads(modules[mod], allowed) == [], f"{mod}: ask subdiff._refusal instead"
+
+
+def test_fragment_guard_catches_planted_sites():
+    tree = ast.parse(
+        "from .expr import FragmentClass, classify_fragment\n"
+        "TABLE = {'f': (FragmentClass.PA,)}\n"
+        "def _refusal(e):\n"
+        "    return classify_fragment(e) in TABLE['f']\n"
+        "def gate(e, n):\n"
+        "    return classify_fragment(e) is FragmentClass.PA and n <= 3\n"
+        "class Oracle:\n"
+        "    def answers(self, tape):\n"
+        "        return tape.fragment\n"
+        "PLQ = FragmentClass.PLQ\n"
+        "print(FragmentClass)\n"
+    )
+    got = _fragment_reads(tree, ("TABLE", "_refusal"))
+    assert got == [("<module>", 11), ("Oracle", 9), ("PLQ", 10), ("gate", 6), ("gate", 6)]
+
+
 # A defaulted parameter of a public function or method, or a defaulted field
 # of a public dataclass, must be set by some call in the package or in the
 # benchmark's scripts; otherwise its default is the only value in use and it

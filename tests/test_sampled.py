@@ -453,7 +453,7 @@ class TestArgumentChecks:
             sampled_c_stationarity(as_gradient_oracle(Abs(Var(0))), [0.0], radius=radius)
         assert memo._DRAWS == {}
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
     def test_bad_tol(self, memo, tol):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             sampled_c_stationarity(as_gradient_oracle(Abs(Var(0))), [0.0], tol=tol)

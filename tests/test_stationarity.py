@@ -44,7 +44,7 @@ class TestClassify:
         rep = classify(e, np.zeros(n))
         assert (rep.is_C, rep.is_l, rep.is_d) == (True, True, True)
 
-    @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_rejects_negative_tol(self, bad):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             classify(Abs(Var(0)), [0.0], tol=bad)
@@ -237,7 +237,7 @@ class TestConvexOptimality:
         assert cert.s[0] == pytest.approx(1.0, abs=1e-7)
         assert cert.nu[0] == pytest.approx(-1.0, abs=1e-7)
 
-    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_rejects_negative_tol(self, bad):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             convex_optimality_check(Abs(Var(0)), None, [0.0], tol=bad)

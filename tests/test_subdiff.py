@@ -18,6 +18,8 @@ from nonsmooth.expr import (
     Abs,
     Affine,
     Const,
+    Expr,
+    FragmentClass,
     Max,
     Min,
     Scale,
@@ -26,8 +28,10 @@ from nonsmooth.expr import (
     Var,
     _sweep,
     _tape,
+    classify_fragment,
     evaluate,
     parse_expr,
+    vmax,
     vsum,
 )
 from nonsmooth.gallery import (
@@ -866,3 +870,78 @@ class TestComposeAffine:
             assert evaluate(f, x) == pytest.approx(
                 abs(x[0] + x[1]) + abs(x[0] - x[1]), abs=1e-14
             )
+
+
+def _kink_tree(frag: str, n: int) -> Expr:
+    """A tree of fragment ``frag`` that reads variables 0..n-1 (the SMOOTH1D
+    one only variable 0), kinked at 0."""
+    vs = [Var(i) for i in range(n)]
+    pa = vsum(Scale(-1.0, Abs(vs[0])), *(Abs(v) for v in vs[1:]))
+    return {
+        "PA": pa,
+        "PLQ": vsum(pa, Sq(vs[-1])),
+        "SMOOTH1D": vsum(Abs(vs[0]), xsqsin_expr()),
+        "GENERAL": vsum(pa, Sq(Sq(vs[-1]))),
+    }[frag]
+
+
+class TestSupportTable:
+    """Every exact oracle answers exactly where ``subdiff._SUPPORT`` says."""
+
+    ORACLES = {
+        "dir_deriv": lambda e, x: dir_deriv(e, x, np.ones(x.size)),
+        "bouligand": bouligand,
+        "clarke": clarke,
+        "clarke_dir_deriv": lambda e, x: clarke_dir_deriv(e, x, np.ones(x.size)),
+        "frechet": frechet,
+        "limiting": limiting,
+    }
+
+    def test_the_table_names_the_oracles(self):
+        assert set(sd._SUPPORT) == set(self.ORACLES) - {"clarke_dir_deriv"}
+        for one, many, _ in sd._SUPPORT.values():
+            assert set(many) <= set(one)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("frag", ["PA", "PLQ", "SMOOTH1D", "GENERAL"])
+    def test_support_matrix(self, frag, n):
+        e, x = _kink_tree(frag, n), np.zeros(n)
+        assert classify_fragment(e) is FragmentClass[frag]
+
+        def refused(name):
+            one, many, cap = sd._SUPPORT[name]
+            if FragmentClass[frag] not in (one if n == 1 else many):
+                return UnsupportedFragmentError
+            return DimensionCapError if cap is not None and n > cap else None
+
+        for name, run in self.ORACLES.items():
+            want = refused("clarke" if name == "clarke_dir_deriv" else name)
+            if want is None:
+                run(e, x)
+            else:
+                with pytest.raises(want) as info:
+                    run(e, x)
+                assert type(info.value) is want
+        rep = classify(e, x)
+        got = (rep.is_C is None, rep.is_l is None, rep.is_d is None)
+        assert got == tuple(refused(name) is not None for name in ("clarke", "limiting", "frechet"))
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            neg_abs(),
+            f2_expr(),
+            vsum(Abs(Var(0)), Scale(-1.0, Sq(Var(0)))),
+            vsum(Abs(Var(0)), xsqsin_expr()),
+            vsum(Scale(-1.0, Abs(Var(0))), Sq(Sq(Var(0)))),  # GENERAL
+            vmax(Sq(Var(0)), Scale(-2.0, Var(0)), Abs(Var(0))),  # GENERAL
+        ],
+        ids=["neg_abs", "f2", "abs-sq", "abs+xsqsin", "-abs+sq(sq)", "max(sq,-2x,abs)"],
+    )
+    def test_dir_deriv_answers_every_1d_tree_frechet_answers(self, e):
+        fs = frechet(e, [0.0])
+        left, right = -dir_deriv(e, [0.0], [-1.0]).value, dir_deriv(e, [0.0], [1.0]).value
+        if fs.is_empty:
+            assert left > right
+        else:
+            assert_sets_equal(fs.set, interval(left, right))
